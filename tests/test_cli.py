@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -142,7 +143,10 @@ def test_countermodel_json_deterministic(capsys):
     one = capsys.readouterr().out
     assert run(args) == 1
     assert capsys.readouterr().out == one
-    json.loads(one)
+    doc = json.loads(one)
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "e416a05fdfb1901889173e254d35ae6f8b0dc4c3a81b4d357ce90c49bcd54ff5"
 
 
 def test_suite_command(capsys, monkeypatch):

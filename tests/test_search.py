@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -15,6 +16,11 @@ from ieml.search import (
 from helpers import naive_satisfies
 
 AG = AgentSet.of("a")
+
+
+def _digest(doc) -> str:
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 # ---------- budgets ----------
@@ -174,6 +180,8 @@ def test_suite_small_budget_passes_and_is_deterministic():
     assert "heredity" in names and "A5_on_all" in names
     assert "claim_partition_lift" in names
     assert json.dumps(rep1.to_json(), sort_keys=True)
+    assert _digest(rep1.to_json()) == \
+        "5112fa3eadd5a5a1f2c0eefcaa85d385da6c0cf7994cb8c5c92eaacdcc293ebe"
 
 
 def test_suite_swapped_class_produces_witness():
@@ -184,6 +192,8 @@ def test_suite_swapped_class_produces_witness():
     entry = rep.entry("A7_on_all")
     assert entry.status == "fail"
     assert entry.witnesses
+    assert _digest(rep.to_json()) == \
+        "8ed42001344cf47873ec93518694474f15d6fdabb9ae822072d8520697569522"
 
 
 def test_suite_rule_entries_report_vacuity():
