@@ -243,8 +243,8 @@ def _random_model(rng: random.Random, frame: Frame,
 
 def _random_mono_model(rng: random.Random, ms: MonoStructure,
                        atoms: Sequence[str]) -> MonoModel:
-    closed = [u for u in range(1 << ms.n) if is_closed(ms.leq, u)]
-    return MonoModel.make(ms, {a: rng.choice(closed) for a in atoms})
+    sets = up_sets(ms)
+    return MonoModel.make(ms, {a: rng.choice(sets) for a in atoms})
 
 
 # ---------- formula spaces ----------

@@ -10,6 +10,7 @@ from ieml import (
 )
 from ieml.errors import BudgetError, PreconditionError
 from ieml.search import SizeBudget, enumerate_frames, sample_formulas
+from ieml.semantics import mono_truth_mask
 from ieml.syntax import MonoBox
 
 from helpers import (
@@ -263,3 +264,16 @@ def test_mono_satisfaction_against_oracle():
             g = tau(f)
             for s in range(ms.n):
                 assert mono_satisfies(mm, s, g) == naive_mono_satisfies(mm, s, g)
+
+
+def test_wrong_kind_of_box_is_a_type_error():
+    st = MonoStructure(2, Rel.from_pairs(2, [(0, 0), (1, 1), (0, 1)]),
+                       Rel.from_pairs(2, [(0, 1), (1, 1)]))
+    mm = MonoModel.make(st, {"p": {1}})
+    p = Atom("p")
+    with pytest.raises(TypeError):
+        Evaluator(chain_model().frame).truth_mask(MonoBox(p), {})
+    with pytest.raises(TypeError):
+        mono_truth_mask(mm, Box(A, p))
+    with pytest.raises(TypeError):
+        mono_truth_mask(mm, Dia(A, p))
