@@ -58,16 +58,45 @@ def _read(source: Source) -> dict:
         return json.load(fh)
 
 
+# containers accepted for pair lists and valuation state lists; a document
+# read from JSON has lists, Python callers may pass the others
+_COLLECTIONS = (list, tuple, set, frozenset)
+
+
+def _known(name, index: dict) -> bool:
+    try:
+        return name in index
+    except TypeError:  # unhashable, e.g. a JSON array or object
+        return False
+
+
 def _pairs_to_rel(n: int, pairs, index: dict, what: str) -> Rel:
+    if not isinstance(pairs, _COLLECTIONS):
+        raise ModelFormatError(f"{what}: expected a list of [from, to] pairs")
     out = []
     for pair in pairs:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ModelFormatError(f"{what}: expected [from, to] pairs")
         a, b = pair
-        if a not in index or b not in index:
+        if not (_known(a, index) and _known(b, index)):
             raise ModelFormatError(f"{what}: unknown state in pair {pair!r}")
         out.append((index[a], index[b]))
     return Rel.from_pairs(n, out)
+
+
+def _valuation(doc: dict, index: dict) -> dict:
+    val_doc = doc.get("valuation", {})
+    if not isinstance(val_doc, dict):
+        raise ModelFormatError("valuation: expected an object from atoms to state lists")
+    val = {}
+    for atom, states in val_doc.items():
+        if not isinstance(states, _COLLECTIONS):
+            raise ModelFormatError(f"valuation of {atom!r}: expected a list of states")
+        for s in states:
+            if not _known(s, index):
+                raise ModelFormatError(f"valuation of {atom!r}: unknown state {s!r}")
+        val[atom] = {index[s] for s in states}
+    return val
 
 
 def load_model(source: Source, close_leq: bool = False,
@@ -99,6 +128,8 @@ def load_model(source: Source, close_leq: bool = False,
         leq = leq.rt_closure()
 
     rel_doc = doc["rel"]
+    if not isinstance(rel_doc, dict):
+        raise ModelFormatError("rel: expected an object from group keys to pair lists")
     seen: dict[Group, Rel] = {}
     for key, pairs in rel_doc.items():
         members = key.split(",")
@@ -139,12 +170,7 @@ def load_model(source: Source, close_leq: bool = False,
     if not report.ok:
         raise ModelFormatError("; ".join(report.problems))
 
-    val = {}
-    for atom, states in doc.get("valuation", {}).items():
-        for s in states:
-            if s not in index:
-                raise ModelFormatError(f"valuation of {atom!r}: unknown state {s!r}")
-        val[atom] = {index[s] for s in states}
+    val = _valuation(doc, index)
     try:
         model = Model.make(frame, val)
     except ValueError as e:
@@ -196,12 +222,7 @@ def load_mono(source: Source, close_leq: bool = False) -> tuple[MonoModel, tuple
     if not (leq.is_reflexive() and leq.is_transitive()):
         raise ModelFormatError("leq is not a preorder")
     r = _pairs_to_rel(n, doc["r"], index, "r")
-    val = {}
-    for atom, states in doc.get("valuation", {}).items():
-        for s in states:
-            if s not in index:
-                raise ModelFormatError(f"valuation of {atom!r}: unknown state {s!r}")
-        val[atom] = {index[s] for s in states}
+    val = _valuation(doc, index)
     try:
         mm = MonoModel.make(MonoStructure(n, leq, r), val)
     except ValueError as e:

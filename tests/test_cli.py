@@ -71,6 +71,22 @@ def test_classify_command(capsys, model_file):
     assert "classes" in json.loads(capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rel", []),
+    ("valuation", {"p": 5}),
+    ("leq", [[["w0"], "w0"]]),  # a list used as a state name
+])
+def test_classify_malformed_document_exit_2(capsys, tmp_path, field, value):
+    doc = {"agents": ["a"], "worlds": ["w0"], "leq": [["w0", "w0"]],
+           "rel": {"a": []}, field: value}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["classify", "--frame", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+
+
 def test_construct_roundtrip(capsys, tmp_path, model_file, mono_file):
     out = str(tmp_path / "lifted.json")
     assert run(["construct", "--kind", "translift",
