@@ -260,12 +260,8 @@ def rs_collapse(m: Model,
     if not has_class(frame, FrameClass.UD):
         raise PreconditionError(
             "rs_collapse needs an up and down reflexive and symmetric frame")
-    leq, geq = frame.leq, frame.geq()
-    rel = {}
-    for group in frame.agents.groups():
-        r = frame.r(group)
-        rel[group] = (leq.compose(r).compose(leq)) & (geq.compose(r).compose(geq))
-    out_frame = Frame.make(frame.agents, frame.n, leq, rel)
+    out_frame = Frame(frame.agents, frame.n, frame.leq,
+                      tuple(up & down for up, down in frame.ud_composites))
     out = Model(out_frame, m.val)
     names = _names(m, src_names)
     fibers = tuple((t,) for t in range(frame.n))

@@ -37,24 +37,15 @@ def _serial_box(f: Frame) -> bool:
 
 
 def _ud_reflexive(f: Frame) -> bool:
-    leq, geq = f.leq, f.geq()
-    for r in f.rels:
-        up = leq.compose(r).compose(leq)
-        down = geq.compose(r).compose(geq)
-        if not (up.is_reflexive() and down.is_reflexive()):
-            return False
-    return True
+    return all(up.is_reflexive() and down.is_reflexive()
+               for up, down in f.ud_composites)
 
 
 def _ud_symmetric(f: Frame) -> bool:
-    leq, geq = f.leq, f.geq()
-    for r in f.rels:
-        up = leq.compose(r).compose(leq)
-        down = geq.compose(r).compose(geq)
-        for s, t in r.pairs():
-            if not (up.has(t, s) and down.has(t, s)):
-                return False
-    return True
+    # every (s, t) in R has t up s and t down s, i.e. the converse of R
+    # lies inside both composites
+    return all(r.converse().le(up & down)
+               for r, (up, down) in zip(f.rels, f.ud_composites))
 
 
 def _prestandard(f: Frame, exact: bool) -> bool:

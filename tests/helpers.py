@@ -118,6 +118,72 @@ def naive_compose(p: Rel, q: Rel) -> set:
     return {(i, k) for i, j1 in p.pairs() for j2, k in q.pairs() if j1 == j2}
 
 
+def naive_classes(frame: Frame) -> set:
+    """Names of the frame classes ``frame`` belongs to, each decided from its
+    definition on successor sets read off ``rel_pairs``; no converse,
+    composition or inclusion test of the engine is used."""
+    n = frame.n
+
+    def succ(pairs: set) -> list:
+        out = [set() for _ in range(n)]
+        for s, t in pairs:
+            out[s].add(t)
+        return out
+
+    def then(p: list, q: list) -> list:  # s (p;q) u iff s p t and t q u
+        return [set().union(*(q[t] for t in p[s])) for s in range(n)]
+
+    leq = succ(rel_pairs(frame.leq))
+    geq = succ({(t, s) for s, t in rel_pairs(frame.leq)})
+    groups = frame.agents.groups()
+    rel = {g: succ(rel_pairs(frame.r(g))) for g in groups}
+    rels = list(rel.values())
+    up = [then(then(leq, r), leq) for r in rels]
+    down = [then(then(geq, r), geq) for r in rels]
+    edges = [[(s, t) for s in range(n) for t in r[s]] for r in rels]
+    out = {"all"}
+    if all(r[s] <= leq[s] for r in rels for s in range(n)):
+        out.add("doxastic")
+        if all(all(then(leq, r)) for r in rels):
+            out.add("epistemic")
+    reflexive = all(s in r[s] for r in rels for s in range(n))
+    symmetric = all(s in r[t] for r, es in zip(rels, edges) for s, t in es)
+    transitive = all(a <= b for r in rels for a, b in zip(then(r, r), r))
+    ud_reflexive = all(s in u[s] and s in d[s]
+                       for u, d in zip(up, down) for s in range(n))
+    ud_symmetric = all(s in u[t] and s in d[t]
+                       for u, d, es in zip(up, down, edges) for s, t in es)
+    flags = {"reflexive": reflexive, "symmetric": symmetric,
+             "transitive": transitive, "rs": reflexive and symmetric,
+             "partition": reflexive and symmetric and transitive,
+             "ud_reflexive": ud_reflexive, "ud_symmetric": ud_symmetric,
+             "ud": ud_reflexive and ud_symmetric}
+    out |= {name for name, holds in flags.items() if holds}
+    rows = [(rel[g1 | g2][s], rel[g1][s] & rel[g2][s])
+            for g1 in groups for g2 in groups for s in range(n)]
+    if all(union <= meet for union, meet in rows):
+        out.add("prestandard")
+    if all(union == meet for union, meet in rows):
+        out.add("standard")
+    if all(a <= b for r in rels for a, b in zip(then(geq, r), then(r, geq))):
+        out.add("forward_confluent")
+    return out
+
+
+def blow_up(frame: Frame, sizes) -> Frame:
+    """Replace state s by ``sizes[s]`` identical copies: every copy relates
+    exactly as its original does, so the rows repeat in blocks."""
+    origin = [s for s, k in enumerate(sizes) for _ in range(k)]
+    n = len(origin)
+
+    def lift(r: Rel) -> Rel:
+        pairs = rel_pairs(r)
+        return Rel.from_pairs(n, [(x, y) for x in range(n) for y in range(n)
+                                  if (origin[x], origin[y]) in pairs])
+
+    return Frame(frame.agents, n, lift(frame.leq), tuple(lift(r) for r in frame.rels))
+
+
 def random_ast(rng: random.Random, atoms=("p", "q", "r"),
                agents=("a", "b"), depth: int = 4) -> Formula:
     """Formula generator independent of the search module's one."""

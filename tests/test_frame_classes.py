@@ -1,12 +1,15 @@
+import random
+
 import pytest
 
 from ieml import (
     AgentSet, Frame, FrameClass, MonoStructure, Rel, classify, has_class,
     is_iel_structure,
 )
+from ieml import semantics
 from ieml.search import SizeBudget, enumerate_frames
 
-from helpers import two_chain_frame
+from helpers import blow_up, naive_classes, two_chain_frame
 
 AG = AgentSet.of("a")
 AG2 = AgentSet.of("a", "b")
@@ -46,6 +49,75 @@ def test_classify_consistent_with_has_class():
         tags = set(classify(frame))
         for c in FrameClass:
             assert (c in tags) == has_class(frame, c)
+
+
+def _tags(frame):
+    return {c.value for c in classify(frame)}
+
+
+def _random_frame(rng, agents, n, rs=False):
+    """A random frame; with ``rs`` every relation is reflexive and symmetric."""
+    leq = Rel.from_mask(n, rng.getrandbits(n * n)).rt_closure()
+    rels = []
+    for _ in agents.groups():
+        r = Rel.from_mask(n, rng.getrandbits(n * n))
+        if rs:
+            r = Rel.from_pairs(n, r.pairs() + [(j, i) for i, j in r.pairs()]
+                               + [(i, i) for i in range(n)])
+        rels.append(r)
+    return Frame(agents, n, leq, tuple(rels))
+
+
+@pytest.fixture
+def transposes(monkeypatch):
+    """Count the converses that take the numpy bit-matrix transpose."""
+    calls = []
+    numpy_transpose = semantics._bit_transpose
+    monkeypatch.setattr(semantics, "_bit_transpose",
+                        lambda *a: calls.append(a) or numpy_transpose(*a))
+    return calls
+
+
+def test_classify_matches_naive_classes_on_enumerated_frames():
+    budget = SizeBudget(max_states=3, max_agents=2, max_candidates=400, seed=6)
+    seen = 0
+    for frame in enumerate_frames(budget, FrameClass.ALL):
+        seen += 1
+        assert _tags(frame) == naive_classes(frame)
+    assert seen > 100
+
+
+def test_classify_matches_naive_classes_on_repeated_rows(transposes):
+    # blocks of identical copies of a 2- or 3-state frame, 130-200 states in
+    # all: no relation has more than three distinct rows, so every converse
+    # takes the row-class pass
+    rng = random.Random(12)
+    found = set()
+    for agents, rs in ((AG, True), (AG2, True), (AG2, False)):
+        base = _random_frame(rng, agents, rng.choice((2, 3)), rs)
+        frame = blow_up(base, [rng.randrange(130, 201) // base.n
+                               for _ in range(base.n)])
+        tags = _tags(frame)
+        assert tags == naive_classes(frame) == _tags(base)
+        found |= tags
+    assert not transposes
+    assert {"rs", "ud", "transitive", "forward_confluent"} <= found
+
+
+def test_classify_matches_naive_classes_on_dense_distinct_rows(transposes):
+    # a reflexive symmetric relation with all 128 rows distinct: its
+    # converse takes the numpy transpose
+    rng = random.Random(13)
+    n = 128
+    r = Rel.from_mask(n, rng.getrandbits(n * n))
+    r = Rel.from_pairs(n, r.pairs() + [(j, i) for i, j in r.pairs()]
+                       + [(i, i) for i in range(n)])
+    assert len(set(r.rows)) == n
+    frame = Frame(AG, n, Rel.identity(n), (r,))
+    tags = _tags(frame)
+    assert transposes
+    assert tags == naive_classes(frame)
+    assert {"rs", "ud", "standard"} <= tags
 
 
 def _exhaustive_frames_1agent(max_n):

@@ -10,6 +10,7 @@ from ieml import (
 )
 from ieml.errors import BudgetError, PreconditionError
 from ieml.search import SizeBudget, enumerate_frames, sample_formulas
+from ieml import semantics
 from ieml.semantics import mono_truth_mask
 from ieml.syntax import MonoBox
 
@@ -58,12 +59,30 @@ def test_rel_converse_and_closure():
         assert r.le(c)
 
 
-def test_rel_converse_numpy_path():
+def test_rel_converse_numpy_path(monkeypatch):
     n = 200
     rng = random.Random(5)
     pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(900)}
     r = Rel.from_pairs(n, pairs)
     assert set(r.converse().pairs()) == {(j, i) for i, j in pairs}
+
+    # the converse picks numpy for a dense relation with all rows distinct
+    # and the row-class pass for one with few distinct rows
+    transposes = []
+    numpy_transpose = semantics._bit_transpose
+    monkeypatch.setattr(semantics, "_bit_transpose",
+                        lambda *a: transposes.append(a) or numpy_transpose(*a))
+    dense = Rel(n, tuple(rng.getrandbits(n) for _ in range(n)))
+    base = [rng.getrandbits(n) for _ in range(3)]
+    repetitive = Rel(n, tuple(rng.choice(base) for _ in range(n)))
+    assert len(set(dense.rows)) == n and len(set(repetitive.rows)) <= 3
+    for rel, via_numpy in ((dense, True), (repetitive, False)):
+        transposes.clear()
+        c = rel.converse()
+        assert bool(transposes) == via_numpy
+        assert c is rel.converse()
+        assert c.converse() == rel
+        assert set(c.pairs()) == {(j, i) for i, j in rel.pairs()}
 
 
 # ---------- frames and reports ----------
