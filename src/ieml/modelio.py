@@ -55,7 +55,10 @@ def _read(source: Source) -> dict:
     if isinstance(source, dict):
         return source
     with open(source) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ModelFormatError("expected a JSON object")
+    return doc
 
 
 # containers accepted for pair lists and valuation state lists; a document
@@ -68,6 +71,17 @@ def _known(name, index: dict) -> bool:
         return name in index
     except TypeError:  # unhashable, e.g. a JSON array or object
         return False
+
+
+def _world_names(doc: dict) -> tuple:
+    names = doc["worlds"]
+    try:
+        ok = isinstance(names, (list, tuple)) and 0 < len(set(names)) == len(names)
+    except TypeError:  # an unhashable name
+        ok = False
+    if not ok:
+        raise ModelFormatError("worlds must be a nonempty list of distinct names")
+    return tuple(names)
 
 
 def _pairs_to_rel(n: int, pairs, index: dict, what: str) -> Rel:
@@ -115,11 +129,9 @@ def load_model(source: Source, close_leq: bool = False,
             raise ModelFormatError(f"missing key {key!r}")
     try:
         agents = AgentSet(tuple(doc["agents"]))
-    except ValueError as e:
+    except (TypeError, ValueError) as e:  # not a list, or a name not a string
         raise ModelFormatError(f"bad agents: {e}") from None
-    names = tuple(doc["worlds"])
-    if not names or len(set(names)) != len(names):
-        raise ModelFormatError("worlds must be a nonempty list of distinct names")
+    names = _world_names(doc)
     n = len(names)
     index = {nm: i for i, nm in enumerate(names)}
 
@@ -211,9 +223,7 @@ def load_mono(source: Source, close_leq: bool = False) -> tuple[MonoModel, tuple
     for key in ("worlds", "leq", "r"):
         if key not in doc:
             raise ModelFormatError(f"missing key {key!r}")
-    names = tuple(doc["worlds"])
-    if not names or len(set(names)) != len(names):
-        raise ModelFormatError("worlds must be a nonempty list of distinct names")
+    names = _world_names(doc)
     n = len(names)
     index = {nm: i for i, nm in enumerate(names)}
     leq = _pairs_to_rel(n, doc["leq"], index, "leq")

@@ -75,6 +75,8 @@ def test_classify_command(capsys, model_file):
     ("rel", []),
     ("valuation", {"p": 5}),
     ("leq", [[["w0"], "w0"]]),  # a list used as a state name
+    ("worlds", [["w0"]]),
+    ("agents", 5),
 ])
 def test_classify_malformed_document_exit_2(capsys, tmp_path, field, value):
     doc = {"agents": ["a"], "worlds": ["w0"], "leq": [["w0", "w0"]],

@@ -84,6 +84,15 @@ def test_loader_rejections():
         load_model(raw)
 
 
+def test_document_must_be_an_object(tmp_path):
+    path = tmp_path / "number.json"
+    path.write_text("5")
+    with pytest.raises(ModelFormatError, match="JSON object"):
+        load_model(path)
+    with pytest.raises(ModelFormatError, match="JSON object"):
+        load_mono(path)
+
+
 def test_group_keys_normalized_on_load():
     raw = base_doc()
     raw["rel"] = {"a": [], "b": [], "b,a": [["w0", "w1"]]}
