@@ -38,14 +38,14 @@ def _serial_box(f: Frame) -> bool:
 
 def _ud_reflexive(f: Frame) -> bool:
     return all(up.is_reflexive() and down.is_reflexive()
-               for up, down in f.ud_composites)
+               for up, down in f.ud_composites())
 
 
 def _ud_symmetric(f: Frame) -> bool:
     # every (s, t) in R has t up s and t down s, i.e. the converse of R
     # lies inside both composites
     return all(r.converse().le(up & down)
-               for r, (up, down) in zip(f.rels, f.ud_composites))
+               for r, (up, down) in zip(f.rels, f.ud_composites()))
 
 
 def _prestandard(f: Frame, exact: bool) -> bool:

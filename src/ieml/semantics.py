@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import BudgetError, PreconditionError
@@ -43,9 +42,10 @@ class Rel:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 0 or len(self.rows) != self.n:
+        n, rows = self.n, self.rows
+        if n < 0 or len(rows) != n:
             raise ValueError("row count must equal carrier size")
-        if self.rows and not (0 <= min(self.rows) and max(self.rows) < 1 << self.n):
+        if rows and not (0 <= min(rows) and max(rows) < 1 << n):
             raise ValueError("row refers to states outside the carrier")
 
     @classmethod
@@ -101,10 +101,12 @@ class Rel:
         constructed frame comes near that point, only dense relations with
         mostly distinct rows.  Equal output rows share one int object.
         """
-        return self._converse
+        memo = self.__dict__.get("_converse")
+        if memo is None:  # the dataclass is frozen, so write the dict itself
+            memo = self.__dict__["_converse"] = self._transpose()
+        return memo
 
-    @cached_property
-    def _converse(self) -> "Rel":
+    def _transpose(self) -> "Rel":
         n = self.n
         # numpy transposes all n*n cells at once; the row-class pass does
         # `work` big-int ORs.  Measured crossover (Python 3.11, numpy 2.4):
@@ -128,8 +130,10 @@ class Rel:
             for r, states in classes.items():
                 for j in bits(r):
                     rows[j] |= states
-        shared: dict[int, int] = {}
-        return Rel(n, tuple(shared.setdefault(r, r) for r in rows))
+        if n > 8:  # CPython already shares the ints below 257
+            shared: dict[int, int] = {}
+            rows = [shared.setdefault(r, r) for r in rows]
+        return Rel(n, tuple(rows))
 
     def compose(self, other: "Rel") -> "Rel":
         """Left-to-right: i (self;other) k iff some j with i self j and j other k."""
@@ -223,13 +227,20 @@ class Frame:
     def geq(self) -> Rel:
         return self.leq.converse()
 
-    @cached_property
-    def ud_composites(self) -> tuple[tuple[Rel, Rel], ...]:
-        """``(leq;R;leq, geq;R;geq)`` per relation in ``rels`` order, computed
-        once per frame for the up-and-down classes and ``rs_collapse``."""
-        leq, geq = self.leq, self.geq()
-        return tuple((leq.compose(r).compose(leq), geq.compose(r).compose(geq))
-                     for r in self.rels)
+    def ud_composites(self) -> Iterator[tuple[Rel, Rel]]:
+        """``(leq;R;leq, geq;R;geq)`` for each relation, in ``rels`` order,
+        for the up-and-down classes and ``rs_collapse``.  Each pair is
+        computed on first demand and kept with the frame, so a caller that
+        stops early leaves the rest uncomputed."""
+        memo = self.__dict__.setdefault("_ud_composites", {})
+        leq = self.leq
+        for i, r in enumerate(self.rels):
+            pair = memo.get(i)
+            if pair is None:
+                geq = self.geq()
+                pair = memo.setdefault(i, (leq.compose(r).compose(leq),
+                                           geq.compose(r).compose(geq)))
+            yield pair
 
     def rel_map(self) -> dict:
         return {g: self.r(g) for g in self.agents.groups()}

@@ -48,6 +48,15 @@ def test_rel_compose_against_oracle():
         assert set(compose(p, q).pairs()) == naive_compose(p, q)
 
 
+def test_rel_rejects_rows_outside_the_carrier():
+    assert Rel(2, (0b11, 0)).rows == (3, 0)
+    for rows in ((0b100, 0), (0, -1), (1 << 70, 1)):
+        with pytest.raises(ValueError, match="outside the carrier"):
+            Rel(2, rows)
+    with pytest.raises(ValueError, match="row count"):
+        Rel(2, (1,))
+
+
 def test_rel_converse_and_closure():
     rng = random.Random(4)
     for _ in range(40):
