@@ -45,8 +45,9 @@ class Rel:
         n, rows = self.n, self.rows
         if n < 0 or len(rows) != n:
             raise ValueError("row count must equal carrier size")
-        if rows and not (0 <= min(rows) and max(rows) < 1 << n):
-            raise ValueError("row refers to states outside the carrier")
+        for r in rows:  # r >> n is 0 exactly when 0 <= r < 2**n, in O(1)
+            if r >> n:
+                raise ValueError("row refers to states outside the carrier")
 
     @classmethod
     def empty(cls, n: int) -> "Rel":
