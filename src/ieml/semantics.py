@@ -7,8 +7,11 @@ by construction.
 
 ``Evaluator`` is the one truth-set core, for group frames and for the
 single-relation structures ``tau`` images are read on: two row passes (image
-inside / image meets the body) plus one preorder-interior pass.  The
-satisfaction and validity functions below wrap it.
+inside / image meets the body) plus one preorder-interior pass.  Every pass
+runs over a relation's row classes (``Rel.row_classes``: each distinct row
+with the set of states that have it), so its cost follows the number of
+distinct rows, not of states.  The satisfaction and validity functions
+below wrap it.
 """
 from __future__ import annotations
 
@@ -92,18 +95,47 @@ class Rel:
     def le(self, other: "Rel") -> bool:
         return all(a | b == b for a, b in zip(self.rows, other.rows))
 
+    def row_classes(self) -> tuple[tuple[int, int], ...]:
+        """``(row, states)`` pairs, one per distinct row in order of first
+        occurrence, ``states`` being the bitmask of the states with that
+        row.  Computed once per instance and kept with it: a pass over these
+        visits each distinct row once, however many states share it."""
+        memo = self.__dict__.get("_row_classes")
+        if memo is None:  # the dataclass is frozen, so write the dict itself
+            distinct, index = self._row_table()
+            states = [0] * len(distinct)
+            for i, c in enumerate(index):
+                states[c] |= 1 << i
+            memo = self.__dict__["_row_classes"] = tuple(zip(distinct, states))
+        return memo
+
+    def _row_table(self) -> tuple[list[int], list[int]]:
+        """The distinct rows and, per state, its row's position among them;
+        computed once per instance, or handed over by ``_from_table``."""
+        memo = self.__dict__.get("_table")
+        if memo is None:
+            memo = self.__dict__["_table"] = _row_table(self.rows)
+        return memo
+
+    @classmethod
+    def _from_table(cls, n: int, distinct: list[int], index: list[int]) -> "Rel":
+        """The relation whose state i has row ``distinct[index[i]]``: equal
+        rows share one int object, and the table is kept with it."""
+        out = cls(n, tuple(map(distinct.__getitem__, index)))
+        out.__dict__["_table"] = (distinct, index)
+        return out
+
     def converse(self) -> "Rel":
         """The transpose, computed once per instance and kept with it.
 
-        States with identical rows are grouped, and each class's state set is
-        ORed into the converse rows of its row's bits, so the work is the sum
-        of popcounts over distinct rows.  When that sum outweighs a bit-matrix
-        transpose of all n*n cells, numpy does the transpose instead; no
-        constructed frame comes near that point, only dense relations with
-        mostly distinct rows.  Equal output rows share one int object.
+        Each row class's state set is ORed into the converse rows of its
+        row's bits, so the work is the sum of popcounts over distinct rows.
+        When that sum outweighs a bit-matrix transpose of all n*n cells,
+        numpy does the transpose instead; no constructed frame comes near
+        that point, only dense relations with mostly distinct rows.
         """
         memo = self.__dict__.get("_converse")
-        if memo is None:  # the dataclass is frozen, so write the dict itself
+        if memo is None:
             memo = self.__dict__["_converse"] = self._transpose()
         return memo
 
@@ -114,41 +146,31 @@ class Rel:
         # work/n near 3-6 up to n=1024, then 39 at n=2048 and 61 at n=8192,
         # where the transpose's n*n-byte buffers outgrow the cache.  Frames
         # of four states or fewer never reach numpy.
-        limit = n * (4 if n < 2048 else 48)
-        classes: dict[int, int] = {}  # row -> states having that row
-        work = 0
-        for i, r in enumerate(self.rows):
-            if r in classes:
-                classes[r] |= 1 << i
-            else:
-                classes[r] = 1 << i
-                work += r.bit_count()
-                if work > limit:  # no need to group the remaining rows
-                    rows = _bit_transpose(n, self.rows)
-                    break
+        work = sum(r.bit_count() for r in self._row_table()[0])
+        if work > n * (4 if n < 2048 else 48):
+            rows = _bit_transpose(n, self.rows)
         else:
             rows = [0] * n
-            for r, states in classes.items():
+            for r, states in self.row_classes():
                 for j in bits(r):
                     rows[j] |= states
-        if n > 8:  # CPython already shares the ints below 257
-            shared: dict[int, int] = {}
-            rows = [shared.setdefault(r, r) for r in rows]
-        return Rel(n, tuple(rows))
+        return Rel._from_table(n, *_row_table(rows))
 
     def compose(self, other: "Rel") -> "Rel":
-        """Left-to-right: i (self;other) k iff some j with i self j and j other k."""
-        rows = []
-        cache: dict = {}  # rows repeat heavily in product constructions
-        for r in self.rows:
-            acc = cache.get(r)
-            if acc is None:
-                acc = 0
-                for j in bits(r):
-                    acc |= other.rows[j]
-                cache[r] = acc
-            rows.append(acc)
-        return Rel(self.n, tuple(rows))
+        """Left-to-right: i (self;other) k iff some j with i self j and j other k.
+
+        One image per distinct row of ``self``; equal images merge, so the
+        result's row table comes without rehashing its rows."""
+        orows = other.rows
+        distinct, index = self._row_table()
+        images = []
+        for r in distinct:
+            acc = 0
+            for j in bits(r):
+                acc |= orows[j]
+            images.append(acc)
+        merged, remap = _row_table(images)
+        return Rel._from_table(self.n, merged, [remap[c] for c in index])
 
     def is_reflexive(self) -> bool:
         return all(self.rows[i] >> i & 1 for i in range(self.n))
@@ -167,6 +189,14 @@ class Rel:
                 if rows[i] & bit:
                     rows[i] |= rows[j]
         return Rel(self.n, tuple(rows))
+
+
+def _row_table(rows: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Distinct rows in order of first occurrence, and the position of each
+    row among them: one hash per row."""
+    first: dict[int, int] = {}
+    index = [first.setdefault(r, len(first)) for r in rows]
+    return list(first), index
 
 
 def _bit_transpose(n: int, rows: tuple[int, ...]) -> list[int]:
@@ -360,15 +390,18 @@ class Evaluator:
 
     ``truth_mask`` returns the bitmask of states satisfying a formula under a
     given valuation.  The structure kind is resolved once, here; one clause
-    dispatch serves both.  Each modal clause is one pass over the rows of a
-    plain relation, so no composed relation is ever materialized: "image
-    inside the body" for the group box and ``MonoBox``, "image meets the
-    body" for the three diamonds (``prenosil`` raises each witness to its
-    preorder up-set, the other variants keep the witness).  Implication, the
-    group box and the ``wijesekera`` diamond end in one shared
-    preorder-interior pass: a state holds when no preorder successor is bad.
-    An optional memo dict shares subformula results across calls with the
-    same valuation.
+    dispatch serves both.  Each modal clause is one pass over the row classes
+    of a plain relation, so no composed relation is ever materialized and
+    states sharing a row are decided together: "image inside the body" for
+    the group box and ``MonoBox`` (a class whose row meets the complement
+    makes all its states bad), "image meets the body" for the three diamonds
+    (a class whose row meets the body makes all its states witnesses;
+    ``prenosil`` then takes the witnesses' up-closure in one pass over the
+    preorder's classes, the other variants keep the witnesses).  Implication,
+    the group box and the ``wijesekera`` diamond end in one shared
+    preorder-interior pass: the states of a preorder class hold when its row
+    misses every bad state.  An optional memo dict shares subformula results
+    across calls with the same valuation.
     """
 
     def __init__(self, frame: Union[Frame, MonoStructure],
@@ -384,7 +417,8 @@ class Evaluator:
         self.variant = variant
         self._box, self._dia = (MonoBox, None) if self._mono else (Box, Dia)
         self._full = (1 << frame.n) - 1
-        self._up = frame.leq.rows if variant == "prenosil" else None
+        self._leq_classes = frame.leq.row_classes()
+        self._classes: dict = {}  # group (None on a mono structure) -> row classes
 
     def truth_mask(self, f: Formula, val: Mapping[str, int],
                    memo: Optional[dict] = None) -> int:
@@ -412,22 +446,30 @@ class Evaluator:
             bad = self._truth(f.left, val, memo) & ~self._truth(f.right, val, memo)
         elif kind is self._box or kind is self._dia:
             body = self._truth(f.body, val, memo)
-            rows = self.frame.r.rows if self._mono else self.frame.r(f.group).rows
+            group = None if self._mono else f.group
+            classes = self._classes.get(group)
+            if classes is None:
+                rel = self.frame.r if self._mono else self.frame.r(group)
+                classes = self._classes[group] = rel.row_classes()
             if kind is self._box:  # image inside the body
                 over = ~body
                 bad = 0
-                for v in range(len(rows)):
-                    if rows[v] & over:
-                        bad |= 1 << v
+                for row, states in classes:
+                    if row & over:
+                        bad |= states
                 if self._mono:  # the mono box reads r directly, no interior
                     out, bad = self._full & ~bad, None
             else:  # image meets the body
-                up = self._up
                 out = 0
-                for v in range(len(rows)):
-                    if rows[v] & body:
-                        out |= 1 << v if up is None else up[v]
-                if self.variant == "wijesekera":
+                for row, states in classes:
+                    if row & body:
+                        out |= states
+                if self.variant == "prenosil":  # up-closure of the witnesses
+                    witnesses, out = out, 0
+                    for row, states in self._leq_classes:
+                        if states & witnesses:
+                            out |= row
+                elif self.variant == "wijesekera":
                     bad = self._full & ~out
         else:  # a MonoBox on a frame, a Box or Dia on a mono structure
             raise TypeError(f"not a formula over a {type(self.frame).__name__}: {f!r}")
@@ -435,11 +477,10 @@ class Evaluator:
             if bad == 0:
                 out = self._full
             else:
-                leq_rows = self.frame.leq.rows
                 out = 0
-                for s in range(len(leq_rows)):
-                    if leq_rows[s] & bad == 0:
-                        out |= 1 << s
+                for row, states in self._leq_classes:
+                    if row & bad == 0:
+                        out |= states
         memo[id(f)] = (f, out)  # keep f alive so its id is not recycled
         return out
 

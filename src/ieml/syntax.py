@@ -15,7 +15,7 @@ and ``(A -> B) /\ (B -> A)``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Mapping, Optional
 
 # A group is a nonempty set of agent names.
@@ -98,6 +98,19 @@ def group_text(group: Group, agents: Optional[AgentSet] = None) -> str:
 
 @dataclass(frozen=True)
 class Formula:
+    def __post_init__(self):
+        # Tagged with the node kind (the generated hash would give Box and
+        # Dia over one body, or Top and Bot, the same hash) and computed
+        # once, from the children's kept hashes, instead of on every lookup.
+        object.__setattr__(self, "_hash", hash((type(self).__name__,
+                                                *self.__dict__.values())))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # rebuild on unpickling: string hashes vary per process
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
     def __invert__(self) -> "Formula":                # ~A  is  A -> F
         return Implies(self, BOT)
 
@@ -114,52 +127,59 @@ class Formula:
         return render(self)
 
 
-@dataclass(frozen=True)
+def _node(cls: type) -> type:
+    """A frozen dataclass formula node that keeps ``Formula``'s hash."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_node
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Box(Formula):
     group: Group
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Dia(Formula):
     group: Group
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class MonoBox(Formula):
     """The single unary box of group-free formulas (the image of ``tau``)."""
 
@@ -243,11 +263,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# How deep a parsed formula may nest.  Its syntax tree may be at most this
+# deep, and at most this many parentheses, prefix operators and right-nested
+# arrows may be open at once.  The parser spends up to five stack frames on
+# each open parenthesis and the recursive walks over the tree one per level,
+# so both stay well under the interpreter's default limit of 1000.
+MAX_DEPTH = 150
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]], agents: Optional[AgentSet]):
         self.tokens = tokens
         self.i = 0
         self.agents = agents
+        self.open = 0  # parentheses, prefix operators and arrows now open
+        self.depths: dict[int, int] = {}  # id of a built node -> its depth
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -269,25 +299,49 @@ class _Parser:
             return True
         return False
 
+    def last(self) -> int:
+        """Position of the token just matched."""
+        return self.tokens[self.i - 1][2]
+
+    def enter(self, at: int) -> None:
+        if self.open == MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", at)
+        self.open += 1
+
+    def build(self, at: int, node: type, *args) -> Formula:
+        """A new node over ``args``, refused when its tree gets too deep."""
+        depth = 1 + max(self.depths.get(id(a), 0) for a in args)
+        if depth > MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", at)
+        f = node(*args)
+        self.depths[id(f)] = depth  # f lives on in the result: ids stay unique
+        return f
+
     def formula(self) -> Formula:
         left = self.disj()
-        if self.match("arrow"):
-            return Implies(left, self.formula())
-        if self.match("iff"):
+        if self.match("arrow") or self.match("iff"):
+            kind, _, at = self.tokens[self.i - 1]
+            self.enter(at)
             right = self.formula()
-            return And(Implies(left, right), Implies(right, left))
+            self.open -= 1
+            if kind == "arrow":
+                return self.build(at, Implies, left, right)
+            return self.build(at, And, self.build(at, Implies, left, right),
+                              self.build(at, Implies, right, left))
         return left
 
     def disj(self) -> Formula:
         f = self.conj()
         while self.match("or"):
-            f = Or(f, self.conj())
+            at = self.last()
+            f = self.build(at, Or, f, self.conj())
         return f
 
     def conj(self) -> Formula:
         f = self.unary()
         while self.match("and"):
-            f = And(f, self.unary())
+            at = self.last()
+            f = self.build(at, And, f, self.unary())
         return f
 
     def group(self, closing: str) -> Group:
@@ -302,15 +356,17 @@ class _Parser:
         return frozenset(names)
 
     def unary(self) -> Formula:
-        if self.match("not"):
-            return Implies(self.unary(), BOT)
-        if self.match("lb"):
-            g = self.group("rb")
-            return Box(g, self.unary())
-        if self.match("lt"):
-            g = self.group("gt")
-            return Dia(g, self.unary())
-        return self.atomic()
+        kind, _, at = self.peek()
+        if kind not in ("not", "lb", "lt"):
+            return self.atomic()
+        self.i += 1
+        self.enter(at)
+        g = None if kind == "not" else self.group("rb" if kind == "lb" else "gt")
+        body = self.unary()
+        self.open -= 1
+        if kind == "not":
+            return self.build(at, Implies, body, BOT)
+        return self.build(at, Box if kind == "lb" else Dia, g, body)
 
     def atomic(self) -> Formula:
         kind, word, at = self.peek()
@@ -325,7 +381,9 @@ class _Parser:
             return BOT
         if kind == "lp":
             self.i += 1
+            self.enter(at)
             f = self.formula()
+            self.open -= 1
             self.take("rp")
             return f
         raise ParseError(f"expected a formula, found {word or 'end of input'!r}", at)
