@@ -192,12 +192,13 @@ def enumerate_frames(budget: SizeBudget, classes=FrameClass.ALL,
     for n in range(1, budget.max_states + 1):
         raw = _raw_space(n, n_groups)
         if raw is not None and raw <= remaining:
+            # one Rel per relation, shared by every frame that uses it, so
+            # what a Rel keeps (row classes, converse) is computed once
+            rels = [Rel.from_mask(n, m) for m in range(1 << (n * n))]
             for leq in preorders(n):
-                space = itertools.product(range(1 << (n * n)), repeat=n_groups)
-                for group_masks in space:
+                for group_rels in itertools.product(rels, repeat=n_groups):
                     stats["candidates"] += 1
-                    frame = Frame(agents, n, leq,
-                                  tuple(Rel.from_mask(n, m) for m in group_masks))
+                    frame = Frame(agents, n, leq, group_rels)
                     if all(has_class(frame, c) for c in classes):
                         seen.add(frame)
                         stats["emitted"] += 1

@@ -101,28 +101,38 @@ class Rel:
         row.  Computed once per instance and kept with it: a pass over these
         visits each distinct row once, however many states share it."""
         memo = self.__dict__.get("_row_classes")
-        if memo is None:  # the dataclass is frozen, so write the dict itself
-            distinct, index = self._row_table()
-            states = [0] * len(distinct)
-            for i, c in enumerate(index):
-                states[c] |= 1 << i
-            memo = self.__dict__["_row_classes"] = tuple(zip(distinct, states))
+        if memo is None:
+            classes: dict[int, int] = {}
+            table = self.__dict__.get("_table")
+            if table is None:
+                for i, r in enumerate(self.rows):
+                    classes[r] = classes.get(r, 0) | 1 << i
+            else:
+                heads, index = table
+                states = [0] * len(heads)
+                for i, c in enumerate(index):
+                    states[c] |= 1 << i
+                for r, members in zip(heads, states):  # equal heads merge
+                    classes[r] = classes.get(r, 0) | members
+            # the dataclass is frozen, so write the dict itself
+            memo = self.__dict__["_row_classes"] = tuple(classes.items())
         return memo
 
     def _row_table(self) -> tuple[list[int], list[int]]:
-        """The distinct rows and, per state, its row's position among them;
-        computed once per instance, or handed over by ``_from_table``."""
+        """``(heads, index)``: state i has row ``heads[index[i]]``.  Built once
+        per instance from the rows (then the heads are distinct), or handed
+        over by ``converse`` or ``compose`` (whose heads may repeat)."""
         memo = self.__dict__.get("_table")
         if memo is None:
-            memo = self.__dict__["_table"] = _row_table(self.rows)
+            memo = self.__dict__["_table"] = _table_of(self.rows)
         return memo
 
     @classmethod
-    def _from_table(cls, n: int, distinct: list[int], index: list[int]) -> "Rel":
-        """The relation whose state i has row ``distinct[index[i]]``: equal
-        rows share one int object, and the table is kept with it."""
-        out = cls(n, tuple(map(distinct.__getitem__, index)))
-        out.__dict__["_table"] = (distinct, index)
+    def _from_table(cls, n: int, heads: list[int], index: list[int]) -> "Rel":
+        """The relation whose state i has row ``heads[index[i]]``: states of
+        one class share one int object, and the table is kept with it."""
+        out = cls(n, tuple(map(heads.__getitem__, index)))
+        out.__dict__["_table"] = (heads, index)
         return out
 
     def converse(self) -> "Rel":
@@ -146,31 +156,31 @@ class Rel:
         # work/n near 3-6 up to n=1024, then 39 at n=2048 and 61 at n=8192,
         # where the transpose's n*n-byte buffers outgrow the cache.  Frames
         # of four states or fewer never reach numpy.
-        work = sum(r.bit_count() for r in self._row_table()[0])
+        classes = self.row_classes()
+        work = sum(r.bit_count() for r, _ in classes)
         if work > n * (4 if n < 2048 else 48):
             rows = _bit_transpose(n, self.rows)
         else:
             rows = [0] * n
-            for r, states in self.row_classes():
+            for r, states in classes:
                 for j in bits(r):
                     rows[j] |= states
-        return Rel._from_table(n, *_row_table(rows))
+        return Rel._from_table(n, *_table_of(rows))
 
     def compose(self, other: "Rel") -> "Rel":
         """Left-to-right: i (self;other) k iff some j with i self j and j other k.
 
-        One image per distinct row of ``self``; equal images merge, so the
-        result's row table comes without rehashing its rows."""
+        One image per class of ``self``'s row table; the result keeps those
+        classes, so its table comes without hashing its rows."""
         orows = other.rows
-        distinct, index = self._row_table()
+        heads, index = self._row_table()
         images = []
-        for r in distinct:
+        for r in heads:
             acc = 0
             for j in bits(r):
                 acc |= orows[j]
             images.append(acc)
-        merged, remap = _row_table(images)
-        return Rel._from_table(self.n, merged, [remap[c] for c in index])
+        return Rel._from_table(self.n, images, index)
 
     def is_reflexive(self) -> bool:
         return all(self.rows[i] >> i & 1 for i in range(self.n))
@@ -191,11 +201,13 @@ class Rel:
         return Rel(self.n, tuple(rows))
 
 
-def _row_table(rows: Iterable[int]) -> tuple[list[int], list[int]]:
+def _table_of(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     """Distinct rows in order of first occurrence, and the position of each
     row among them: one hash per row."""
     first: dict[int, int] = {}
-    index = [first.setdefault(r, len(first)) for r in rows]
+    index = []
+    for r in rows:  # a loop, not a comprehension: cheaper on 2-3 rows
+        index.append(first.setdefault(r, len(first)))
     return list(first), index
 
 

@@ -299,10 +299,6 @@ class _Parser:
             return True
         return False
 
-    def last(self) -> int:
-        """Position of the token just matched."""
-        return self.tokens[self.i - 1][2]
-
     def enter(self, at: int) -> None:
         if self.open == MAX_DEPTH:
             raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", at)
@@ -333,14 +329,14 @@ class _Parser:
     def disj(self) -> Formula:
         f = self.conj()
         while self.match("or"):
-            at = self.last()
+            at = self.tokens[self.i - 1][2]
             f = self.build(at, Or, f, self.conj())
         return f
 
     def conj(self) -> Formula:
         f = self.unary()
         while self.match("and"):
-            at = self.last()
+            at = self.tokens[self.i - 1][2]
             f = self.build(at, And, f, self.unary())
         return f
 

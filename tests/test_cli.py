@@ -56,6 +56,23 @@ def test_eval_command(capsys, model_file):
     assert run(["eval", "--model", model_file, "--state", "w0", "[c]p"]) == 2
 
 
+DEEP_INPUTS = {"unary": "~" * 3000 + "p",
+               "parentheses": "(" * 3000 + "p" + ")" * 3000,
+               "arrows": "p -> " * 3000 + "p"}
+
+
+@pytest.mark.parametrize("command", ["parse", "eval"])
+@pytest.mark.parametrize("shape", sorted(DEEP_INPUTS))
+def test_deeply_nested_formula_exit_2(capsys, model_file, command, shape):
+    argv = [command, DEEP_INPUTS[shape]]
+    if command == "eval":
+        argv += ["--model", model_file, "--state", "w0"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nested deeper" in captured.err and "Traceback" not in captured.err
+
+
 def test_valid_command_exit_codes(capsys, model_file):
     assert run(["valid", "--frame", model_file, "T"]) == 0
     assert run(["valid", "--frame", model_file, "p \\/ ~p"]) == 1

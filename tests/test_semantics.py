@@ -3,19 +3,19 @@ import random
 import pytest
 
 from ieml import (
-    AgentSet, Atom, Box, Dia, Evaluator, Frame, Model, MonoModel,
-    MonoStructure, Rel, check_frame, compose, falsify_on_frame, is_closed,
-    mono_satisfies, parse, satisfies, satisfies_variant, substitute,
-    true_in_model, up_sets, valid_in_frame,
+    AgentSet, Atom, BOT, Box, Dia, Evaluator, Frame, Implies, Model,
+    MonoModel, MonoStructure, Rel, TOP, check_frame, compose,
+    falsify_on_frame, is_closed, mono_satisfies, parse, satisfies,
+    satisfies_variant, substitute, true_in_model, up_sets, valid_in_frame,
 )
 from ieml.errors import BudgetError, PreconditionError
 from ieml.search import SizeBudget, enumerate_frames, sample_formulas
 from ieml import semantics
-from ieml.semantics import mono_truth_mask
+from ieml.semantics import VARIANTS, bits, mono_truth_mask
 from ieml.syntax import MonoBox
 
 from helpers import (
-    naive_compose, naive_mono_satisfies, naive_satisfies,
+    blow_up, naive_compose, naive_mono_satisfies, naive_satisfies,
     naive_valid_in_frame, random_ast, two_chain_frame,
 )
 
@@ -92,6 +92,29 @@ def test_rel_converse_numpy_path(monkeypatch):
         assert c is rel.converse()
         assert c.converse() == rel
         assert set(c.pairs()) == {(j, i) for i, j in rel.pairs()}
+
+
+def test_rel_row_classes():
+    rng = random.Random(6)
+    base = [rng.getrandbits(40) for _ in range(4)]
+    p = Rel(40, tuple(rng.choice(base) for _ in range(40)))
+    q = Rel(40, tuple(rng.choice(base[:2]) for _ in range(40)))
+    made = [p.converse(), p.compose(q), q.compose(p.converse())]
+    assert [set(r.pairs()) for r in made] == [
+        {(j, i) for i, j in p.pairs()}, naive_compose(p, q),
+        naive_compose(q, p.converse())]
+    # built directly, and handed over by converse and compose
+    for r in [p, q, Rel.from_mask(5, rng.getrandbits(25)), Rel.identity(3),
+              Rel.total(6), Rel.empty(0)] + made:
+        classes = r.row_classes()
+        assert classes is r.row_classes()
+        assert len(classes) == len(set(r.rows))
+        covered = 0
+        for row, states in classes:
+            assert states and not covered & states
+            covered |= states
+            assert all(r.rows[s] == row for s in bits(states))
+        assert covered == (1 << r.n) - 1
 
 
 # ---------- frames and reports ----------
@@ -185,6 +208,51 @@ def test_variants_cross_validated_with_oracle():
                 for s in range(frame.n):
                     assert satisfies_variant(model, s, f, variant) == \
                         naive_satisfies(model, s, f, variant)
+
+
+def _blow_up_sizes(rng, base):
+    """Block sizes that blow ``base`` up to 130-200 states, and a function
+    picking one random copy from every block."""
+    sizes = [rng.randrange(130, 201) // base.n for _ in range(base.n)]
+    starts = [sum(sizes[:k]) for k in range(base.n)]
+    return sizes, lambda: [rng.randrange(s, s + k) for s, k in zip(starts, sizes)]
+
+
+def _lifted(mask, sizes):
+    """A state set of the source read on its blow-up: every copy of a member."""
+    origin = [s for s, k in enumerate(sizes) for _ in range(k)]
+    return sum(1 << x for x, s in enumerate(origin) if mask >> s & 1)
+
+
+def test_variants_on_blown_up_frames_match_oracle():
+    # each state of a 2-3-state frame becomes a block of identical copies,
+    # so every row class holds a whole block.  The oracle rebuilds its pair
+    # tables on every call and visits states in pairs at each modality, so
+    # every formula is a single pass (a box or diamond over an atom or a
+    # constant, or an implication between atoms), checked at one random copy
+    # per block.
+    rng = random.Random(23)
+    p, q = Atom("p"), Atom("q")
+    formulas = [node(g, x) for g in AG2.groups()
+                for node, const in ((Box, BOT), (Dia, TOP)) for x in (p, q, const)]
+    formulas += [Implies(p, q), Implies(q, p)]
+    for variant in VARIANTS:
+        budget = SizeBudget(max_states=3, max_agents=2, max_candidates=1500,
+                            seed=9)
+        cls = "forward_confluent" if variant == "fischer_servi" else "all"
+        pool = [f for f in enumerate_frames(budget, cls) if f.n > 1]
+        for base in rng.sample(pool, 2):
+            sizes, copies = _blow_up_sizes(rng, base)
+            frame = blow_up(base, sizes)
+            assert all(len(r.row_classes()) <= base.n
+                       for r in (frame.leq,) + frame.rels)
+            sets = up_sets(base)
+            model = Model.make(frame, {a: _lifted(rng.choice(sets), sizes)
+                                       for a in ("p", "q")})
+            for f in formulas:
+                for s in copies():
+                    assert satisfies_variant(model, s, f, variant) == \
+                        naive_satisfies(model, s, f, variant), (variant, f, s)
 
 
 def test_true_in_model():
@@ -292,6 +360,25 @@ def test_mono_satisfaction_against_oracle():
             g = tau(f)
             for s in range(ms.n):
                 assert mono_satisfies(mm, s, g) == naive_mono_satisfies(mm, s, g)
+
+
+def test_mono_satisfies_on_blown_up_structure_matches_oracle():
+    rng = random.Random(29)
+    from ieml.search import mono_structures
+    p, q = Atom("p"), Atom("q")
+    formulas = [MonoBox(p), MonoBox(TOP), MonoBox(BOT), MonoBox(MonoBox(p)),
+                MonoBox(Implies(p, q)), Implies(MonoBox(p), q), Implies(p, q)]
+    for ms in rng.sample([s for s in mono_structures(3)], 3):
+        sizes, copies = _blow_up_sizes(rng, ms)
+        big = blow_up(Frame(AG, ms.n, ms.leq, (ms.r,)), sizes)
+        st = MonoStructure(big.n, big.leq, big.rels[0])
+        assert len(st.r.row_classes()) <= ms.n
+        closed = [u for u in range(1 << ms.n) if is_closed(ms.leq, u)]
+        mm = MonoModel.make(st, {a: _lifted(rng.choice(closed), sizes)
+                                 for a in ("p", "q")})
+        for f in formulas:
+            for s in copies():
+                assert mono_satisfies(mm, s, f) == naive_mono_satisfies(mm, s, f), (f, s)
 
 
 def test_wrong_kind_of_box_is_a_type_error():

@@ -1,4 +1,9 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,9 +13,10 @@ from ieml import (
     atoms_of, depth_of, instantiate, is_diamond_free, match_instance, parse,
     render, sf, substitute, tau,
 )
-from ieml.syntax import MonoBox
+from ieml.semantics import Evaluator, MonoModel, MonoStructure, Rel, mono_truth_mask
+from ieml.syntax import MAX_DEPTH, MonoBox
 
-from helpers import random_ast
+from helpers import random_ast, two_chain_frame
 
 A = frozenset({"a"})
 B = frozenset({"b"})
@@ -52,6 +58,56 @@ def test_parse_precedence():
 def test_parse_errors(text, pos_ok):
     with pytest.raises(ParseError):
         parse(text)
+
+
+# A text of each shape nested k deep, and where parsing it k > MAX_DEPTH
+# deep is refused: at the operator that opens level MAX_DEPTH + 1.
+DEEP = {
+    "unary": (lambda k: "~" * k + "p", MAX_DEPTH),
+    "boxes": (lambda k: "[a]" * k + "p", 3 * MAX_DEPTH),
+    "parentheses": (lambda k: "(" * k + "p" + ")" * k, MAX_DEPTH),
+    "arrows": (lambda k: "p -> " * k + "p", 5 * MAX_DEPTH + 2),
+    "conjunctions": (lambda k: "p /\\ " * k + "p", 5 * MAX_DEPTH + 2),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_parse_nesting_bound(shape):
+    text, refused_at = DEEP[shape]
+    for k in (MAX_DEPTH + 1, 3000):
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH}") as e:
+            parse(text(k))
+        assert e.value.position == refused_at
+    f = parse(text(MAX_DEPTH))
+    assert depth_of(f) == (0 if shape == "parentheses" else MAX_DEPTH)
+    # the recursive walks over a formula at the bound fit the stack
+    assert parse(render(f)) == f
+    frame = two_chain_frame(AgentSet.of("a"))
+    Evaluator(frame).truth_mask(f, {"p": 0b10})
+    g = tau(f)
+    mono = MonoModel.make(MonoStructure(2, frame.leq, Rel.total(2)), {"p": {1}})
+    mono_truth_mask(mono, g)
+
+
+def test_formula_hashes_tell_node_kinds_apart():
+    from ieml.search import all_formulas
+    battery = all_formulas(("p",), AgentSet.of("a", "b").groups(), 2)
+    assert len(battery) == 7203
+    assert max(Counter(hash(f) for f in battery).values()) <= 2
+    assert hash(TOP) != hash(BOT)
+    assert hash(Box(A, TOP)) != hash(Dia(A, TOP))
+    f = parse("[a](p -> q) /\\ <b>T \\/ F")
+    assert hash(f) == hash(parse(render(f)))
+    # a formula pickled in a process with other string hashes is rebuilt,
+    # not restored with that process's hash
+    code = ("import pickle, sys; from ieml import parse; "
+            f"sys.stdout.buffer.write(pickle.dumps(parse({render(f)!r})))")
+    env = {**os.environ, "PYTHONHASHSEED": "1",
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    data = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True).stdout
+    copy = pickle.loads(data)
+    assert copy == f and hash(copy) == hash(f) and copy in {f}
 
 
 def test_parse_unknown_agent_with_universe():
