@@ -98,15 +98,15 @@ def group_text(group: Group, agents: Optional[AgentSet] = None) -> str:
 
 @dataclass(frozen=True)
 class Formula:
-    def __post_init__(self):
+    def __hash__(self) -> int:
         # Tagged with the node kind (the generated hash would give Box and
         # Dia over one body, or Top and Bot, the same hash) and computed
-        # once, from the children's kept hashes, instead of on every lookup.
-        object.__setattr__(self, "_hash", hash((type(self).__name__,
-                                                *self.__dict__.values())))
-
-    def __hash__(self) -> int:
-        return self._hash
+        # once, on first use, from the children's kept hashes.
+        fields_ = self.__dict__
+        h = fields_.get("_hash")
+        if h is None:  # the dataclass is frozen, so write the dict itself
+            h = fields_["_hash"] = hash((type(self), *fields_.values()))
+        return h
 
     def __reduce__(self):  # rebuild on unpickling: string hashes vary per process
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
@@ -304,12 +304,13 @@ class _Parser:
             raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", at)
         self.open += 1
 
-    def build(self, at: int, node: type, *args) -> Formula:
-        """A new node over ``args``, refused when its tree gets too deep."""
-        depth = 1 + max(self.depths.get(id(a), 0) for a in args)
+    def build(self, at: int, node: type, a, b) -> Formula:
+        """``node(a, b)``, refused when its tree gets too deep."""
+        depths = self.depths
+        depth = 1 + max(depths.get(id(a), 0), depths.get(id(b), 0))
         if depth > MAX_DEPTH:
             raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", at)
-        f = node(*args)
+        f = node(a, b)
         self.depths[id(f)] = depth  # f lives on in the result: ids stay unique
         return f
 

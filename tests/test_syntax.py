@@ -98,10 +98,11 @@ def test_formula_hashes_tell_node_kinds_apart():
     assert hash(Box(A, TOP)) != hash(Dia(A, TOP))
     f = parse("[a](p -> q) /\\ <b>T \\/ F")
     assert hash(f) == hash(parse(render(f)))
-    # a formula pickled in a process with other string hashes is rebuilt,
-    # not restored with that process's hash
+    # a formula hashed and pickled in a process with other string hashes is
+    # rebuilt, not restored with that process's hash
     code = ("import pickle, sys; from ieml import parse; "
-            f"sys.stdout.buffer.write(pickle.dumps(parse({render(f)!r})))")
+            f"f = parse({render(f)!r}); hash(f); "
+            "sys.stdout.buffer.write(pickle.dumps(f))")
     env = {**os.environ, "PYTHONHASHSEED": "1",
            "PYTHONPATH": os.pathsep.join(sys.path)}
     data = subprocess.run([sys.executable, "-c", code], env=env, check=True,
