@@ -156,13 +156,19 @@ class Rel:
         # work/n near 3-6 up to n=1024, then 39 at n=2048 and 61 at n=8192,
         # where the transpose's n*n-byte buffers outgrow the cache.  Frames
         # of four states or fewer never reach numpy.
-        classes = self.row_classes()
-        work = sum(r.bit_count() for r, _ in classes)
-        if work > n * (4 if n < 2048 else 48):
+        # The work is read off the row table, so the numpy side never builds
+        # the classes' state sets (n of them when all rows differ); heads that
+        # compose handed over may repeat, which can only overcount.
+        limit, work = n * (4 if n < 2048 else 48), 0
+        for r in self._row_table()[0]:
+            work += r.bit_count()
+            if work > limit:
+                break
+        if work > limit:
             rows = _bit_transpose(n, self.rows)
         else:
             rows = [0] * n
-            for r, states in classes:
+            for r, states in self.row_classes():
                 for j in bits(r):
                     rows[j] |= states
         return Rel._from_table(n, *_table_of(rows))
