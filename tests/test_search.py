@@ -205,3 +205,41 @@ def test_suite_rule_entries_report_vacuity():
         extra = dict(entry.extra)
         assert entry.status == "pass"
         assert extra["vacuous"] < entry.checked  # vacuity below 100%
+
+
+def test_suite_wider_budget_golden():
+    # 2-state inputs on every claim, an 8192-state standardization checked
+    # on sampled formulas, and the random-sampling branch of the mono inputs
+    budget = SizeBudget(max_states=3, max_agents=2, max_candidates=1500, seed=5)
+    rep = proposition_suite(budget, frames_per_check=9)
+    assert _digest(rep.to_json()) == \
+        "63e17d636adc1a98b9c193701b91ed1a4fb609f12e343f4241bba96439c19709"
+
+
+def test_suite_over_budget_construction(monkeypatch):
+    import ieml.search as search
+    from ieml.errors import BudgetError
+
+    budget = SizeBudget(max_states=2, max_agents=1, max_candidates=200, seed=0)
+    calls = {"plain": 0, "prestandard": 0}
+
+    def over_budget(model, variant="plain"):
+        calls[variant] += 1
+        raise BudgetError("output over budget")
+
+    monkeypatch.setattr(search, "partition_lift", over_budget)
+    rep = proposition_suite(budget, frames_per_check=6)
+    for name, variant in (("claim_partition_lift", "plain"),
+                          ("claim_partition_lift_prestandard", "prestandard")):
+        entry = rep.entry(name)
+        assert calls[variant] > 0
+        assert entry.checked == 0 and entry.status == "pass"
+        assert dict(entry.extra)["skipped_over_budget"] == calls[variant]
+
+    # the other constructions do not skip: their budget errors propagate
+    def raises(model, variant="default"):
+        raise BudgetError("output over budget")
+
+    monkeypatch.setattr(search, "standardize", raises)
+    with pytest.raises(BudgetError):
+        proposition_suite(budget, frames_per_check=6)
