@@ -44,21 +44,22 @@ def _ud_reflexive(f: Frame) -> bool:
 def _ud_symmetric(f: Frame) -> bool:
     # every (s, t) in R has t up s and t down s, i.e. the converse of R
     # lies inside both composites
-    return all(r.converse().le(up & down)
+    return all(r.converse().le(up) and r.converse().le(down)
                for r, (up, down) in zip(f.rels, f.ud_composites()))
 
 
 def _prestandard(f: Frame, exact: bool) -> bool:
+    # R(G1 u G2) inside (exact: equal to) R(G1) & R(G2), row by row; pairs
+    # with G1 = G2 hold trivially and (G2, G1) repeats (G1, G2)
     top = 1 << len(f.agents)
     for m1 in range(1, top):
-        for m2 in range(1, top):
-            union = f.r_mask(m1 | m2)
-            meet = f.r_mask(m1) & f.r_mask(m2)
-            if exact:
-                if union != meet:
+        for m2 in range(m1 + 1, top):
+            rows = zip(f.r_mask(m1 | m2).rows, f.r_mask(m1).rows,
+                       f.r_mask(m2).rows)
+            for u, a, b in rows:
+                meet = a & b
+                if (u != meet) if exact else (u | meet != meet):
                     return False
-            elif not union.le(meet):
-                return False
     return True
 
 

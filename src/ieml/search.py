@@ -12,7 +12,7 @@ import itertools
 import os
 import random
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .constructions import (
     collapse_mono, equivalence_mismatches, expand_mono,
@@ -250,16 +250,13 @@ def _random_mono_model(rng: random.Random, ms: MonoStructure,
 
 # ---------- formula spaces ----------
 
-def all_formulas(atoms: Sequence[str], groups: Sequence[Group],
-                 depth: int) -> list[Formula]:
-    """Every formula over the atoms and groups up to the given depth."""
+def _levels(atoms: Sequence[str], depth: int, modal) -> list[Formula]:
+    """The atoms, TOP and BOT, then ``depth`` rounds adding every new
+    formula among ``modal(level)`` and the binary combinations of the level."""
     level: list[Formula] = [Atom(a) for a in atoms] + [TOP, BOT]
     seen = set(level)
     for _ in range(depth):
-        fresh: list[Formula] = []
-        for g in groups:
-            for f in level:
-                fresh.extend((Box(g, f), Dia(g, f)))
+        fresh: list[Formula] = modal(level)
         for a in level:
             for b in level:
                 fresh.extend((Implies(a, b), Or(a, b), And(a, b)))
@@ -268,23 +265,19 @@ def all_formulas(atoms: Sequence[str], groups: Sequence[Group],
                 seen.add(f)
                 level.append(f)
     return level
+
+
+def all_formulas(atoms: Sequence[str], groups: Sequence[Group],
+                 depth: int) -> list[Formula]:
+    """Every formula over the atoms and groups up to the given depth."""
+    return _levels(atoms, depth, lambda level: [
+        op(g, f) for g in groups for f in level for op in (Box, Dia)])
 
 
 def diamond_free_formulas(atoms: Sequence[str], group: Group,
                           depth: int) -> list[Formula]:
     """Every diamond-free formula (single box group) up to the given depth."""
-    level: list[Formula] = [Atom(a) for a in atoms] + [TOP, BOT]
-    seen = set(level)
-    for _ in range(depth):
-        fresh: list[Formula] = [Box(group, f) for f in level]
-        for a in level:
-            for b in level:
-                fresh.extend((Implies(a, b), Or(a, b), And(a, b)))
-        for f in fresh:
-            if f not in seen:
-                seen.add(f)
-                level.append(f)
-    return level
+    return _levels(atoms, depth, lambda level: [Box(group, f) for f in level])
 
 
 def random_formula(rng: random.Random, atoms: Sequence[str],
@@ -575,22 +568,75 @@ def _rule_entries(budget: SizeBudget, agents: AgentSet,
     return out
 
 
-def _claim_result(name: str, checked: int, mismatches: list,
-                  class_failures: list, extra: tuple = ()) -> SuiteEntry:
-    witnesses = tuple(mismatches[:3]) + tuple(class_failures[:3])
-    status = "pass" if not witnesses else "fail"
-    return SuiteEntry(name, status, checked, witnesses, extra=extra)
-
-
-def _class_check(frame: Frame, required: Iterable[FrameClass],
-                 failures: list, note: str) -> None:
-    for c in required:
-        if not has_class(frame, c):
-            failures.append({"note": f"{note}: output not {c.value}"})
+class _Claim(NamedTuple):
+    """One construction claim: build an output from each input model, check
+    that it agrees with the input on a formula battery, check its classes."""
+    name: str
+    build: Callable  # (input model, agents, group) -> ConstructionResult
+    inputs: object  # frame classes, or the kind of mono-structure inputs
+    share: int  # inputs: frames_per_check // share, at least 2 (all if 1)
+    max_states: Optional[int]  # input state cap
+    out: object  # output frame classes, or the kind of a mono output
+    kept: tuple = ()  # output classes wherever the input has them
+    # "full": the battery on every fiber; "sampled": the same, but 150 random
+    # formulas above 256 output states; "tau": B against tau(B) over every
+    # group's diamond-free battery; "tau_ends": one build for each end group
+    # (first and last), over that group's diamond-free battery
+    check: str = "full"
+    skip: bool = False  # over-budget inputs are skipped and counted
 
 
 _PRESERVED = (FrameClass.DOXASTIC, FrameClass.EPISTEMIC, FrameClass.UD,
               FrameClass.RS, FrameClass.PARTITION)
+
+# A claim looks its construction up by name when it runs, so a wrapper
+# rebound over the module attribute (a tracer, a test's patch) is called.
+_CLAIMS = (
+    _Claim("claim_standardize", lambda m, ag, g: standardize(m, "default"),
+           (FrameClass.PRESTANDARD,), 12, 2, (FrameClass.STANDARD,),
+           _PRESERVED, "sampled"),
+    _Claim("claim_standardize_partition",
+           lambda m, ag, g: standardize(m, "partition"),
+           (FrameClass.PRESTANDARD, FrameClass.PARTITION), 12, 2,
+           (FrameClass.STANDARD,), _PRESERVED, "sampled"),
+    _Claim("claim_transitive_lift", lambda m, ag, g: transitive_lift(m),
+           (FrameClass.ALL,), 1, None, (FrameClass.TRANSITIVE,),
+           (FrameClass.PRESTANDARD, FrameClass.STANDARD)),
+    _Claim("claim_rs_collapse", lambda m, ag, g: rs_collapse(m),
+           (FrameClass.UD,), 1, None, (FrameClass.RS,)),
+    _Claim("claim_partition_lift", lambda m, ag, g: partition_lift(m, "plain"),
+           (FrameClass.RS,), 3, None, (FrameClass.PARTITION,),
+           check="sampled", skip=True),
+    _Claim("claim_partition_lift_prestandard",
+           lambda m, ag, g: partition_lift(m, "prestandard"),
+           (FrameClass.RS, FrameClass.PRESTANDARD), 3, None,
+           (FrameClass.PARTITION, FrameClass.PRESTANDARD),
+           check="sampled", skip=True),
+    _Claim("claim_expand_mono", lambda m, ag, g: expand_mono(m, ag, "minus"),
+           "minus", 1, 3, (FrameClass.DOXASTIC, FrameClass.STANDARD),
+           check="tau"),
+    _Claim("claim_expand_mono_full", lambda m, ag, g: expand_mono(m, ag, "full"),
+           "full", 1, 3, (FrameClass.EPISTEMIC, FrameClass.STANDARD),
+           check="tau"),
+    _Claim("claim_collapse_mono", lambda m, ag, g: collapse_mono(m, g, "minus"),
+           (FrameClass.DOXASTIC,), 1, None, "minus", check="tau_ends"),
+    _Claim("claim_collapse_mono_epi",
+           lambda m, ag, g: collapse_mono(m, g, "full"),
+           (FrameClass.EPISTEMIC,), 1, None, "full", check="tau_ends"),
+)
+
+
+def _claim_inputs(c: _Claim, budget: SizeBudget, agents: AgentSet,
+                  frames_per_check: int, rng: random.Random) -> list:
+    count = frames_per_check if c.share == 1 else \
+        max(2, frames_per_check // c.share)
+    if not isinstance(c.inputs, str):
+        return _take_frames(budget, c.inputs, count, agents, c.max_states)
+    out = [ms for n in range(1, min(budget.max_states, c.max_states) + 1)
+           for ms in mono_structures(n, c.inputs)]
+    if len(out) > count:
+        out = out[:count // 2] + rng.sample(out, count // 2)
+    return out
 
 
 def _claim_entries(budget: SizeBudget, agents: AgentSet,
@@ -599,143 +645,49 @@ def _claim_entries(budget: SizeBudget, agents: AgentSet,
     groups = agents.groups()
     depth = min(2, budget.max_formula_depth)
     small = all_formulas(("p",), groups, depth)
+    free = {g: diamond_free_formulas(("p",), g, depth) for g in groups}
     entries = []
-
-    # standardization: inputs capped at two states
-    for name, variant, classes in (
-            ("claim_standardize", "default", (FrameClass.PRESTANDARD,)),
-            ("claim_standardize_partition", "partition",
-             (FrameClass.PRESTANDARD, FrameClass.PARTITION))):
-        checked = 0
+    for c in _CLAIMS:
+        checked = skipped = 0
         mismatches: list = []
-        class_failures: list = []
-        count = max(2, frames_per_check // 12)
-        for frame in _take_frames(budget, classes, count, agents, max_states=2):
-            model = _random_model(rng, frame, ("p",))
-            result = standardize(model, variant)
-            checked += 1
-            formulas = small if result.model.frame.n <= 256 else \
-                sample_formulas(rng, ("p",), groups, depth, 150)
-            mismatches.extend(equivalence_mismatches(model, result, formulas))
-            _class_check(result.model.frame, (FrameClass.STANDARD,),
-                         class_failures, name)
-            for c in _PRESERVED:
-                if has_class(frame, c):
-                    _class_check(result.model.frame, (c,), class_failures,
-                                 f"{name} preserving {c.value}")
-        entries.append(_claim_result(name, checked, mismatches, class_failures))
-
-    # transitive lift
-    checked = 0
-    mismatches = []
-    class_failures = []
-    for frame in _take_frames(budget, FrameClass.ALL, frames_per_check, agents):
-        model = _random_model(rng, frame, ("p",))
-        result = transitive_lift(model)
-        checked += 1
-        mismatches.extend(equivalence_mismatches(model, result, small))
-        _class_check(result.model.frame, (FrameClass.TRANSITIVE,),
-                     class_failures, "claim_transitive_lift")
-        for c in (FrameClass.PRESTANDARD, FrameClass.STANDARD):
-            if has_class(frame, c):
-                _class_check(result.model.frame, (c,), class_failures,
-                             f"claim_transitive_lift preserving {c.value}")
-    entries.append(_claim_result("claim_transitive_lift", checked,
-                                 mismatches, class_failures))
-
-    # rs collapse
-    checked = 0
-    mismatches = []
-    class_failures = []
-    for frame in _take_frames(budget, FrameClass.UD, frames_per_check, agents):
-        model = _random_model(rng, frame, ("p",))
-        result = rs_collapse(model)
-        checked += 1
-        mismatches.extend(equivalence_mismatches(model, result, small))
-        _class_check(result.model.frame, (FrameClass.RS,),
-                     class_failures, "claim_rs_collapse")
-    entries.append(_claim_result("claim_rs_collapse", checked,
-                                 mismatches, class_failures))
-
-    # partition lifts
-    for name, variant, classes in (
-            ("claim_partition_lift", "plain", (FrameClass.RS,)),
-            ("claim_partition_lift_prestandard", "prestandard",
-             (FrameClass.RS, FrameClass.PRESTANDARD))):
-        checked = 0
-        skipped = 0
-        mismatches = []
-        class_failures = []
-        count = max(2, frames_per_check // 3)
-        for frame in _take_frames(budget, classes, count, agents):
-            model = _random_model(rng, frame, ("p",))
-            try:
-                result = partition_lift(model, variant)
-            except BudgetError:
-                skipped += 1
-                continue
-            checked += 1
-            formulas = small if result.model.frame.n <= 256 else \
-                sample_formulas(rng, ("p",), groups, depth, 150)
-            mismatches.extend(equivalence_mismatches(model, result, formulas))
-            _class_check(result.model.frame, (FrameClass.PARTITION,),
-                         class_failures, name)
-            if variant == "prestandard":
-                _class_check(result.model.frame, (FrameClass.PRESTANDARD,),
-                             class_failures, name)
-        entries.append(_claim_result(name, checked, mismatches, class_failures,
-                                     extra=(("skipped_over_budget", skipped),)))
-
-    # mono conversions
-    entries.extend(_mono_entries(budget, agents, frames_per_check, rng, depth))
-    return entries
-
-
-def _mono_entries(budget: SizeBudget, agents: AgentSet, frames_per_check: int,
-                  rng: random.Random, depth: int) -> list[SuiteEntry]:
-    entries = []
-    df_sets = {g: diamond_free_formulas(("p",), g, depth)
-               for g in agents.groups()}
-
-    for name, kind, out_classes in (
-            ("claim_expand_mono", "minus",
-             (FrameClass.DOXASTIC, FrameClass.STANDARD)),
-            ("claim_expand_mono_full", "full",
-             (FrameClass.EPISTEMIC, FrameClass.STANDARD))):
-        checked = 0
-        mismatches: list = []
-        class_failures: list = []
-        structures = []
-        for n in range(1, min(budget.max_states, 3) + 1):
-            structures.extend(mono_structures(n, kind))
-        if len(structures) > frames_per_check:
-            structures = structures[:frames_per_check // 2] + \
-                rng.sample(structures, frames_per_check // 2)
-        for ms in structures:
-            mono = _random_mono_model(rng, ms, ("p",))
-            result = expand_mono(mono, agents, kind)
-            checked += 1
-            for g, formulas in df_sets.items():
-                mismatches.extend(
-                    mono_equivalence_mismatches(result.model, mono, formulas))
-            _class_check(result.model.frame, out_classes, class_failures, name)
-        entries.append(_claim_result(name, checked, mismatches, class_failures))
-
-    for name, kind, cls in (
-            ("claim_collapse_mono", "minus", FrameClass.DOXASTIC),
-            ("claim_collapse_mono_epi", "full", FrameClass.EPISTEMIC)):
-        checked = 0
-        mismatches = []
-        class_failures = []
-        for frame in _take_frames(budget, cls, frames_per_check, agents):
-            model = _random_model(rng, frame, ("p",))
-            for alpha in (agents.groups()[0], agents.groups()[-1]):
-                result = collapse_mono(model, alpha, kind)
+        failures: list = []
+        alphas = (groups[0], groups[-1]) if c.check == "tau_ends" else (None,)
+        for source in _claim_inputs(c, budget, agents, frames_per_check, rng):
+            mono_input = isinstance(source, MonoStructure)
+            draw = _random_mono_model if mono_input else _random_model
+            model = draw(rng, source, ("p",))
+            for alpha in alphas:
+                try:
+                    result = c.build(model, agents, alpha)
+                except BudgetError:
+                    if not c.skip:
+                        raise
+                    skipped += 1
+                    continue
                 checked += 1
-                mismatches.extend(mono_equivalence_mismatches(
-                    model, result.model, df_sets[alpha]))
-                if not is_iel_structure(result.model.structure, kind):
-                    class_failures.append(
-                        {"note": f"{name}: output fails the {kind} conditions"})
-        entries.append(_claim_result(name, checked, mismatches, class_failures))
+                out = result.model
+                if c.check.startswith("tau"):
+                    multi, mono = (out, model) if mono_input else (model, out)
+                    for g in (groups if alpha is None else (alpha,)):
+                        mismatches.extend(
+                            mono_equivalence_mismatches(multi, mono, free[g]))
+                else:
+                    formulas = small if c.check == "full" or out.frame.n <= 256 \
+                        else sample_formulas(rng, ("p",), groups, depth, 150)
+                    mismatches.extend(equivalence_mismatches(model, result, formulas))
+                if isinstance(c.out, str):
+                    if not is_iel_structure(out.structure, c.out):
+                        failures.append({"note": f"{c.name}: output fails "
+                                                 f"the {c.out} conditions"})
+                else:
+                    failures.extend({"note": f"{c.name}: output not {k.value}"}
+                                    for k in c.out if not has_class(out.frame, k))
+                failures.extend(
+                    {"note": f"{c.name} preserving {k.value}: output not {k.value}"}
+                    for k in c.kept
+                    if has_class(source, k) and not has_class(out.frame, k))
+        witnesses = tuple(mismatches[:3]) + tuple(failures[:3])
+        entries.append(SuiteEntry(
+            c.name, "fail" if witnesses else "pass", checked, witnesses,
+            extra=(("skipped_over_budget", skipped),) if c.skip else ()))
     return entries

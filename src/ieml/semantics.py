@@ -291,9 +291,6 @@ class Frame:
                                            geq.compose(r).compose(geq)))
             yield pair
 
-    def rel_map(self) -> dict:
-        return {g: self.r(g) for g in self.agents.groups()}
-
 
 @dataclass(frozen=True)
 class FrameReport:

@@ -101,11 +101,13 @@ class Formula:
     def __hash__(self) -> int:
         # Tagged with the node kind (the generated hash would give Box and
         # Dia over one body, or Top and Bot, the same hash) and computed
-        # once, on first use, from the children's kept hashes.
+        # once, on first use, from the children's kept hashes.  Only the
+        # declared fields count: the dict also keeps the tau image.
         fields_ = self.__dict__
         h = fields_.get("_hash")
         if h is None:  # the dataclass is frozen, so write the dict itself
-            h = fields_["_hash"] = hash((type(self), *fields_.values()))
+            h = fields_["_hash"] = hash(
+                (type(self), *(fields_[k] for k in self._fields)))
         return h
 
     def __reduce__(self):  # rebuild on unpickling: string hashes vary per process
@@ -131,6 +133,7 @@ def _node(cls: type) -> type:
     """A frozen dataclass formula node that keeps ``Formula``'s hash."""
     cls = dataclass(frozen=True)(cls)
     cls.__hash__ = Formula.__hash__
+    cls._fields = tuple(f.name for f in fields(cls))
     return cls
 
 
@@ -448,23 +451,34 @@ def render(f: Formula, agents: Optional[AgentSet] = None) -> str:
 
 # ---------- Diamond-free fragment, sf and tau ----------
 
+def _translate(g: Formula) -> Optional[tuple]:
+    """``(tau image, box group or None)`` of a diamond-free node, or None.
+
+    Kept in the node's ``__dict__`` like its hash, so each node is walked
+    once and shared subterms share one image."""
+    if isinstance(g, (Atom, Top, Bot)):
+        return g, None
+    kept = g.__dict__
+    if "_tau" in kept:
+        return kept["_tau"]
+    out = None
+    if isinstance(g, Box):
+        body = _translate(g.body)
+        if body is not None and body[1] in (None, g.group):
+            out = MonoBox(body[0]), g.group
+    elif isinstance(g, (Implies, Or, And)):
+        left, right = _translate(g.left), _translate(g.right)
+        if left is not None and right is not None and (
+                left[1] is None or right[1] is None or left[1] == right[1]):
+            out = (type(g)(left[0], right[0]),
+                   right[1] if left[1] is None else left[1])
+    kept["_tau"] = out  # None marks a diamond, a MonoBox or two box groups
+    return out
+
+
 def is_diamond_free(f: Formula) -> bool:
     """No diamond occurs and all boxes carry one and the same group."""
-    groups: set = set()
-
-    def walk(g: Formula) -> bool:
-        if isinstance(g, Dia):
-            return False
-        if isinstance(g, Box):
-            groups.add(g.group)
-            return walk(g.body)
-        if isinstance(g, (Implies, Or, And)):
-            return walk(g.left) and walk(g.right)
-        if isinstance(g, MonoBox):
-            return False
-        return True
-
-    return walk(f) and len(groups) <= 1
+    return _translate(f) is not None
 
 
 def _require_diamond_free(f: Formula, op: str) -> None:
@@ -489,19 +503,7 @@ def sf(f: Formula) -> frozenset:
 def tau(f: Formula) -> Formula:
     """Forget the group label: homomorphic map into single-box formulas."""
     _require_diamond_free(f, "tau")
-
-    def go(g: Formula) -> Formula:
-        if isinstance(g, Implies):
-            return Implies(go(g.left), go(g.right))
-        if isinstance(g, Or):
-            return Or(go(g.left), go(g.right))
-        if isinstance(g, And):
-            return And(go(g.left), go(g.right))
-        if isinstance(g, Box):
-            return MonoBox(go(g.body))
-        return g
-
-    return go(f)
+    return _translate(f)[0]
 
 
 # ---------- Substitution ----------

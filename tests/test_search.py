@@ -243,3 +243,40 @@ def test_suite_over_budget_construction(monkeypatch):
     monkeypatch.setattr(search, "standardize", raises)
     with pytest.raises(BudgetError):
         proposition_suite(budget, frames_per_check=6)
+
+
+def test_suite_claim_witnesses_golden(monkeypatch):
+    # every construction's output loses its accessibility relations, so each
+    # claim reports mismatches (their masks follow the random draws) and
+    # class failures, truncated to three of each
+    import ieml.constructions as constructions
+    import ieml.search as search
+    from ieml.semantics import Frame, Model, MonoModel, MonoStructure, Rel
+
+    def emptied(build):
+        def run(*args, **kwargs):
+            result = build(*args, **kwargs)
+            m = result.model
+            if isinstance(m, MonoModel):
+                st = m.structure
+                m = MonoModel(MonoStructure(st.n, st.leq, Rel.empty(st.n)), m.val)
+            else:
+                f = m.frame
+                m = Model(Frame(f.agents, f.n, f.leq,
+                                tuple(Rel.empty(f.n) for _ in f.rels)), m.val)
+            return type(result)(m, result.names, result.fibers)
+        return run
+
+    for name in ("standardize", "transitive_lift", "rs_collapse",
+                 "partition_lift", "expand_mono", "collapse_mono"):
+        monkeypatch.setattr(search, name, emptied(getattr(constructions, name)))
+    budget = SizeBudget(max_states=2, max_agents=2, max_candidates=200, seed=2)
+    rep = proposition_suite(budget, frames_per_check=6)
+    claims = [e for e in rep.entries if e.name.startswith("claim_")]
+    assert len(claims) == 10 and all(e.status == "fail" for e in claims)
+    notes = {w["note"] for e in claims for w in e.witnesses if "note" in w}
+    assert "claim_rs_collapse: output not rs" in notes
+    assert "claim_collapse_mono_epi: output fails the full conditions" in notes
+    assert "claim_standardize_partition preserving rs: output not rs" in notes
+    assert _digest(rep.to_json()) == \
+        "64cdb02d5337b28437f909fd87dad29488f571983051251a5cc7af8757570120"

@@ -233,6 +233,29 @@ def test_tau_injective_on_enumeration():
         assert images.setdefault(img, f) == f
 
 
+def test_tau_keeps_hashes_and_shares_images():
+    text = "[a](p -> q) /\\ [a](p -> q) \\/ r"
+    before = hash(parse(text))
+    translated_first = parse(text)
+    tau(translated_first)
+    hashed_first = parse(text)
+    hash(hashed_first)
+    tau(hashed_first)
+    assert hash(translated_first) == hash(hashed_first) == before
+    assert translated_first in {parse(text)}
+    # a subterm common to two formulas is translated once
+    shared = Box(A, Implies(Atom("p"), Atom("q")))
+    left, right = And(shared, Atom("r")), Or(Atom("p"), shared)
+    assert tau(left).left is tau(right).right is tau(shared)
+    assert tau(left) is tau(left)
+    # a failed translation is kept too, and still refused on every call
+    mixed = And(shared, Box(B, Atom("p")))
+    for _ in range(2):
+        assert is_diamond_free(shared) and not is_diamond_free(mixed)
+        with pytest.raises(ValueError, match="tau is defined on diamond-free"):
+            tau(mixed)
+
+
 # ---------- substitution ----------
 
 def test_substitute_examples():
