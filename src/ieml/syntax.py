@@ -102,12 +102,13 @@ class Formula:
         # Tagged with the node kind (the generated hash would give Box and
         # Dia over one body, or Top and Bot, the same hash) and computed
         # once, on first use, from the children's kept hashes.  Only the
-        # declared fields count: the dict also keeps the tau image.
+        # declared fields (the dataclass's __match_args__) count: the dict
+        # also keeps the tau image.
         fields_ = self.__dict__
         h = fields_.get("_hash")
         if h is None:  # the dataclass is frozen, so write the dict itself
             h = fields_["_hash"] = hash(
-                (type(self), *(fields_[k] for k in self._fields)))
+                (type(self), *(fields_[k] for k in self.__match_args__)))
         return h
 
     def __reduce__(self):  # rebuild on unpickling: string hashes vary per process
@@ -133,7 +134,6 @@ def _node(cls: type) -> type:
     """A frozen dataclass formula node that keeps ``Formula``'s hash."""
     cls = dataclass(frozen=True)(cls)
     cls.__hash__ = Formula.__hash__
-    cls._fields = tuple(f.name for f in fields(cls))
     return cls
 
 
