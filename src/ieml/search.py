@@ -250,7 +250,8 @@ def _random_mono_model(rng: random.Random, ms: MonoStructure,
 
 # ---------- formula spaces ----------
 
-def _levels(atoms: Sequence[str], depth: int, modal) -> list[Formula]:
+def _levels(atoms: Sequence[str], depth: int,
+            modal: Callable[[list], list]) -> list[Formula]:
     """The atoms, TOP and BOT, then ``depth`` rounds adding every new
     formula among ``modal(level)`` and the binary combinations of the level."""
     level: list[Formula] = [Atom(a) for a in atoms] + [TOP, BOT]
