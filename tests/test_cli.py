@@ -196,3 +196,28 @@ def test_suite_command(capsys, monkeypatch):
 def test_usage_error(capsys):
     assert run(["nonsense"]) == 2
     assert run([]) == 2
+
+
+@pytest.mark.parametrize("kind,doc,states,digest", [
+    ("standardize",
+     {"agents": ["a", "b"], "worlds": ["w0"], "leq": [["w0", "w0"]],
+      "rel": {"a": [["w0", "w0"]], "b": [["w0", "w0"]], "a,b": [["w0", "w0"]]},
+      "valuation": {"p": ["w0"]}},
+     64, "24be4f505d432dc77f47e42e837646b69f2cc09e992c59bd68d79d69fb64b46d"),
+    ("partlift",
+     {"agents": ["a", "b"], "worlds": ["s", "t"],
+      "leq": [["s", "s"], ["t", "t"]],
+      "rel": {"a": [["s", "s"], ["t", "t"]],
+              "b": [[x, y] for x in "st" for y in "st"],
+              "a,b": [[x, y] for x in "st" for y in "st"]},
+      "valuation": {"p": ["t"]}},
+     32, "7c1dd8ed2873119dc4d068cb306048d84564a35322094321cdb7481dbdb9e68e"),
+])
+def test_construct_output_pinned(capsys, tmp_path, kind, doc, states, digest):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert run(["construct", "--kind", kind, "--in", str(src),
+                "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["worlds"]) == states
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

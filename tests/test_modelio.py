@@ -7,7 +7,7 @@ from ieml import (
     load_model, load_mono, model_to_doc, mono_to_doc, parse, satisfies,
     save_model,
 )
-from ieml.modelio import default_names
+from ieml.modelio import default_names, save_mono
 from ieml.semantics import MonoModel, MonoStructure
 
 
@@ -138,3 +138,106 @@ def test_mono_loader_rejects_non_preorder():
 
 def test_default_names():
     assert default_names(3) == ("w0", "w1", "w2")
+
+
+# ---------- the saved text ----------
+
+def _canonical(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# world names a JSON document may hold besides plain strings
+ODD_WORLDS = [0, 2.5, None, "é", "q\"\\\n\t ", -7, "w0"]
+
+
+def _odd_doc():
+    w = ODD_WORLDS
+    chain = [[w[0], w[1]], [w[1], w[2]], [w[0], w[2]]]
+    return {
+        "agents": ["a", "b"],
+        "worlds": w,
+        "leq": [[x, x] for x in w] + chain,
+        "rel": {"a": [[w[3], w[4]], [w[6], w[0]], [w[4], w[4]]],
+                "b": [[x, y] for x in w for y in w[2:5]],
+                "a,b": []},
+        "valuation": {"p": [w[2]], "é\"": [w[1], w[2], w[5]]},
+    }
+
+
+def _saved_models():
+    """(model, names) pairs covering the writer's cases."""
+    yield Model.make(Frame.make(AgentSet.of("a"), 2, Rel.identity(2),
+                                {frozenset({"a"}): Rel.empty(2)}), {}), None
+    chain = Rel.from_pairs(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)])
+    one = Frame.make(AgentSet.of("a"), 3, chain,
+                     {frozenset({"a"}): Rel.from_pairs(3, [(0, 2), (2, 2), (1, 0)])})
+    yield Model.make(one, {"p": {2}, "q": {1, 2}}), ("x", "y", "z")
+    ag3 = AgentSet.of("a", "b", "c")
+    rels = {g: Rel.from_mask(3, 0x1f3 ^ (7 * i)) for i, g in enumerate(ag3.groups())}
+    yield Model.make(Frame.make(ag3, 3, chain, rels), {"p": {2}}), None
+    doc = load_model(_odd_doc())
+    yield doc.model, doc.names
+    # Python callers may pass names JSON writes as nested arrays
+    yield doc.model, tuple((i, str(nm)) for i, nm in enumerate(doc.names))
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_save_model_writes_canonical_json(tmp_path, case):
+    model, names = list(_saved_models())[case]
+    path = tmp_path / "m.json"
+    save_model(model, path, names)
+    assert path.read_text() == _canonical(model_to_doc(model, names))
+
+
+def test_saved_odd_names_round_trip(tmp_path):
+    doc = load_model(_odd_doc())
+    path = tmp_path / "m.json"
+    save_model(doc.model, path, doc.names)
+    again = load_model(path)
+    assert again.model == doc.model and again.names == tuple(ODD_WORLDS)
+
+
+def test_save_mono_writes_canonical_json(tmp_path):
+    st = MonoStructure(2, Rel.identity(2), Rel.empty(2))
+    w = ODD_WORLDS
+    odd = {"worlds": w, "leq": [[x, x] for x in w] + [[w[0], w[1]]],
+           "r": [[w[3], w[4]], [w[6], w[0]], [None, 2.5]],
+           "valuation": {"p": [w[1]], "é\"": []}}
+    odd_mm, odd_names = load_mono(odd)
+    cases = [(MonoModel.make(st, {}), None),
+             (odd_mm, tuple((i,) for i in range(len(w)))), (odd_mm, odd_names)]
+    for mm, names in cases:
+        path = tmp_path / "mono.json"
+        save_mono(mm, path, names)
+        assert path.read_text() == _canonical(mono_to_doc(mm, names))
+    assert load_mono(path) == (odd_mm, tuple(w))
+
+
+# ---------- loader error messages ----------
+
+BAD_PAIR_LISTS = [
+    (["ab"], "expected [from, to] pairs"),  # a 2-character string is no pair
+    (["w0", "w0"], "expected [from, to] pairs"),
+    ([["w0", "w0", "w0"]], "expected [from, to] pairs"),
+    ([[["w0"], "w0"]], "unknown state in pair [['w0'], 'w0']"),
+    ([["w0", "w9"]], "unknown state in pair ['w0', 'w9']"),
+    ({"w0": "w0"}, "expected a list of [from, to] pairs"),
+    (5, "expected a list of [from, to] pairs"),
+    ("ab", "expected a list of [from, to] pairs"),
+]
+
+
+@pytest.mark.parametrize("pairs,message", BAD_PAIR_LISTS)
+def test_pair_list_errors(pairs, message):
+    def fails(load, doc, what):
+        with pytest.raises(ModelFormatError) as info:
+            load(doc)
+        assert str(info.value) == f"{what}: {message}"
+
+    raw = {"agents": ["a"], "worlds": ["w0", "w1"], "leq": pairs, "rel": {"a": []}}
+    fails(load_model, raw, "leq")
+    raw = {"agents": ["a"], "worlds": ["w0", "w1"],
+           "leq": [["w0", "w0"], ["w1", "w1"]], "rel": {"a": pairs}}
+    fails(load_model, raw, "rel[a]")
+    raw = {"worlds": ["w0", "w1"], "leq": [["w0", "w0"], ["w1", "w1"]], "r": pairs}
+    fails(load_mono, raw, "r")
