@@ -112,7 +112,7 @@ def cmd_construct(args) -> int:
                 model, args.variant or "plain",
                 max_states=args.max_states or constructions.PARTITION_LIFT_MAX_STATES,
                 src_names=names)
-        elif kind == "collapsemono":
+        else:  # collapsemono; argparse bounds --kind
             if not args.group:
                 raise ModelFormatError("collapsemono needs --group")
             alpha = doc.frame.agents.group(*args.group.split(","))
@@ -122,8 +122,6 @@ def cmd_construct(args) -> int:
             _emit(args, f"wrote {args.outfile} ({result.model.structure.n} states)",
                   {"states": result.model.structure.n, "out": args.outfile})
             return OK
-        else:  # pragma: no cover
-            raise ValueError(kind)
         save_model(result.model, args.outfile, result.names)
     n = result.model.frame.n
     _emit(args, f"wrote {args.outfile} ({n} states)",

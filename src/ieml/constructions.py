@@ -16,7 +16,7 @@ from .errors import BudgetError, PreconditionError
 from .frame_classes import FrameClass, has_class, is_iel_structure
 from .modelio import default_names
 from .semantics import (
-    Evaluator, Frame, Model, MonoModel, MonoStructure, Rel, bits,
+    Evaluator, Frame, Model, MonoModel, MonoStructure, Rel, _table_of, bits,
     mono_truth_mask,
 )
 from .syntax import AgentSet, Formula, Group, tau
@@ -102,66 +102,76 @@ def standardize(m: Model, variant: str = "default",
     pi = _pi_table(m, variant)
     k = len(agents)
     gmasks = list(range(1, 1 << k))
-    group_coords = {gm: [cpos[(gm, a)] for a in range(k) if gm >> a & 1]
-                    for gm in gmasks}
     loose = [cpos[(gm, a)] for gm in gmasks for a in range(k) if not gm >> a & 1]
-    # per table and group: xor of the table over the group's own coordinates
-    sigma = [[0] * (len(gmasks) + 1) for _ in tables]
-    for gi, g in enumerate(tables):
-        for gm in gmasks:
-            acc = 0
-            for c in group_coords[gm]:
-                acc ^= g[c]
-            sigma[gi][gm] = acc
 
     rel = {}
     for amask in gmasks:
         closed_groups = [gm for gm in gmasks if not (gm & ~amask)]
-        split = []  # (gm, free coords minus one, determined coord, fixed xor coords)
+        # h keeps g on the coordinates of agents in amask (all of a closed
+        # group's, a split group's fixed ones); a split group's free
+        # coordinates range over the tables whose xor meets the need
+        kept = [cpos[(gm, a)] for gm in gmasks for a in range(k)
+                if gm >> a & 1 and amask >> a & 1]
+        split = []  # (gm, free coords minus one, determined coord, free coords)
         for gm in gmasks:
             if gm & ~amask:
                 free = [cpos[(gm, a)] for a in range(k)
                         if gm >> a & 1 and not amask >> a & 1]
-                fixed = [cpos[(gm, a)] for a in range(k)
-                         if gm >> a & 1 and amask >> a & 1]
-                split.append((gm, free[:-1], free[-1], fixed))
+                split.append((gm, free[:-1], free[-1], free))
         open_coords = [c for _, rest, _, _ in split for c in rest] + loose
-        rows = [0] * n_out
-        for t in range(n):
+
+        def lifted_row(t: int, g: tuple, free_xors: tuple) -> int:
+            row = 0
+            template = list(g)
             for u in range(n):
                 if any(pi[gm][t][u] for gm in closed_groups):
                     continue
                 base = u * n_i
-                for gi, g in enumerate(tables):
-                    acc = 0
-                    template = list(g)
-                    needs = []
-                    for gm, rest, last, fixed in split:
-                        need = sigma[gi][gm] ^ pi[gm][t][u]
-                        for c in fixed:
-                            need ^= g[c]
-                        needs.append((last, rest, need))
-                    for assignment in itertools.product(range(nvals),
-                                                        repeat=len(open_coords)):
-                        for c, v in zip(open_coords, assignment):
-                            template[c] = v
-                        for last, rest, need in needs:
-                            hv = need
-                            for c in rest:
-                                hv ^= template[c]
-                            template[last] = hv
-                        acc |= 1 << (base + index_of[tuple(template)])
-                    rows[t * n_i + gi] |= acc
-        rel[agents.group_of_mask(amask)] = Rel(n_out, tuple(rows))
+                needs = [(last, rest, fx ^ pi[gm][t][u])
+                         for (gm, rest, last, _), fx in zip(split, free_xors)]
+                for assignment in itertools.product(range(nvals),
+                                                    repeat=len(open_coords)):
+                    for c, v in zip(open_coords, assignment):
+                        template[c] = v
+                    for last, rest, need in needs:
+                        hv = need
+                        for c in rest:
+                            hv ^= template[c]
+                        template[last] = hv
+                    row |= 1 << (base + index_of[tuple(template)])
+            return row
+
+        # the row of (t, g) depends on g only through its kept coordinates
+        # and the xor of each split group's free ones: one row per such key
+        classes: dict = {}  # key -> position of its row among the heads
+        heads: dict = {}  # distinct row -> position
+        index = []
+        for t in range(n):
+            for g in tables:
+                free_xors = []
+                for _, _, _, free in split:
+                    fx = 0
+                    for c in free:
+                        fx ^= g[c]
+                    free_xors.append(fx)
+                key = (t, tuple([g[c] for c in kept]), tuple(free_xors))
+                c = classes.get(key)
+                if c is None:
+                    row = lifted_row(t, g, free_xors)
+                    c = classes[key] = heads.setdefault(row, len(heads))
+                index.append(c)
+        rel[agents.group_of_mask(amask)] = Rel._from_table(n_out, list(heads), index)
 
     block = (1 << n_i) - 1
-    leq_rows = []
+    t_rows = []
     for t in range(n):
         row = 0
         for u in bits(frame.leq.rows[t]):
             row |= block << (u * n_i)
-        leq_rows.extend([row] * n_i)
-    out_frame = Frame.make(agents, n_out, Rel(n_out, tuple(leq_rows)), rel)
+        t_rows.append(row)
+    heads, t_index = _table_of(t_rows)
+    leq = Rel._from_table(n_out, heads, [c for c in t_index for _ in range(n_i)])
+    out_frame = Frame.make(agents, n_out, leq, rel)
 
     val = {}
     for atom, mask in m.val:

@@ -73,7 +73,8 @@ def _known(name, index: dict) -> bool:
         return False
 
 
-def _world_names(doc: dict) -> tuple:
+def _worlds(doc: dict) -> tuple:
+    """The state names, each name's position and each name's bit."""
     names = doc["worlds"]
     try:
         ok = isinstance(names, (list, tuple)) and 0 < len(set(names)) == len(names)
@@ -81,21 +82,25 @@ def _world_names(doc: dict) -> tuple:
         ok = False
     if not ok:
         raise ModelFormatError("worlds must be a nonempty list of distinct names")
-    return tuple(names)
+    index = {nm: i for i, nm in enumerate(names)}
+    return tuple(names), index, {nm: 1 << i for i, nm in enumerate(names)}
 
 
-def _pairs_to_rel(n: int, pairs, index: dict, what: str) -> Rel:
+def _pairs_to_rel(n: int, pairs, index: dict, bit: dict, what: str) -> Rel:
+    """The relation of a pair list, read in one pass: ``index`` maps each
+    state name to its position and ``bit`` to ``1 << position``."""
     if not isinstance(pairs, _COLLECTIONS):
         raise ModelFormatError(f"{what}: expected a list of [from, to] pairs")
-    out = []
+    rows = [0] * n
     for pair in pairs:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ModelFormatError(f"{what}: expected [from, to] pairs")
         a, b = pair
-        if not (_known(a, index) and _known(b, index)):
-            raise ModelFormatError(f"{what}: unknown state in pair {pair!r}")
-        out.append((index[a], index[b]))
-    return Rel.from_pairs(n, out)
+        try:
+            rows[index[a]] |= bit[b]
+        except (KeyError, TypeError):  # unknown, or unhashable like a JSON array
+            raise ModelFormatError(f"{what}: unknown state in pair {pair!r}") from None
+    return Rel(n, tuple(rows))
 
 
 def _valuation(doc: dict, index: dict) -> dict:
@@ -131,11 +136,10 @@ def load_model(source: Source, close_leq: bool = False,
         agents = AgentSet(tuple(doc["agents"]))
     except (TypeError, ValueError) as e:  # not a list, or a name not a string
         raise ModelFormatError(f"bad agents: {e}") from None
-    names = _world_names(doc)
+    names, index, bit = _worlds(doc)
     n = len(names)
-    index = {nm: i for i, nm in enumerate(names)}
 
-    leq = _pairs_to_rel(n, doc["leq"], index, "leq")
+    leq = _pairs_to_rel(n, doc["leq"], index, bit, "leq")
     if close_leq:
         leq = leq.rt_closure()
 
@@ -151,7 +155,7 @@ def load_model(source: Source, close_leq: bool = False,
             raise ModelFormatError(f"bad group key {key!r}: {e}") from None
         if group in seen:
             raise ModelFormatError(f"duplicate group key {key!r}")
-        seen[group] = _pairs_to_rel(n, pairs, index, f"rel[{key}]")
+        seen[group] = _pairs_to_rel(n, pairs, index, bit, f"rel[{key}]")
 
     if complete_by_intersection:
         for g in seen:
@@ -190,32 +194,109 @@ def load_model(source: Source, close_leq: bool = False,
     return ModelDoc(model, names)
 
 
-def _rel_pairs(rel: Rel, names: tuple[str, ...]) -> list:
-    return [[names[i], names[j]] for i, j in rel.pairs()]
+# ---------- writing ----------
+#
+# One layout per document kind: ``_model_parts``/``_mono_parts`` give the
+# document with each relation still a ``Rel``.  ``*_to_doc`` turns the
+# relations into pair lists; ``save_*`` writes the same text as
+# ``json.dump(doc, indent=2, sort_keys=True)`` plus a newline, one state's
+# pairs at a time, so memory follows one state's text, not the document.
+
+def _val_names(val: tuple, names) -> dict:
+    return {atom: [names[i] for i in bits(mask)] for atom, mask in val}
 
 
-def model_to_doc(model: Model, names: Optional[tuple[str, ...]] = None) -> dict:
+def _model_parts(model: Model, names: Optional[tuple]) -> dict:
     frame = model.frame
     if names is None:
         names = default_names(frame.n)
-    rel = {frame.agents.key(g): _rel_pairs(frame.r(g), names)
-           for g in frame.agents.groups()}
-    doc = {
+    return {
         "agents": list(frame.agents.names),
         "worlds": list(names),
-        "leq": _rel_pairs(frame.leq, names),
-        "rel": rel,
-        "valuation": {atom: [names[i] for i in bits(mask)]
-                      for atom, mask in model.val},
+        "leq": frame.leq,
+        "rel": {frame.agents.key(g): frame.r(g) for g in frame.agents.groups()},
+        "valuation": _val_names(model.val, names),
     }
-    return doc
+
+
+def _mono_parts(mm: MonoModel, names: Optional[tuple]) -> dict:
+    st = mm.structure
+    if names is None:
+        names = default_names(st.n)
+    return {
+        "worlds": list(names),
+        "leq": st.leq,
+        "r": st.r,
+        "valuation": _val_names(mm.val, names),
+    }
+
+
+def _plain(value, names: list):
+    """``value`` with every ``Rel`` replaced by its pair list."""
+    if isinstance(value, Rel):
+        return [[names[i], names[j]] for i, j in value.pairs()]
+    if isinstance(value, dict):
+        return {k: _plain(v, names) for k, v in value.items()}
+    return value
+
+
+def _write_json(fh, value, names: list, depth: int, lines: dict) -> None:
+    """Write ``value`` at nesting ``depth`` as ``json.dump`` with
+    ``indent=2, sort_keys=True`` would write ``_plain(value, names)``."""
+    pad = "\n" + "  " * depth
+    if isinstance(value, Rel):
+        _write_pairs(fh, value, names, depth, lines)
+    elif isinstance(value, dict) and any(isinstance(v, (Rel, dict))
+                                         for v in value.values()):
+        fh.write("{")
+        for k, key in enumerate(sorted(value)):
+            fh.write(f"{',' if k else ''}{pad}  {json.dumps(key)}: ")
+            _write_json(fh, value[key], names, depth + 1, lines)
+        fh.write(pad + "}")
+    else:
+        fh.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", pad))
+
+
+def _write_pairs(fh, rel: Rel, names: list, depth: int, lines: dict) -> None:
+    """A relation's pair list: each state name is encoded once per depth,
+    each distinct row's list of closing texts built once, and each state's
+    pairs written with one join."""
+    texts = lines.get(depth)
+    if texts is None:
+        outer, inner = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+        encoded = [json.dumps(nm, indent=2, sort_keys=True).replace("\n", inner)
+                   for nm in names]
+        texts = lines[depth] = ([f"{outer}[{inner}{e},{inner}" for e in encoded],
+                                [f"{e}{outer}]" for e in encoded])
+    opens, closes = texts
+    heads, index = rel._row_table()
+    ends: list = [None] * len(heads)
+    fh.write("[")
+    sep = ""
+    for i, c in enumerate(index):
+        if not heads[c]:
+            continue
+        if ends[c] is None:
+            ends[c] = [closes[j] for j in bits(heads[c])]
+        fh.write(sep + opens[i] + ("," + opens[i]).join(ends[c]))
+        sep = ","
+    fh.write("\n" + "  " * depth + "]" if sep else "]")
+
+
+def _save(parts: dict, path: Union[str, Path]) -> None:
+    with open(path, "w") as fh:
+        _write_json(fh, parts, parts["worlds"], 0, {})
+        fh.write("\n")
+
+
+def model_to_doc(model: Model, names: Optional[tuple[str, ...]] = None) -> dict:
+    parts = _model_parts(model, names)
+    return _plain(parts, parts["worlds"])
 
 
 def save_model(model: Model, path: Union[str, Path],
                names: Optional[tuple[str, ...]] = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_doc(model, names), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _save(_model_parts(model, names), path)
 
 
 def load_mono(source: Source, close_leq: bool = False) -> tuple[MonoModel, tuple[str, ...]]:
@@ -223,15 +304,14 @@ def load_mono(source: Source, close_leq: bool = False) -> tuple[MonoModel, tuple
     for key in ("worlds", "leq", "r"):
         if key not in doc:
             raise ModelFormatError(f"missing key {key!r}")
-    names = _world_names(doc)
+    names, index, bit = _worlds(doc)
     n = len(names)
-    index = {nm: i for i, nm in enumerate(names)}
-    leq = _pairs_to_rel(n, doc["leq"], index, "leq")
+    leq = _pairs_to_rel(n, doc["leq"], index, bit, "leq")
     if close_leq:
         leq = leq.rt_closure()
     if not (leq.is_reflexive() and leq.is_transitive()):
         raise ModelFormatError("leq is not a preorder")
-    r = _pairs_to_rel(n, doc["r"], index, "r")
+    r = _pairs_to_rel(n, doc["r"], index, bit, "r")
     val = _valuation(doc, index)
     try:
         mm = MonoModel.make(MonoStructure(n, leq, r), val)
@@ -241,20 +321,10 @@ def load_mono(source: Source, close_leq: bool = False) -> tuple[MonoModel, tuple
 
 
 def mono_to_doc(mm: MonoModel, names: Optional[tuple[str, ...]] = None) -> dict:
-    st = mm.structure
-    if names is None:
-        names = default_names(st.n)
-    return {
-        "worlds": list(names),
-        "leq": _rel_pairs(st.leq, names),
-        "r": _rel_pairs(st.r, names),
-        "valuation": {atom: [names[i] for i in bits(mask)]
-                      for atom, mask in mm.val},
-    }
+    parts = _mono_parts(mm, names)
+    return _plain(parts, parts["worlds"])
 
 
 def save_mono(mm: MonoModel, path: Union[str, Path],
               names: Optional[tuple[str, ...]] = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(mono_to_doc(mm, names), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _save(_mono_parts(mm, names), path)

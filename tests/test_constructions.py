@@ -65,24 +65,39 @@ def brute_standard_rel(m, alpha_mask, tables, variant="default"):
     return Rel.from_pairs(n * n_i, pairs)
 
 
-@pytest.mark.parametrize("agents,nstates", [(AG, 1), (AG, 2), (AG2, 1)])
-def test_standardize_matches_brute_force(agents, nstates):
+@pytest.mark.parametrize("agents,nstates,variant", [
+    pytest.param(AG, 1, "default", id="agents0-1"),
+    pytest.param(AG, 2, "default", id="agents1-2"),
+    pytest.param(AG2, 1, "default", id="agents2-1"),
+    pytest.param(AG, 1, "partition", id="partition-agents0-1"),
+    pytest.param(AG, 2, "partition", id="partition-agents1-2"),
+    pytest.param(AG2, 1, "partition", id="partition-agents2-1"),
+])
+def test_standardize_matches_brute_force(agents, nstates, variant):
     rng = random.Random(nstates + len(agents))
     budget = SizeBudget(max_states=nstates, max_agents=len(agents),
                         max_candidates=20000, seed=1)
-    frames = [f for f in enumerate_frames(budget, FrameClass.PRESTANDARD,
-                                          agents=agents)
-              if f.n == nstates]
+    cls = FrameClass.PRESTANDARD if variant == "default" else FrameClass.PARTITION
+    frames = [f for f in enumerate_frames(budget, cls, agents=agents)
+              if f.n == nstates and has_class(f, FrameClass.PRESTANDARD)]
+    assert frames
     for frame in frames[:6] + rng.sample(frames, min(6, len(frames))):
         model = _random_model(rng, frame, ("p",))
-        result = standardize(model)
+        result = standardize(model, variant)
         nvals = 1 << frame.n
         tables = list(itertools.product(range(nvals),
                                         repeat=len(_icoords(agents))))
         for gm in range(1, 1 << len(agents)):
-            want = brute_standard_rel(model, gm, tables)
+            want = brute_standard_rel(model, gm, tables, variant)
             got = result.model.frame.r_mask(gm)
             assert got == want, (frame, gm)
+        # every output relation keeps a row table of distinct rows, so
+        # states with equal rows share one int object
+        out = result.model.frame
+        for r in (out.leq, *out.rels):
+            heads, index = r.__dict__["_table"]
+            assert len(set(heads)) == len(heads)
+            assert all(row is heads[c] for row, c in zip(r.rows, index))
 
 
 def test_standardize_one_point_example():
