@@ -120,7 +120,7 @@ def standardize(m: Model, variant: str = "default",
                 split.append((gm, free[:-1], free[-1], free))
         open_coords = [c for _, rest, _, _ in split for c in rest] + loose
 
-        def lifted_row(t: int, g: tuple, free_xors: tuple) -> int:
+        def lifted_row(t: int, g: tuple, free_xors: list[int]) -> int:
             row = 0
             template = list(g)
             for u in range(n):

@@ -240,33 +240,32 @@ def _plain(value, names: list):
     return value
 
 
-def _write_json(fh, value, names: list, depth: int, lines: dict) -> None:
+def _write_json(fh, value, names: list, depth: int, cache: dict) -> None:
     """Write ``value`` at nesting ``depth`` as ``json.dump`` with
     ``indent=2, sort_keys=True`` would write ``_plain(value, names)``."""
     pad = "\n" + "  " * depth
     if isinstance(value, Rel):
-        _write_pairs(fh, value, names, depth, lines)
-    elif isinstance(value, dict) and any(isinstance(v, (Rel, dict))
-                                         for v in value.values()):
+        _write_pairs(fh, value, names, depth, cache)
+    elif isinstance(value, dict) and any(isinstance(v, Rel) for v in value.values()):
         fh.write("{")
         for k, key in enumerate(sorted(value)):
             fh.write(f"{',' if k else ''}{pad}  {json.dumps(key)}: ")
-            _write_json(fh, value[key], names, depth + 1, lines)
+            _write_json(fh, value[key], names, depth + 1, cache)
         fh.write(pad + "}")
     else:
         fh.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", pad))
 
 
-def _write_pairs(fh, rel: Rel, names: list, depth: int, lines: dict) -> None:
+def _write_pairs(fh, rel: Rel, names: list, depth: int, cache: dict) -> None:
     """A relation's pair list: each state name is encoded once per depth,
     each distinct row's list of closing texts built once, and each state's
     pairs written with one join."""
-    texts = lines.get(depth)
+    texts = cache.get(depth)
     if texts is None:
         outer, inner = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
         encoded = [json.dumps(nm, indent=2, sort_keys=True).replace("\n", inner)
                    for nm in names]
-        texts = lines[depth] = ([f"{outer}[{inner}{e},{inner}" for e in encoded],
+        texts = cache[depth] = ([f"{outer}[{inner}{e},{inner}" for e in encoded],
                                 [f"{e}{outer}]" for e in encoded])
     opens, closes = texts
     heads, index = rel._row_table()
