@@ -341,17 +341,19 @@ def partition_lift(m: Model, variant: str = "plain",
 
     full_j = (1 << n_j) - 1
     rel = {}
-    row_cache: dict = {}
     for gm in range(1, n_groups + 1):
         sub = [g for g in range(1, n_groups + 1) if g | gm == gm] \
             if variant == "prestandard" else [gm]
-        rows = [0] * n_out
+        # one row per (t, choices on sub), kept as a row table
+        classes: dict = {}  # key -> position of its row among the heads
+        heads: dict = {}  # distinct row -> position
+        index = []
         for t in range(n):
             r_succ = list(bits(frame.r_mask(gm).rows[t]))
-            for gi, g in enumerate(tables):
-                key = (gm, t, tuple(g[cpos[(t, sm)]] for sm in sub))
-                row = row_cache.get(key)
-                if row is None:
+            for g in tables:
+                key = (t, tuple(g[cpos[(t, sm)]] for sm in sub))
+                c = classes.get(key)
+                if c is None:
                     row = 0
                     for u in r_succ:
                         h_mask = full_j
@@ -360,17 +362,19 @@ def partition_lift(m: Model, variant: str = "plain",
                             if not h_mask:
                                 break
                         row |= h_mask << (u * n_j)
-                    row_cache[key] = row
-                rows[t * n_j + gi] = row
-        rel[agents.group_of_mask(gm)] = Rel(n_out, tuple(rows))
+                    c = classes[key] = heads.setdefault(row, len(heads))
+                index.append(c)
+        rel[agents.group_of_mask(gm)] = Rel._from_table(n_out, list(heads), index)
 
-    leq_rows = []
+    t_rows = []
     for t in range(n):
         row = 0
         for u in bits(frame.leq.rows[t]):
             row |= full_j << (u * n_j)
-        leq_rows.extend([row] * n_j)
-    out_frame = Frame.make(agents, n_out, Rel(n_out, tuple(leq_rows)), rel)
+        t_rows.append(row)
+    heads, t_index = _table_of(t_rows)
+    leq = Rel._from_table(n_out, heads, [c for c in t_index for _ in range(n_j)])
+    out_frame = Frame.make(agents, n_out, leq, rel)
     val = {}
     for atom, mask in m.val:
         acc = 0

@@ -14,6 +14,7 @@ and ``rel`` with a single pair list ``"r"``.
 """
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,7 +56,17 @@ def _read(source: Source) -> dict:
     if isinstance(source, dict):
         return source
     with open(source) as fh:
-        doc = json.load(fh)
+        text = fh.read()
+    # a pair list parses into one young list per pair, and the cyclic
+    # collector's passes over millions of them cost several times the parse;
+    # they hold no cycles, so the collector is paused for the parse
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        doc = json.loads(text)
+    finally:
+        if enabled:
+            gc.enable()
     if not isinstance(doc, dict):
         raise ModelFormatError("expected a JSON object")
     return doc

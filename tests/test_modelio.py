@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from ieml import (
     load_model, load_mono, model_to_doc, mono_to_doc, parse, satisfies,
     save_model,
 )
+from ieml.cli import run
 from ieml.modelio import default_names, save_mono
 from ieml.semantics import MonoModel, MonoStructure
 
@@ -91,6 +93,36 @@ def test_document_must_be_an_object(tmp_path):
         load_model(path)
     with pytest.raises(ModelFormatError, match="JSON object"):
         load_mono(path)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_loading_a_file_leaves_the_collector_as_found(tmp_path, monkeypatch, enabled):
+    model, mono, bad = tmp_path / "m.json", tmp_path / "mono.json", tmp_path / "bad.json"
+    model.write_text(json.dumps(base_doc()))
+    mono.write_text(json.dumps({"worlds": ["s"], "leq": [["s", "s"]], "r": []}))
+    bad.write_text('{"agents": [')
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert load_model(model).frame.n == 2 and gc.isenabled() == enabled
+        assert load_mono(mono)[0].structure.n == 1 and gc.isenabled() == enabled
+        for load in (load_model, load_mono):
+            with pytest.raises(ValueError):
+                load(bad)
+            assert gc.isenabled() == enabled
+        assert run(["classify", "--frame", str(bad)]) == 2
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    # a document passed as a dict never reaches the collector
+    touched = []
+    monkeypatch.setattr(gc, "disable", lambda: touched.append("disable"))
+    monkeypatch.setattr(gc, "enable", lambda: touched.append("enable"))
+    load_model(base_doc())
+    load_mono({"worlds": ["s"], "leq": [["s", "s"]], "r": []})
+    assert touched == []
+    load_model(model)
+    assert "disable" in touched
 
 
 def test_group_keys_normalized_on_load():

@@ -117,6 +117,99 @@ def test_rel_row_classes():
         assert covered == (1 << r.n) - 1
 
 
+def _rels_three_ways(rng, n):
+    """Makers of relations on n states built from raw rows, through
+    ``Rel._from_table`` with repeated heads, and through ``compose`` and
+    ``converse``; each call builds fresh instances.  Rows repeat and some
+    relations are reflexive, so every predicate meets both answers; above
+    8 states rows outside the reflexive ones are sparse, so the oracles stay
+    quick."""
+    def draw():
+        r = rng.getrandbits(n)
+        for _ in range(0 if n <= 8 else 3):
+            r &= rng.getrandbits(n)
+        return r
+
+    base = [draw() for _ in range(rng.randrange(1, 5) if n <= 8 else 2)]
+    index = [rng.randrange(len(base)) for _ in range(n)]
+    states = [0] * len(base)
+    for i, c in enumerate(index):
+        states[c] |= 1 << i
+    refl = [h | s for h, s in zip(base, states)]
+    wider = [h | draw() for h in refl]
+    scattered = [draw() for _ in range(n)]
+
+    def tabled(heads):  # each head twice, states split between the copies
+        return Rel._from_table(n, heads + heads, [c + len(heads) * rng.randrange(2)
+                                                  for c in index])
+
+    def raw(heads):
+        return Rel(n, tuple(heads[c] for c in index))
+
+    return [lambda: raw(base), lambda: raw(refl), lambda: raw(wider),
+            lambda: tabled(base), lambda: tabled(refl), lambda: tabled(wider),
+            lambda: Rel(n, tuple(scattered)), lambda: Rel.identity(n),
+            lambda: Rel.total(n) if n <= 8 else Rel.empty(n),
+            lambda: tabled(refl).converse(), lambda: raw(base).converse(),
+            lambda: tabled(base).compose(tabled(base)),
+            lambda: raw(base).compose(raw(base).converse()),
+            lambda: tabled(base).compose(raw(base)).converse()]
+
+
+def test_rel_algebra_against_oracles():
+    rng = random.Random(11)
+    for n in [1, 2, 3, 4, 5, 6, 64, 70]:
+        makers = _rels_three_ways(rng, n)
+        combos = [(a, b) for a in makers for b in makers]
+        if n > 6:
+            combos = rng.sample(combos, 24)
+        for mp in makers:
+            p = mp()
+            pairs = set(p.pairs())
+            assert p.is_reflexive() == all((i, i) in pairs for i in range(n))
+            assert p.is_symmetric() == all((j, i) in pairs for i, j in pairs)
+            if len(pairs) <= 1000:  # naive_compose takes |pairs|^2 steps
+                assert p.is_transitive() == (naive_compose(p, p) <= pairs)
+        for mp, mq in combos:
+            p, q = mp(), mq()
+            pairs, qpairs = set(p.pairs()), set(q.pairs())
+            want = naive_compose(p, q) if len(pairs) * len(qpairs) <= 10 ** 6 else None
+            # once on fresh instances, then again once both keep tables,
+            # row classes and converses
+            for _ in range(2):
+                if want is not None:
+                    assert set(p.compose(q).pairs()) == want
+                assert p.le(q) == (pairs <= qpairs) and q.le(p) == (qpairs <= pairs)
+                assert p.is_reflexive() == all((i, i) in pairs for i in range(n))
+                p.converse(), p.row_classes(), q.converse(), q.row_classes()
+
+
+def test_rel_compose_class_path(monkeypatch):
+    seen = []
+    row_classes = Rel.row_classes
+    monkeypatch.setattr(Rel, "row_classes",
+                        lambda self: seen.append(self) or row_classes(self))
+    # a dense-row relation composed with a partner that keeps a table goes
+    # through the partner's row classes, from CLASS_PASS_MIN_STATES states on
+    rng = random.Random(12)
+    for n in (semantics.CLASS_PASS_MIN_STATES - 1, 70):
+        seen.clear()
+        dense = Rel(n, tuple(rng.getrandbits(n) | 1 for _ in range(n)))
+        base = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(3)]
+        partner = Rel._from_table(n, base + base, [rng.randrange(6) for _ in range(n)])
+        assert set(dense.compose(partner).pairs()) == naive_compose(dense, partner)
+        assert seen == ([partner] if n >= semantics.CLASS_PASS_MIN_STATES else [])
+    # raw relations of at most 3 states stay on the per-bit loop, also when
+    # composed with themselves
+    for n in range(4):
+        for mask in range(1 << (n * n)):
+            seen.clear()
+            p, q = Rel.from_mask(n, mask), Rel.from_mask(n, mask ^ 0b101)
+            assert set(p.compose(p).pairs()) == naive_compose(p, p)
+            assert set(p.compose(q).pairs()) == naive_compose(p, q)
+            assert seen == []
+
+
 # ---------- frames and reports ----------
 
 def test_check_frame_examples():
