@@ -11,10 +11,10 @@ from .syntax import (
     render, sf, substitute, tau,
 )
 from .semantics import (
-    Evaluator, Frame, FrameReport, Model, MonoModel, MonoStructure, Rel,
-    check_frame, compose, falsify_on_frame, is_closed, is_forward_confluent,
-    mono_satisfies, satisfies, satisfies_variant, true_in_model, up_sets,
-    valid_in_frame,
+    Evaluator, Frame, FrameReport, Model, MonoModel, MonoStructure, Program,
+    Rel, check_frame, compose, evaluator, falsify_on_frame, is_closed,
+    is_forward_confluent, mono_satisfies, satisfies, satisfies_variant,
+    true_in_model, up_sets, valid_in_frame,
 )
 from .frame_classes import FrameClass, classify, has_class, is_iel_structure
 from .modelio import (

@@ -16,8 +16,8 @@ from .errors import BudgetError, PreconditionError
 from .frame_classes import FrameClass, has_class, is_iel_structure
 from .modelio import default_names
 from .semantics import (
-    Evaluator, Frame, Model, MonoModel, MonoStructure, Rel, _table_of, bits,
-    mono_truth_mask,
+    Frame, Model, MonoModel, MonoStructure, Program, Rel, _table_of, bits,
+    evaluator, mono_truth_mask,
 )
 from .syntax import AgentSet, Formula, Group, tau
 
@@ -444,17 +444,20 @@ def collapse_mono(m: Model, alpha: Group, kind: str = "minus",
 
 # ---------- claim verification ----------
 
+def _program(formulas: Iterable[Formula]) -> Program:
+    return formulas if isinstance(formulas, Program) else Program(formulas)
+
+
 def equivalence_mismatches(src: Model, result: ConstructionResult,
                            formulas: Iterable[Formula]) -> list[dict]:
     """Check `source state satisfies B iff each of its fiber states does`.
 
+    ``formulas`` may be a ``Program``, which is then not compiled again.
     Returns one record per failing formula with the offending states."""
     out = result.model
-    ev_src = Evaluator(src.frame)
-    ev_out = Evaluator(out.frame)
-    vs, vo = src.val_map(), out.val_map()
-    memo_s: dict = {}
-    memo_o: dict = {}
+    program = _program(formulas)
+    src_masks = evaluator(src.frame).run(program, src.val_map())
+    out_masks = evaluator(out.frame).run(program, out.val_map())
     fiber_bits = []
     covered = 0
     for fiber in result.fibers:
@@ -463,16 +466,18 @@ def equivalence_mismatches(src: Model, result: ConstructionResult,
             mask |= 1 << x
         fiber_bits.append(mask)
         covered |= mask
+    expected: dict = {}  # source mask -> the output mask it asks for
     mismatches = []
-    for f in formulas:
-        ms = ev_src.truth_mask(f, vs, memo_s)
-        mo = ev_out.truth_mask(f, vo, memo_o)
-        expect = 0
-        for t in range(src.frame.n):
-            if ms >> t & 1:
+    for f, i in zip(program, program.roots):
+        ms = src_masks[i]
+        expect = expected.get(ms)
+        if expect is None:
+            expect = 0
+            for t in bits(ms):
                 expect |= fiber_bits[t]
-        if mo & covered != expect:
-            bad = (mo & covered) ^ expect
+            expected[ms] = expect
+        bad = (out_masks[i] & covered) ^ expect
+        if bad:
             mismatches.append({
                 "formula": str(f),
                 "source_mask": ms,
@@ -484,15 +489,16 @@ def equivalence_mismatches(src: Model, result: ConstructionResult,
 def mono_equivalence_mismatches(multi: Model, mono: MonoModel,
                                 formulas: Iterable[Formula]) -> list[dict]:
     """Check `multi-agent satisfaction of B equals mono satisfaction of
-    tau(B)` statewise; both models share one carrier."""
-    ev = Evaluator(multi.frame)
-    vm = multi.val_map()
-    memo_multi: dict = {}
-    memo_mono: dict = {}
+    tau(B)` statewise; both models share one carrier.  ``formulas`` may be a
+    ``Program``, which is then not compiled again."""
+    program = _program(formulas)
+    lefts = evaluator(multi.frame).run(program, multi.val_map())
+    # the images are compiled once per program, not once per mono model
+    memo = {"program": program.image(tau)}
     mismatches = []
-    for f in formulas:
-        left = ev.truth_mask(f, vm, memo_multi)
-        right = mono_truth_mask(mono, tau(f), memo_mono)
+    for f, i in zip(program, program.roots):
+        left = lefts[i]
+        right = mono_truth_mask(mono, tau(f), memo)
         if left != right:
             mismatches.append({
                 "formula": str(f),

@@ -24,7 +24,8 @@ from .frame_classes import FrameClass, has_class, is_iel_structure
 from .modelio import model_to_doc
 from .semantics import (
     DEFAULT_ASSIGNMENT_CAP, Evaluator, Frame, Model, MonoModel, MonoStructure,
-    Rel, bits, falsify_on_frame, is_closed, satisfies, up_sets, valid_in_frame,
+    Program, Rel, bits, falsify_on_frame, is_closed, satisfies, up_sets,
+    valid_in_frame,
 )
 from .syntax import (
     AgentSet, And, Atom, BOT, Box, Dia, Formula, Group, Implies, Or, TOP,
@@ -221,12 +222,24 @@ def enumerate_frames(budget: SizeBudget, classes=FrameClass.ALL,
 
 
 def mono_structures(n: int, kind: Optional[str] = None) -> Iterator[MonoStructure]:
-    """All single-relation structures on n states, optionally filtered."""
+    """All single-relation structures on n states, optionally filtered.
+    Both kinds need accessibility inside the preorder, so a kind visits only
+    the submasks of the preorder's mask, in ascending order."""
     for leq in preorders(n):
-        for mask in range(1 << (n * n)):
+        masks = range(1 << (n * n)) if kind is None else _submasks(leq.mask())
+        for mask in masks:
             ms = MonoStructure(n, leq, Rel.from_mask(n, mask))
             if kind is None or is_iel_structure(ms, kind):
                 yield ms
+
+
+def _submasks(full: int) -> Iterator[int]:
+    sub = 0
+    while True:
+        yield sub
+        if sub == full:
+            return
+        sub = (sub - full) & full  # the next submask up
 
 
 # ---------- random models ----------
@@ -645,8 +658,9 @@ def _claim_entries(budget: SizeBudget, agents: AgentSet,
     rng = random.Random(f"{budget.seed}:claims")
     groups = agents.groups()
     depth = min(2, budget.max_formula_depth)
-    small = all_formulas(("p",), groups, depth)
-    free = {g: diamond_free_formulas(("p",), g, depth) for g in groups}
+    # each battery is compiled once and then evaluated once per model
+    small = Program(all_formulas(("p",), groups, depth))
+    free = {g: Program(diamond_free_formulas(("p",), g, depth)) for g in groups}
     entries = []
     for c in _CLAIMS:
         checked = skipped = 0

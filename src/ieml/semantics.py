@@ -10,12 +10,15 @@ single-relation structures ``tau`` images are read on: two row passes (image
 inside / image meets the body) plus one preorder-interior pass.  Every pass
 runs over a relation's row classes (``Rel.row_classes``: each distinct row
 with the set of states that have it), so its cost follows the number of
-distinct rows, not of states.  The satisfaction and validity functions
-below wrap it.
+distinct rows, not of states.  It evaluates a ``Program``, a formula list
+compiled once into a node array, in one loop per valuation.  The
+satisfaction and validity functions below wrap it, through the evaluator
+each structure keeps (``evaluator``).
 """
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -442,6 +445,117 @@ class MonoModel:
         return 0
 
 
+# ---------- Compiled formula lists ----------
+
+# Node operations of a ``Program``.
+_ATOM, _TOP, _BOT, _AND, _OR, _IMPLIES, _BOX, _DIA, _MONOBOX = range(9)
+_OPS = {Atom: _ATOM, Top: _TOP, Bot: _BOT, And: _AND, Or: _OR,
+        Implies: _IMPLIES, Box: _BOX, Dia: _DIA, MonoBox: _MONOBOX}
+
+
+class Program:
+    """A formula list compiled into one node array.
+
+    Nodes are hash-consed by object identity (Filliatre and Conchon,
+    *Type-safe modular hash-consing*, 2006): a subformula object that several
+    formulas share is one node.  Every node comes after its children, so one
+    pass in index order evaluates them all (``Evaluator.run``).  Node i is
+    stored flat: ``ops[i]``, then ``left[i]`` (the first child, or the atom
+    name's index in ``consts``) and ``right[i]`` (the second child, or the
+    box or diamond group's index in ``consts``).  ``len`` and iteration give
+    the compiled formulas in order, and ``roots`` their nodes.
+    """
+
+    __slots__ = ("ops", "left", "right", "consts", "roots",
+                 "_nodes", "_index", "_const_index", "_images")
+
+    def __init__(self, formulas: Iterable[Formula] = ()):
+        self.ops = bytearray()
+        self.left = array("l")
+        self.right = array("l")
+        self.consts: list = []  # atom names and groups
+        self.roots = array("l")
+        self._nodes: list = []  # node -> formula; keeps every id in _index alive
+        self._index: Optional[dict] = {}  # id(formula) -> node
+        self._const_index: dict = {}
+        self._images: dict = {}  # function -> image Program
+        for f in formulas:
+            self.roots.append(self.node(f))
+        if self._nodes:  # a compiled list: the index is rebuilt if ever asked
+            self._index = None
+
+    def __len__(self) -> int:
+        return len(self.roots)
+
+    def __iter__(self) -> Iterator[Formula]:
+        return map(self._nodes.__getitem__, self.roots)
+
+    def image(self, fn) -> "Program":
+        """The ``Program`` of ``fn(f)`` for each formula, in order, compiled
+        on first use and kept."""
+        out = self._images.get(fn)
+        if out is None:
+            out = self._images[fn] = Program(map(fn, self))
+        return out
+
+    def node(self, f: Formula) -> int:
+        """The node of ``f``, compiling the subformulas not yet here.  The
+        walk keeps its own stack, so formula depth meets no recursion limit."""
+        index = self._index
+        if index is None:
+            index = self._index = {id(g): i for i, g in enumerate(self._nodes)}
+        hit = index.get(id(f))
+        if hit is not None:
+            return hit
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            if id(g) in index:  # pushed twice before it was compiled
+                stack.pop()
+                continue
+            op = _OPS.get(type(g))
+            if op is None:
+                raise TypeError(f"not a formula: {g!r}")
+            a = b = 0
+            if op == _ATOM:
+                a = self._const(g.name)
+            elif op in (_AND, _OR, _IMPLIES):
+                a, b = index.get(id(g.left)), index.get(id(g.right))
+                if a is None or b is None:
+                    if b is None:
+                        stack.append(g.right)
+                    if a is None:
+                        stack.append(g.left)
+                    continue
+            elif op != _TOP and op != _BOT:
+                a = index.get(id(g.body))
+                if a is None:
+                    stack.append(g.body)
+                    continue
+                if op != _MONOBOX:
+                    b = self._const(g.group)
+            stack.pop()
+            index[id(g)] = len(self.ops)
+            self.ops.append(op)
+            self.left.append(a)
+            self.right.append(b)
+            self._nodes.append(g)
+        return index[id(f)]
+
+    def _const(self, value) -> int:
+        c = self._const_index.get(value)
+        if c is None:
+            c = self._const_index[value] = len(self.consts)
+            self.consts.append(value)
+        return c
+
+
+# The last formula evaluated without a memo, and its Program: a search that
+# asks one formula under many valuations and frames compiles it once.  Only
+# the time of a call depends on this slot, never its result.
+_last_compiled: tuple = (None, None)
+
+
 # ---------- Satisfaction ----------
 
 def is_forward_confluent(f: Frame) -> bool:
@@ -452,21 +566,27 @@ def is_forward_confluent(f: Frame) -> bool:
 class Evaluator:
     """Truth sets over one ``Frame`` or one ``MonoStructure``.
 
-    ``truth_mask`` returns the bitmask of states satisfying a formula under a
-    given valuation.  The structure kind is resolved once, here; one clause
-    dispatch serves both.  Each modal clause is one pass over the row classes
-    of a plain relation, so no composed relation is ever materialized and
-    states sharing a row are decided together: "image inside the body" for
-    the group box and ``MonoBox`` (a class whose row meets the complement
-    makes all its states bad), "image meets the body" for the three diamonds
-    (a class whose row meets the body makes all its states witnesses;
-    ``prenosil`` then takes the witnesses' up-closure in one pass over the
-    preorder's classes, the other variants keep the witnesses).  Implication,
-    the group box and the ``wijesekera`` diamond end in one shared
-    preorder-interior pass: the states of a preorder class hold when its row
-    misses every bad state.  An optional memo dict shares subformula results
-    across calls with the same valuation.
+    ``run`` evaluates a ``Program`` under a valuation: one mask per node, the
+    bitmask of states satisfying it.  ``truth_mask`` gives one formula's
+    mask.  The structure kind is resolved once, here; one clause dispatch
+    (``_run``) serves both.  Each modal clause is one pass over the row
+    classes of a plain relation, so no composed relation is ever
+    materialized and states sharing a row are decided together: "image
+    inside the body" for the group box and ``MonoBox`` (a class whose row
+    meets the complement makes all its states bad), "image meets the body"
+    for the three diamonds (a class whose row meets the body makes all its
+    states witnesses; ``prenosil`` then takes the witnesses' up-closure in
+    one pass over the preorder's classes, the other variants keep the
+    witnesses).  Implication, the group box and the ``wijesekera`` diamond
+    end in one shared preorder-interior pass: the states of a preorder class
+    hold when its row misses every bad state.
+
+    An evaluator keeps no reference to its structure, so the structure can
+    keep it (``evaluator``) without a reference cycle.
     """
+
+    __slots__ = ("variant", "_mono", "_box", "_dia", "_full", "_leq_classes",
+                 "_rels", "_agents", "_kind", "_classes")
 
     def __init__(self, frame: Union[Frame, MonoStructure],
                  variant: str = "prenosil"):
@@ -477,83 +597,140 @@ class Evaluator:
                 and not is_forward_confluent(frame):
             raise PreconditionError(
                 "the fischer_servi diamond requires a forward confluent frame")
-        self.frame = frame
         self.variant = variant
-        self._box, self._dia = (MonoBox, None) if self._mono else (Box, Dia)
+        self._box, self._dia = (_MONOBOX, None) if self._mono else (_BOX, _DIA)
         self._full = (1 << frame.n) - 1
         self._leq_classes = frame.leq.row_classes()
+        self._rels, self._agents = ((frame.r,), None) if self._mono \
+            else (frame.rels, frame.agents)
+        self._kind = type(frame).__name__
         self._classes: dict = {}  # group (None on a mono structure) -> row classes
 
     def truth_mask(self, f: Formula, val: Mapping[str, int],
                    memo: Optional[dict] = None) -> int:
-        return self._truth(f, val, {} if memo is None else memo)
+        """The states satisfying ``f``.  A memo dict shares subformula
+        results across calls; it records the valuation it was filled under
+        and refuses any other with ``ValueError``.  It may start as
+        ``{"program": p}``, ``p`` a ``Program`` holding the formulas to
+        come, so that many memos share one compilation."""
+        return self._mask(f, val, memo)
 
-    def _truth(self, f: Formula, val: Mapping[str, int], memo: dict) -> int:
-        # memo is keyed by object identity: structural hashing dominates the
-        # profile on large batteries, and generated batteries share subterms
-        hit = memo.get(id(f))
-        if hit is not None:
-            return hit[1]
-        kind = type(f)
-        bad = None  # set by the clauses that end in the preorder interior
-        if kind is Atom:
-            out = val.get(f.name, 0)
-        elif kind is And:
-            out = self._truth(f.left, val, memo) & self._truth(f.right, val, memo)
-        elif kind is Or:
-            out = self._truth(f.left, val, memo) | self._truth(f.right, val, memo)
-        elif kind is Top:
-            out = self._full
-        elif kind is Bot:
-            out = 0
-        elif kind is Implies:
-            bad = self._truth(f.left, val, memo) & ~self._truth(f.right, val, memo)
-        elif kind is self._box or kind is self._dia:
-            body = self._truth(f.body, val, memo)
-            group = None if self._mono else f.group
-            classes = self._classes.get(group)
-            if classes is None:
-                rel = self.frame.r if self._mono else self.frame.r(group)
-                classes = self._classes[group] = rel.row_classes()
-            if kind is self._box:  # image inside the body
-                over = ~body
-                bad = 0
-                for row, states in classes:
-                    if row & over:
-                        bad |= states
-                if self._mono:  # the mono box reads r directly, no interior
-                    out, bad = self._full & ~bad, None
-            else:  # image meets the body
+    def run(self, program: Program, val: Mapping[str, int]) -> list[int]:
+        """One truth mask per node of ``program``, in node order."""
+        masks: list[int] = []
+        self._run(program, val, masks)
+        return masks
+
+    def _mask(self, f: Formula, val: Mapping[str, int],
+              memo: Optional[dict]) -> int:
+        if memo is None:
+            global _last_compiled
+            last = _last_compiled
+            if last[0] is not f:
+                last = _last_compiled = (f, Program((f,)))
+            masks: list[int] = []
+            self._run(last[1], val, masks)
+            return masks[-1]  # the root is the last node
+        recorded = memo.get("valuation")
+        if recorded is None:
+            memo["valuation"] = dict(val)
+        elif recorded != val:
+            raise ValueError("the memo was filled under another valuation")
+        program = memo.get("program")
+        if program is None:
+            program = memo["program"] = Program()
+        masks = memo.setdefault("masks", [])
+        i = program.node(f)
+        if i >= len(masks):
+            self._run(program, val, masks)
+        return masks[i]
+
+    def _row_classes(self, group: Optional[Group]) -> tuple:
+        classes = self._classes.get(group)
+        if classes is None:
+            rel = self._rels[0 if self._mono else self._agents.mask(group) - 1]
+            classes = self._classes[group] = rel.row_classes()
+        return classes
+
+    def _run(self, program: Program, val: Mapping[str, int],
+             masks: list[int]) -> None:
+        """Append the masks of ``program``'s nodes from ``len(masks)`` on."""
+        ops, left, right, consts = \
+            program.ops, program.left, program.right, program.consts
+        full, leq_classes, mono = self._full, self._leq_classes, self._mono
+        box, dia, variant = self._box, self._dia, self.variant
+        modal: dict = {}  # group constant -> row classes
+        for i in range(len(masks), len(ops)):
+            op = ops[i]
+            bad = None  # set by the clauses that end in the preorder interior
+            if op == _AND:
+                out = masks[left[i]] & masks[right[i]]
+            elif op == _OR:
+                out = masks[left[i]] | masks[right[i]]
+            elif op == _IMPLIES:
+                bad = masks[left[i]] & ~masks[right[i]]
+            elif op == _ATOM:
+                out = val.get(consts[left[i]], 0)
+            elif op == box or op == dia:
+                body = masks[left[i]]
+                classes = modal.get(right[i])
+                if classes is None:
+                    classes = modal[right[i]] = \
+                        self._row_classes(None if mono else consts[right[i]])
+                if op == box:  # image inside the body
+                    over = ~body
+                    bad = 0
+                    for row, states in classes:
+                        if row & over:
+                            bad |= states
+                    if mono:  # the mono box reads r directly, no interior
+                        out, bad = full & ~bad, None
+                else:  # image meets the body
+                    out = 0
+                    for row, states in classes:
+                        if row & body:
+                            out |= states
+                    if variant == "prenosil":  # up-closure of the witnesses
+                        witnesses, out = out, 0
+                        for row, states in leq_classes:
+                            if states & witnesses:
+                                out |= row
+                    elif variant == "wijesekera":
+                        bad = full & ~out
+            elif op == _TOP:
+                out = full
+            elif op == _BOT:
                 out = 0
-                for row, states in classes:
-                    if row & body:
-                        out |= states
-                if self.variant == "prenosil":  # up-closure of the witnesses
-                    witnesses, out = out, 0
-                    for row, states in self._leq_classes:
-                        if states & witnesses:
-                            out |= row
-                elif self.variant == "wijesekera":
-                    bad = self._full & ~out
-        else:  # a MonoBox on a frame, a Box or Dia on a mono structure
-            raise TypeError(f"not a formula over a {type(self.frame).__name__}: {f!r}")
-        if bad is not None:
-            if bad == 0:
-                out = self._full
-            else:
-                out = 0
-                for row, states in self._leq_classes:
-                    if row & bad == 0:
-                        out |= states
-        memo[id(f)] = (f, out)  # keep f alive so its id is not recycled
-        return out
+            else:  # a MonoBox on a frame, a Box or Dia on a mono structure
+                raise TypeError(
+                    f"not a formula over a {self._kind}: {program._nodes[i]!r}")
+            if bad is not None:
+                if bad == 0:
+                    out = full
+                else:
+                    out = 0
+                    for row, states in leq_classes:
+                        if row & bad == 0:
+                            out |= states
+            masks.append(out)
+
+
+def evaluator(structure: Union[Frame, MonoStructure],
+              variant: str = "prenosil") -> Evaluator:
+    """The structure's ``Evaluator`` for ``variant``, built on first use and
+    kept in the structure's dict, the way ``Rel`` keeps its memos."""
+    cache = structure.__dict__.setdefault("_evaluators", {})
+    ev = cache.get(variant)
+    if ev is None:
+        ev = cache[variant] = Evaluator(structure, variant)
+    return ev
 
 
 def _holds(structure: Union[Frame, MonoStructure], val: tuple, s: int,
            a: Formula, variant: str = "prenosil") -> bool:
     if not 0 <= s < structure.n:
         raise ValueError(f"state {s} out of range")
-    return bool(Evaluator(structure, variant).truth_mask(a, dict(val)) >> s & 1)
+    return bool(evaluator(structure, variant).truth_mask(a, dict(val)) >> s & 1)
 
 
 def satisfies(m: Model, s: int, a: Formula) -> bool:
@@ -568,7 +745,7 @@ def satisfies_variant(m: Model, s: int, a: Formula, variant: str) -> bool:
 
 def true_in_model(m: Model, a: Formula) -> bool:
     full = (1 << m.frame.n) - 1
-    return Evaluator(m.frame).truth_mask(a, m.val_map()) == full
+    return evaluator(m.frame).truth_mask(a, m.val_map()) == full
 
 
 def _assignment_space(f: Frame, a: Formula, cap: int) -> tuple[list[str], list[int]]:
@@ -593,7 +770,7 @@ def falsify_on_frame(f: Frame, a: Formula,
                      cap: int = DEFAULT_ASSIGNMENT_CAP) -> Optional[tuple[Model, int]]:
     """A model on ``f`` and a state where ``a`` fails, if one exists."""
     names, sets = _assignment_space(f, a, cap)
-    ev = Evaluator(f)
+    ev = evaluator(f)
     full = (1 << f.n) - 1
     for choice in itertools.product(sets, repeat=len(names)):
         val = dict(zip(names, choice))
@@ -608,8 +785,8 @@ def falsify_on_frame(f: Frame, a: Formula,
 
 def mono_truth_mask(mm: MonoModel, f: Formula,
                     memo: Optional[dict] = None) -> int:
-    # _truth, not truth_mask: perfbench's tracer times the two as separate layers
-    return Evaluator(mm.structure)._truth(f, dict(mm.val), {} if memo is None else memo)
+    # _mask, not truth_mask: perfbench's tracer times the two as separate layers
+    return evaluator(mm.structure)._mask(f, dict(mm.val), memo)
 
 
 def mono_satisfies(mm: MonoModel, s: int, a: Formula) -> bool:

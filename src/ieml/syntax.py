@@ -481,9 +481,12 @@ def is_diamond_free(f: Formula) -> bool:
     return _translate(f) is not None
 
 
-def _require_diamond_free(f: Formula, op: str) -> None:
-    if not is_diamond_free(f):
+def _require_diamond_free(f: Formula, op: str) -> tuple:
+    """``_translate(f)``, or ``ValueError`` naming ``op`` when it is None."""
+    image = _translate(f)
+    if image is None:
         raise ValueError(f"{op} is defined on diamond-free formulas only: {render(f)}")
+    return image
 
 
 def sf(f: Formula) -> frozenset:
@@ -502,8 +505,7 @@ def sf(f: Formula) -> frozenset:
 
 def tau(f: Formula) -> Formula:
     """Forget the group label: homomorphic map into single-box formulas."""
-    _require_diamond_free(f, "tau")
-    return _translate(f)[0]
+    return _require_diamond_free(f, "tau")[0]
 
 
 # ---------- Substitution ----------

@@ -15,8 +15,8 @@ from ieml import (
     AgentSet, Atom, Evaluator, Frame, FrameClass, Model, Rel, check_frame,
     classify, collapse_mono, equivalence_mismatches, expand_mono, has_class,
     is_closed, is_iel_structure, mono_equivalence_mismatches, parse,
-    partition_lift, render, rs_collapse, standardize, transitive_lift,
-    up_sets, valid_in_frame,
+    partition_lift, Program, render, rs_collapse, standardize,
+    transitive_lift, up_sets, valid_in_frame,
 )
 from ieml.errors import BudgetError
 from ieml.proofs import check_derivation, load_derivation, soundness_probe
@@ -49,6 +49,7 @@ def test_criterion_1_heredity():
     groups = AG2.groups()
     formulas = all_formulas(("p", "q"), groups, 1) \
         + sample_formulas(rng, ("p", "q"), groups, 3, 250)
+    program = Program(formulas)  # compiled once, shared by every memo
     frames = models = checks = 0
     for frame in enumerate_frames(budget, FrameClass.ALL):
         frames += 1
@@ -57,7 +58,7 @@ def test_criterion_1_heredity():
             model = _random_model(rng, frame, ("p", "q"))
             models += 1
             val = model.val_map()
-            memo = {}
+            memo = {"program": program}
             for f in formulas:
                 mask = ev.truth_mask(f, val, memo)
                 assert is_closed(frame.leq, mask), (f, model)
@@ -239,7 +240,7 @@ def test_criterion_4_standardization():
 def test_criterion_5_lift_collapse_partition():
     t0 = time.time()
     rng = random.Random(109)
-    fs = all_formulas(("p",), AG2.groups(), 2)
+    fs = Program(all_formulas(("p",), AG2.groups(), 2))
     budget = SizeBudget(max_states=3, max_agents=2, max_candidates=2600, seed=110)
 
     lifted = 0
@@ -296,7 +297,7 @@ def test_criterion_5_lift_collapse_partition():
 def test_criterion_6_conservative_extension_round_trip():
     t0 = time.time()
     rng = random.Random(111)
-    df = {g: diamond_free_formulas(("p",), g, 2) for g in AG2.groups()}
+    df = {g: Program(diamond_free_formulas(("p",), g, 2)) for g in AG2.groups()}
 
     expands = 0
     for kind in ("minus", "full"):

@@ -7,7 +7,7 @@ from ieml import (
     AgentSet, Frame, FrameClass, Model, MonoModel, MonoStructure, Rel,
     check_frame, classify, collapse_mono, equivalence_mismatches, expand_mono,
     has_class, is_iel_structure, mono_equivalence_mismatches, parse,
-    partition_lift, partition_lift_witnesses, rs_collapse, satisfies,
+    partition_lift, partition_lift_witnesses, Program, rs_collapse, satisfies,
     standardize, transitive_lift, witness_h,
 )
 from ieml.constructions import _icoords, _pi_table
@@ -212,7 +212,7 @@ def test_transitive_lift_examples():
 def test_transitive_lift_claim_battery():
     rng = random.Random(41)
     budget = SizeBudget(max_states=3, max_agents=2, max_candidates=2000, seed=9)
-    formulas = all_formulas(("p",), AG2.groups(), 2)
+    formulas = Program(all_formulas(("p",), AG2.groups(), 2))
     for frame in list(enumerate_frames(budget, FrameClass.ALL))[:60]:
         model = _random_model(rng, frame, ("p",))
         result = transitive_lift(model)
@@ -346,7 +346,7 @@ def test_expand_mono_claim_battery():
     from ieml.search import mono_structures, _random_mono_model
     rng = random.Random(53)
     structures = [s for n in (1, 2, 3) for s in mono_structures(n, "minus")]
-    formulas = {g: diamond_free_formulas(("p",), g, 2) for g in AG2.groups()}
+    formulas = {g: Program(diamond_free_formulas(("p",), g, 2)) for g in AG2.groups()}
     for ms in structures[:20] + rng.sample(structures, 30):
         mono = _random_mono_model(rng, ms, ("p",))
         res = expand_mono(mono, AG2, "minus")
@@ -371,7 +371,7 @@ def test_collapse_mono_examples():
 def test_collapse_mono_epistemic_yields_full_structure():
     rng = random.Random(59)
     budget = SizeBudget(max_states=3, max_agents=2, max_candidates=1500, seed=17)
-    formulas = {g: diamond_free_formulas(("p",), g, 2) for g in AG2.groups()}
+    formulas = {g: Program(diamond_free_formulas(("p",), g, 2)) for g in AG2.groups()}
     done = 0
     for frame in enumerate_frames(budget, FrameClass.EPISTEMIC):
         model = _random_model(rng, frame, ("p",))
@@ -384,3 +384,102 @@ def test_collapse_mono_epistemic_yields_full_structure():
         if done >= 30:
             break
     assert done >= 20
+
+
+# ---------- claim checks over compiled programs ----------
+
+def _closed_flip(leq, mask):
+    """``mask`` with one state toggled, still closed under ``leq``, or None."""
+    from ieml.semantics import is_closed
+    for s in range(leq.n):
+        if is_closed(leq, mask ^ 1 << s):
+            return mask ^ 1 << s
+    return None
+
+
+def _dropped_edge(r):
+    pairs = r.pairs()
+    return Rel.from_pairs(r.n, pairs[1:]) if pairs else None
+
+
+def _three_ways(check, *args, formulas):
+    """The check's records for a Program, a list and a generator."""
+    records = [check(*args, Program(formulas)), check(*args, list(formulas)),
+               check(*args, (f for f in formulas))]
+    assert records[0] == records[1] == records[2]
+    return records[0]
+
+
+def test_equivalence_checks_agree_on_program_list_and_generator():
+    rng = random.Random(61)
+    formulas = all_formulas(("p",), AG2.groups(), 1) + \
+        [parse("[a,b]p -> <a>(p /\\ [b]F)"), parse("~~p \\/ <b>p")]
+    budget = SizeBudget(max_states=2, max_agents=2, max_candidates=300, seed=62)
+    broken = 0
+    for frame in enumerate_frames(budget, FrameClass.PRESTANDARD):
+        m = _random_model(rng, frame, ("p",))
+        results = [transitive_lift(m)]
+        if frame.n == 1 or len(frame.agents) == 1:  # at most 64 output states
+            results.append(standardize(m))
+        for result in results:
+            assert _three_ways(equivalence_mismatches, m, result,
+                               formulas=formulas) == []
+            out = result.model
+            flipped = _closed_flip(out.frame.leq, out.v("p"))
+            variants = []
+            if flipped is not None:
+                variants.append(Model.make(out.frame, {"p": flipped}))
+            for i, r in enumerate(out.frame.rels):
+                dropped = _dropped_edge(r)
+                if dropped is not None:
+                    rels = out.frame.rels[:i] + (dropped,) + out.frame.rels[i + 1:]
+                    variants.append(Model(Frame(out.frame.agents, out.frame.n,
+                                                out.frame.leq, rels), out.val))
+                    break
+            for bad in variants:
+                bad_result = type(result)(bad, result.names, result.fibers)
+                records = _three_ways(equivalence_mismatches, m, bad_result,
+                                      formulas=formulas)
+                broken += bool(records)
+                for rec in records:
+                    assert set(rec) == {"formula", "source_mask",
+                                        "output_disagreement"}
+    assert broken >= 10
+
+
+def test_mono_equivalence_checks_agree_on_program_list_and_generator():
+    from ieml.search import mono_structures, _random_mono_model
+    rng = random.Random(63)
+    formulas = diamond_free_formulas(("p",), A, 1) + [parse("[a]([a]p -> p)")]
+    broken = 0
+    structures = [s for n in (1, 2, 3) for s in mono_structures(n, "minus")]
+    for st in rng.sample(structures, 30):
+        mm = _random_mono_model(rng, st, ("p",))
+        multi = expand_mono(mm, AG, "minus").model
+        assert _three_ways(mono_equivalence_mismatches, multi, mm,
+                           formulas=formulas) == []
+        flipped = _closed_flip(st.leq, mm.v("p"))
+        bad = []
+        if flipped is not None:
+            bad.append(MonoModel.make(st, {"p": flipped}))
+        dropped = _dropped_edge(st.r)
+        if dropped is not None:
+            bad.append(MonoModel(MonoStructure(st.n, st.leq, dropped), mm.val))
+        for mono in bad:
+            records = _three_ways(mono_equivalence_mismatches, multi, mono,
+                                  formulas=formulas)
+            broken += bool(records)
+            for rec in records:
+                assert set(rec) == {"formula", "multi_mask", "mono_mask"}
+                assert rec["multi_mask"] != rec["mono_mask"]
+    assert broken >= 10
+
+
+def test_equivalence_check_on_a_deep_formula():
+    from ieml import Atom, Implies
+    p = Atom("p")
+    f = p
+    for _ in range(3000):  # built with the constructors, not the parser
+        f = Implies(f, p)
+    m = one_point_model()
+    assert equivalence_mismatches(m, standardize(m), [f, p]) == []

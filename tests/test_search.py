@@ -280,3 +280,38 @@ def test_suite_claim_witnesses_golden(monkeypatch):
     assert "claim_standardize_partition preserving rs: output not rs" in notes
     assert _digest(rep.to_json()) == \
         "64cdb02d5337b28437f909fd87dad29488f571983051251a5cc7af8757570120"
+
+
+# ---------- mono structures and the claim batteries ----------
+
+def test_mono_structures_kinds_equal_the_brute_force_filter():
+    from ieml import MonoStructure, is_iel_structure
+    from ieml.search import mono_structures
+    for n in (1, 2, 3):
+        for kind in ("minus", "full"):
+            brute = [(leq.rows, mask) for leq in preorders(n)
+                     for mask in range(1 << (n * n))
+                     if is_iel_structure(
+                         MonoStructure(n, leq, Rel.from_mask(n, mask)), kind)]
+            fast = [(ms.leq.rows, ms.r.mask()) for ms in mono_structures(n, kind)]
+            assert fast == brute, (n, kind)
+    assert sum(1 for _ in mono_structures(2)) == 4 * 16
+
+
+def test_suite_batteries_support_len_and_iteration(monkeypatch):
+    # a tracer counts the checked formulas with len(); the checks iterate
+    import ieml.search as search
+    seen = []
+
+    def counting(check):
+        def run(*args):
+            formulas = args[-1]
+            seen.append((len(formulas), len(list(formulas)), len(list(formulas))))
+            return check(*args)
+        return run
+
+    for name in ("equivalence_mismatches", "mono_equivalence_mismatches"):
+        monkeypatch.setattr(search, name, counting(getattr(search, name)))
+    budget = SizeBudget(max_states=2, max_agents=2, max_candidates=200, seed=3)
+    assert proposition_suite(budget, frames_per_check=4).ok
+    assert seen and all(a == b == c > 0 for a, b, c in seen)

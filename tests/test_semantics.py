@@ -485,3 +485,132 @@ def test_wrong_kind_of_box_is_a_type_error():
         mono_truth_mask(mm, Box(A, p))
     with pytest.raises(TypeError):
         mono_truth_mask(mm, Dia(A, p))
+
+
+# ---------- compiled programs ----------
+
+def _shared_battery(rng, atoms, agents, count):
+    """Random formulas plus combinations of them, so the list shares
+    subformula objects the way generated batteries do."""
+    base = [random_ast(rng, atoms=atoms, agents=agents, depth=3)
+            for _ in range(count)]
+    return base + [Implies(a, b) for a, b in zip(base, base[1:])] + base[:3]
+
+
+def test_program_run_matches_truth_mask_and_oracle():
+    from ieml.semantics import Program
+    rng = random.Random(41)
+    checked = set()
+    for agents in (AG, AG2):
+        names = agents.names
+        budget = SizeBudget(max_states=3, max_agents=len(names),
+                            max_candidates=60, seed=42)
+        for frame in enumerate_frames(budget, "all"):
+            if frame.agents != agents:
+                continue
+            sets = up_sets(frame)
+            model = Model.make(frame, {"p": rng.choice(sets), "q": rng.choice(sets)})
+            formulas = _shared_battery(rng, ("p", "q"), names, 6)
+            program = Program(formulas)
+            assert len(program) == len(formulas)
+            assert all(a is b for a, b in zip(program, formulas))
+            for variant in VARIANTS:
+                try:
+                    ev = Evaluator(frame, variant)
+                except PreconditionError:
+                    continue
+                masks = ev.run(program, model.val_map())
+                assert len(masks) == len(program.ops)
+                for f, i in zip(formulas, program.roots):
+                    assert masks[i] == ev.truth_mask(f, model.val_map()), (f, variant)
+                    assert masks[i] == sum(
+                        1 << s for s in range(frame.n)
+                        if naive_satisfies(model, s, f, variant)), (f, variant)
+                checked.add((frame.n, len(names), variant))
+    assert {(n, k) for n, k, _ in checked} == {(n, k) for n in (1, 2, 3) for k in (1, 2)}
+    assert {v for _, _, v in checked} == set(VARIANTS)
+
+
+def test_program_run_on_mono_structures_matches_oracle():
+    from ieml import is_diamond_free, tau
+    from ieml.search import mono_structures
+    from ieml.semantics import Program, evaluator
+    rng = random.Random(43)
+    structures = [s for n in (1, 2, 3) for s in mono_structures(n)]
+    for ms in rng.sample(structures, 40):
+        closed = [u for u in range(1 << ms.n) if is_closed(ms.leq, u)]
+        mm = MonoModel.make(ms, {"p": rng.choice(closed), "q": rng.choice(closed)})
+        formulas = [tau(f) for f in _shared_battery(rng, ("p", "q"), ("a",), 8)
+                    if is_diamond_free(f)]
+        masks = evaluator(ms).run(Program(formulas), dict(mm.val))
+        memo: dict = {}
+        for f, i in zip(formulas, Program(formulas).roots):
+            assert masks[i] == mono_truth_mask(mm, f) == mono_truth_mask(mm, f, memo)
+            assert masks[i] == sum(1 << s for s in range(ms.n)
+                                   if naive_mono_satisfies(mm, s, f)), f
+
+
+def test_program_shares_nodes_by_identity():
+    from ieml.semantics import Program
+    p, q = Atom("p"), Atom("q")
+    both = Implies(p, q)
+    program = Program([both, Box(A, both), Implies(both, both), both])
+    # p, q, both, [a]both, both -> both: the repeated objects are one node
+    assert len(program.ops) == 5 and len(program) == 4
+    assert program.roots[0] == program.roots[3]
+    assert program.consts.count("p") == 1 and A in program.consts
+    with pytest.raises(TypeError):
+        Program([Implies(p, "q")])
+
+
+def test_memo_refuses_another_valuation():
+    frame = chain_model().frame
+    ev = Evaluator(frame)
+    f = parse("p /\\ [a]p")
+    memo: dict = {}
+    assert ev.truth_mask(f, {"p": 0b11}, memo) == 0b11
+    assert ev.truth_mask(f, {"p": 0b11}, memo) == 0b11  # an equal fresh dict
+    assert ev.truth_mask(f, {"p": 0b00}) == 0
+    with pytest.raises(ValueError, match="another valuation"):
+        ev.truth_mask(f, {"p": 0b00}, memo)  # stale masks would give 3
+    st = MonoStructure(2, frame.leq, Rel.empty(2))
+    g = parse("p /\\ ~~p")
+    mono_memo: dict = {}
+    assert mono_truth_mask(MonoModel.make(st, {"p": 0b11}), g, mono_memo) == 0b11
+    with pytest.raises(ValueError, match="another valuation"):
+        mono_truth_mask(MonoModel.make(st, {"p": 0b10}), g, mono_memo)
+
+
+def test_deep_formula_compiles_and_runs_without_recursion():
+    from ieml.semantics import Program
+    p = Atom("p")
+    f = p
+    for _ in range(3000):  # p, p->p, (p->p)->p, ... : even depth is p again
+        f = Implies(f, p)
+    model = chain_model({"p": {1}})
+    ev = Evaluator(model.frame)
+    program = Program([f])
+    assert len(program.ops) == 3001
+    assert ev.run(program, model.val_map())[-1] == 0b10
+    assert ev.truth_mask(f, model.val_map()) == 0b10
+    assert satisfies(model, 1, f) and not satisfies(model, 0, f)
+
+
+def test_structures_keep_one_evaluator_without_a_cycle():
+    import gc
+    import weakref
+    from ieml.semantics import evaluator
+    model = chain_model({"p": {1}})
+    frame = model.frame
+    assert evaluator(frame) is evaluator(frame)
+    assert evaluator(frame, "wijesekera") is not evaluator(frame)
+    assert satisfies(model, 1, parse("p")) and evaluator(frame) is evaluator(frame)
+    assert frame not in gc.get_referents(evaluator(frame))
+    # the frame is freed by reference counting alone, evaluators and all
+    alive = weakref.ref(frame.leq)
+    gc.disable()
+    try:
+        del model, frame
+        assert alive() is None
+    finally:
+        gc.enable()
