@@ -7,6 +7,7 @@ found, suite failure), 2 for usage, format, or budget errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -170,7 +171,10 @@ def cmd_suite(args) -> int:
     return OK if report.ok else NEGATIVE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process:
+    building it costs several times parsing one command line."""
     top = argparse.ArgumentParser(prog="ieml", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -253,9 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return ERROR if e.code else OK
     try:

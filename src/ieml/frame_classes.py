@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .semantics import Frame, MonoStructure, is_forward_confluent
+from .semantics import Frame, MonoStructure, is_forward_confluent, joint_rows
 
 
 class FrameClass(str, Enum):
@@ -29,11 +29,7 @@ def _doxastic(f: Frame) -> bool:
 
 def _serial_box(f: Frame) -> bool:
     # every state reaches some state through leq followed by accessibility
-    for r in f.rels:
-        composed = f.leq.compose(r)
-        if not all(composed.rows[s] for s in range(f.n)):
-            return False
-    return True
+    return all(row for r in f.rels for (row,) in joint_rows(f.leq.compose(r)))
 
 
 def _ud_reflexive(f: Frame) -> bool:
@@ -50,16 +46,17 @@ def _ud_symmetric(f: Frame) -> bool:
 
 def _prestandard(f: Frame, exact: bool) -> bool:
     # R(G1 u G2) inside (exact: equal to) R(G1) & R(G2), row by row; pairs
-    # with G1 = G2 hold trivially and (G2, G1) repeats (G1, G2)
+    # with G1 = G2 hold trivially and (G2, G1) repeats (G1, G2).  The rows
+    # of all relations at one state are read together (``rels`` is indexed
+    # by group bitmask - 1)
     top = 1 << len(f.agents)
-    for m1 in range(1, top):
-        for m2 in range(m1 + 1, top):
-            rows = zip(f.r_mask(m1 | m2).rows, f.r_mask(m1).rows,
-                       f.r_mask(m2).rows)
-            for u, a, b in rows:
-                meet = a & b
-                if (u != meet) if exact else (u | meet != meet):
-                    return False
+    triples = [(m1 - 1, m2 - 1, (m1 | m2) - 1)
+               for m1 in range(1, top) for m2 in range(m1 + 1, top)]
+    for rows in joint_rows(*f.rels):
+        for i, j, k in triples:
+            u, meet = rows[k], rows[i] & rows[j]
+            if (u != meet) if exact else (u | meet != meet):
+                return False
     return True
 
 

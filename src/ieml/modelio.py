@@ -10,18 +10,28 @@ Model document::
 
 Group keys are comma-joined agent names in canonical order.  ``valuation``
 is optional (frame documents omit it).  Mono documents replace ``agents``
-and ``rel`` with a single pair list ``"r"``.
+and ``rel`` with a single relation ``"r"``.
+
+A relation is a pair list, or a row table ``{"index": [k_0, ...], "rows":
+["<hex>", ...]}``: state i has row ``int(rows[index[i]], 16)``, whose bit j
+stands for ``worlds[j]``.  The rows are distinct, in order of first
+occurrence, in lowercase hex without leading zeros.  The loaders accept
+either form for each relation; the writers pick one per document, row
+tables when its relations hold more than ``ROW_TABLE_MIN_PAIRS`` pairs in
+all, so a constructed model of thousands of states but few distinct rows
+stays small.
 """
 from __future__ import annotations
 
 import gc
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .semantics import (
-    Frame, Model, MonoModel, MonoStructure, Rel, bits, check_frame,
+    Frame, Model, MonoModel, MonoStructure, Rel, _table_of, bits, check_frame,
 )
 from .syntax import AgentSet, Group
 
@@ -114,6 +124,52 @@ def _pairs_to_rel(n: int, pairs, index: dict, bit: dict, what: str) -> Rel:
     return Rel(n, tuple(rows))
 
 
+# canonical lowercase hex; ``int(s, 16)`` alone also takes "0x1f", "1_f", " 1f"
+_HEX = re.compile("0|[1-9a-f][0-9a-f]*")
+
+
+def _table_to_rel(n: int, table: dict, what: str) -> Rel:
+    """The relation of a row table, which must be the one the writers give:
+    distinct canonical rows with no bit at or past ``n``, and an index of one
+    row position per state that takes the rows in order of first occurrence."""
+    index, rows = table.get("index"), table.get("rows")
+    if len(table) != 2 or not isinstance(index, list) or not isinstance(rows, list):
+        raise ModelFormatError(
+            f'{what}: expected a row table {{"index": [...], "rows": [...]}}')
+    if len(index) != n:
+        raise ModelFormatError(f"{what}: index has {len(index)} entries for {n} states")
+    heads = []
+    for j, h in enumerate(rows):
+        if not (isinstance(h, str) and _HEX.fullmatch(h)):
+            raise ModelFormatError(
+                f"{what}: rows[{j}] is not lowercase hex without leading zeros")
+        heads.append(int(h, 16))
+        if heads[-1] >> n:
+            raise ModelFormatError(f"{what}: rows[{j}] has a bit for no state")
+    if len(set(rows)) != len(rows):
+        raise ModelFormatError(f"{what}: rows repeat")
+    used = 0
+    for k in index:
+        if type(k) is not int or not 0 <= k < len(rows):  # bool is no index
+            raise ModelFormatError(f"{what}: index entry {k!r} names no row")
+        if k == used:
+            used += 1
+        elif k > used:
+            raise ModelFormatError(
+                f"{what}: index does not take the rows in order of first occurrence")
+    if used != len(rows):
+        raise ModelFormatError(f"{what}: rows[{used}] is never used")
+    return Rel._from_table(n, heads, list(index))
+
+
+def _rel(n: int, value, index: dict, bit: dict, what: str) -> Rel:
+    """A relation written either way: an object with ``index`` or ``rows``
+    is a row table, anything else must be a pair list."""
+    if isinstance(value, dict) and ("index" in value or "rows" in value):
+        return _table_to_rel(n, value, what)
+    return _pairs_to_rel(n, value, index, bit, what)
+
+
 def _valuation(doc: dict, index: dict) -> dict:
     val_doc = doc.get("valuation", {})
     if not isinstance(val_doc, dict):
@@ -150,15 +206,15 @@ def load_model(source: Source, close_leq: bool = False,
     names, index, bit = _worlds(doc)
     n = len(names)
 
-    leq = _pairs_to_rel(n, doc["leq"], index, bit, "leq")
+    leq = _rel(n, doc["leq"], index, bit, "leq")
     if close_leq:
         leq = leq.rt_closure()
 
     rel_doc = doc["rel"]
     if not isinstance(rel_doc, dict):
-        raise ModelFormatError("rel: expected an object from group keys to pair lists")
+        raise ModelFormatError("rel: expected an object from group keys to relations")
     seen: dict[Group, Rel] = {}
-    for key, pairs in rel_doc.items():
+    for key, value in rel_doc.items():
         members = key.split(",")
         try:
             group = agents.group(*members)
@@ -166,7 +222,7 @@ def load_model(source: Source, close_leq: bool = False,
             raise ModelFormatError(f"bad group key {key!r}: {e}") from None
         if group in seen:
             raise ModelFormatError(f"duplicate group key {key!r}")
-        seen[group] = _pairs_to_rel(n, pairs, index, bit, f"rel[{key}]")
+        seen[group] = _rel(n, value, index, bit, f"rel[{key}]")
 
     if complete_by_intersection:
         for g in seen:
@@ -206,107 +262,56 @@ def load_model(source: Source, close_leq: bool = False,
 
 
 # ---------- writing ----------
-#
-# One layout per document kind: ``_model_parts``/``_mono_parts`` give the
-# document with each relation still a ``Rel``.  ``*_to_doc`` turns the
-# relations into pair lists; ``save_*`` writes the same text as
-# ``json.dump(doc, indent=2, sort_keys=True)`` plus a newline, one state's
-# pairs at a time, so memory follows one state's text, not the document.
+
+# A document whose relations hold more pairs than this in all writes each
+# relation as a row table; smaller ones keep their pair lists.  Every
+# document the tests pin and every witness stays below it (the 64-state
+# standardization has 4,864 pairs); the constructions' large outputs, such
+# as the 972-state partition lift with about 1.0 M pairs, go above.
+ROW_TABLE_MIN_PAIRS = 1 << 16
+
 
 def _val_names(val: tuple, names) -> dict:
     return {atom: [names[i] for i in bits(mask)] for atom, mask in val}
 
 
-def _model_parts(model: Model, names: Optional[tuple]) -> dict:
+def _encoder(rels: list, names) -> Callable[[Rel], object]:
+    """How one document writes its relations, chosen from the pairs they
+    hold in all."""
+    if sum(r.bit_count() for rel in rels for r in rel.rows) > ROW_TABLE_MIN_PAIRS:
+        return _row_table_doc
+    return lambda rel: [[names[i], names[j]] for i, j in rel.pairs()]
+
+
+def _row_table_doc(rel: Rel) -> dict:
+    """The row table of ``rel``: its distinct rows in order of first
+    occurrence, and each state's position among them."""
+    heads, index = _table_of(rel.rows)
+    return {"index": index, "rows": [format(h, "x") for h in heads]}
+
+
+def _save(doc: dict, path: Union[str, Path]) -> None:
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def model_to_doc(model: Model, names: Optional[tuple[str, ...]] = None) -> dict:
     frame = model.frame
     if names is None:
         names = default_names(frame.n)
+    enc = _encoder([frame.leq, *frame.rels], names)
     return {
         "agents": list(frame.agents.names),
         "worlds": list(names),
-        "leq": frame.leq,
-        "rel": {frame.agents.key(g): frame.r(g) for g in frame.agents.groups()},
+        "leq": enc(frame.leq),
+        "rel": {frame.agents.key(g): enc(frame.r(g)) for g in frame.agents.groups()},
         "valuation": _val_names(model.val, names),
     }
 
 
-def _mono_parts(mm: MonoModel, names: Optional[tuple]) -> dict:
-    st = mm.structure
-    if names is None:
-        names = default_names(st.n)
-    return {
-        "worlds": list(names),
-        "leq": st.leq,
-        "r": st.r,
-        "valuation": _val_names(mm.val, names),
-    }
-
-
-def _plain(value, names: list):
-    """``value`` with every ``Rel`` replaced by its pair list."""
-    if isinstance(value, Rel):
-        return [[names[i], names[j]] for i, j in value.pairs()]
-    if isinstance(value, dict):
-        return {k: _plain(v, names) for k, v in value.items()}
-    return value
-
-
-def _write_json(fh, value, names: list, depth: int, cache: dict) -> None:
-    """Write ``value`` at nesting ``depth`` as ``json.dump`` with
-    ``indent=2, sort_keys=True`` would write ``_plain(value, names)``."""
-    pad = "\n" + "  " * depth
-    if isinstance(value, Rel):
-        _write_pairs(fh, value, names, depth, cache)
-    elif isinstance(value, dict) and any(isinstance(v, Rel) for v in value.values()):
-        fh.write("{")
-        for k, key in enumerate(sorted(value)):
-            fh.write(f"{',' if k else ''}{pad}  {json.dumps(key)}: ")
-            _write_json(fh, value[key], names, depth + 1, cache)
-        fh.write(pad + "}")
-    else:
-        fh.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", pad))
-
-
-def _write_pairs(fh, rel: Rel, names: list, depth: int, cache: dict) -> None:
-    """A relation's pair list: each state name is encoded once per depth,
-    each distinct row's list of closing texts built once, and each state's
-    pairs written with one join."""
-    texts = cache.get(depth)
-    if texts is None:
-        outer, inner = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
-        encoded = [json.dumps(nm, indent=2, sort_keys=True).replace("\n", inner)
-                   for nm in names]
-        texts = cache[depth] = ([f"{outer}[{inner}{e},{inner}" for e in encoded],
-                                [f"{e}{outer}]" for e in encoded])
-    opens, closes = texts
-    heads, index = rel._row_table()
-    ends: list = [None] * len(heads)
-    fh.write("[")
-    sep = ""
-    for i, c in enumerate(index):
-        if not heads[c]:
-            continue
-        if ends[c] is None:
-            ends[c] = [closes[j] for j in bits(heads[c])]
-        fh.write(sep + opens[i] + ("," + opens[i]).join(ends[c]))
-        sep = ","
-    fh.write("\n" + "  " * depth + "]" if sep else "]")
-
-
-def _save(parts: dict, path: Union[str, Path]) -> None:
-    with open(path, "w") as fh:
-        _write_json(fh, parts, parts["worlds"], 0, {})
-        fh.write("\n")
-
-
-def model_to_doc(model: Model, names: Optional[tuple[str, ...]] = None) -> dict:
-    parts = _model_parts(model, names)
-    return _plain(parts, parts["worlds"])
-
-
 def save_model(model: Model, path: Union[str, Path],
                names: Optional[tuple[str, ...]] = None) -> None:
-    _save(_model_parts(model, names), path)
+    _save(model_to_doc(model, names), path)
 
 
 def load_mono(source: Source, close_leq: bool = False) -> tuple[MonoModel, tuple[str, ...]]:
@@ -316,12 +321,12 @@ def load_mono(source: Source, close_leq: bool = False) -> tuple[MonoModel, tuple
             raise ModelFormatError(f"missing key {key!r}")
     names, index, bit = _worlds(doc)
     n = len(names)
-    leq = _pairs_to_rel(n, doc["leq"], index, bit, "leq")
+    leq = _rel(n, doc["leq"], index, bit, "leq")
     if close_leq:
         leq = leq.rt_closure()
     if not (leq.is_reflexive() and leq.is_transitive()):
         raise ModelFormatError("leq is not a preorder")
-    r = _pairs_to_rel(n, doc["r"], index, bit, "r")
+    r = _rel(n, doc["r"], index, bit, "r")
     val = _valuation(doc, index)
     try:
         mm = MonoModel.make(MonoStructure(n, leq, r), val)
@@ -331,10 +336,18 @@ def load_mono(source: Source, close_leq: bool = False) -> tuple[MonoModel, tuple
 
 
 def mono_to_doc(mm: MonoModel, names: Optional[tuple[str, ...]] = None) -> dict:
-    parts = _mono_parts(mm, names)
-    return _plain(parts, parts["worlds"])
+    st = mm.structure
+    if names is None:
+        names = default_names(st.n)
+    enc = _encoder([st.leq, st.r], names)
+    return {
+        "worlds": list(names),
+        "leq": enc(st.leq),
+        "r": enc(st.r),
+        "valuation": _val_names(mm.val, names),
+    }
 
 
 def save_mono(mm: MonoModel, path: Union[str, Path],
               names: Optional[tuple[str, ...]] = None) -> None:
-    _save(_mono_parts(mm, names), path)
+    _save(mono_to_doc(mm, names), path)

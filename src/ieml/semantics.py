@@ -106,17 +106,11 @@ class Rel:
         return Rel(self.n, tuple(a | b for a, b in zip(self.rows, other.rows)))
 
     def le(self, other: "Rel") -> bool:
-        """Is every pair of self a pair of other?  When both relations keep
-        row tables and span ``CLASS_PASS_MIN_STATES`` states or more, each
-        distinct pair of classes a state falls in is tested once; otherwise
-        each state's rows are."""
-        if self.n >= CLASS_PASS_MIN_STATES:
-            mine, theirs = self.__dict__.get("_table"), other.__dict__.get("_table")
-            if mine is not None and theirs is not None:
-                (heads, index), (oheads, oindex) = mine, theirs
-                return all(heads[c] | oheads[d] == oheads[d]
-                           for c, d in set(zip(index, oindex)))
-        return all(a | b == b for a, b in zip(self.rows, other.rows))
+        """Is every pair of self a pair of other?"""
+        if self.n < CLASS_PASS_MIN_STATES:
+            # inline: frame enumeration tests small frames very often
+            return all(a | b == b for a, b in zip(self.rows, other.rows))
+        return all(a | b == b for a, b in joint_rows(self, other))
 
     def row_classes(self) -> tuple[tuple[int, int], ...]:
         """``(row, states)`` pairs, one per distinct row in order of first
@@ -257,6 +251,21 @@ class Rel:
                 if rows[i] & bit:
                     rows[i] |= rows[j]
         return Rel(self.n, tuple(rows))
+
+
+def joint_rows(*rels: Rel) -> Iterable[tuple[int, ...]]:
+    """The rows the relations give a state, as one tuple per state.  When
+    all of them keep row tables and span ``CLASS_PASS_MIN_STATES`` states or
+    more, each distinct tuple comes once instead, read off the distinct
+    tuples of class positions: a test over them visits each combination of
+    classes once, however many states share it."""
+    if rels[0].n >= CLASS_PASS_MIN_STATES:
+        tables = [r.__dict__.get("_table") for r in rels]
+        if None not in tables:
+            heads = [h for h, _ in tables]
+            return (tuple(h[c] for h, c in zip(heads, cs))
+                    for cs in set(zip(*[index for _, index in tables])))
+    return zip(*[r.rows for r in rels])
 
 
 def _table_of(rows: Iterable[int]) -> tuple[list[int], list[int]]:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ieml.cli import run
+from ieml.cli import build_parser, run
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "ieml" / "data" / "derivations"
 
@@ -196,6 +196,32 @@ def test_suite_command(capsys, monkeypatch):
 def test_usage_error(capsys):
     assert run(["nonsense"]) == 2
     assert run([]) == 2
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch, model_file):
+    # the parser is built once per process; after a usage error, later
+    # calls print and return what calls on a freshly built parser do
+    monkeypatch.setenv("IEML_BUDGET_MAX_STATES", "2")
+    monkeypatch.setenv("IEML_BUDGET_MAX_AGENTS", "1")
+    monkeypatch.setenv("IEML_BUDGET_MAX_CANDIDATES", "100")
+    calls = [["countermodel", "--bogus", "p"],
+             ["countermodel", "--max-states", "2", "--max-candidates", "100",
+              "--seed", "0", "--json", "p \\/ ~p"],
+             ["classify", "--frame", model_file, "--json"],
+             ["suite", "--json"]]
+
+    def outcomes(fresh):
+        out = []
+        for argv in calls:
+            if fresh:
+                build_parser.cache_clear()
+            out.append((run(argv), capsys.readouterr().out))
+        return out
+
+    reused = outcomes(fresh=False)
+    assert build_parser() is build_parser()
+    assert reused == outcomes(fresh=True)
+    assert [code for code, _ in reused] == [2, 1, 0, 0]
 
 
 @pytest.mark.parametrize("kind,doc,states,digest", [

@@ -104,6 +104,38 @@ def test_classify_matches_naive_classes_on_repeated_rows(transposes):
     assert {"rs", "ud", "transitive", "forward_confluent"} <= found
 
 
+def _tabled(rng, r):
+    """``r`` with a row table in which every head appears twice and the
+    states of each class are split between the copies."""
+    heads = sorted(set(r.rows))
+    return Rel._from_table(r.n, heads + heads,
+                           [heads.index(x) + len(heads) * rng.randrange(2)
+                            for x in r.rows])
+
+
+def test_classify_on_row_tables_matches_raw_rows():
+    # blow-ups of 2- and 3-state frames to 64-200 states, classified once
+    # with raw rows and once with every relation on a row table, where the
+    # class tests read the distinct tuples of class positions
+    rng = random.Random(14)
+    found = {c: set() for c in ("prestandard", "standard", "epistemic")}
+    for k in range(12):
+        base = _random_frame(rng, AG2, rng.choice((2, 3)), rs=k % 2 == 0)
+        if k % 3 == 0:  # standard by intersection
+            rels = list(base.rels)
+            rels[2] = rels[0] & rels[1]
+            base = Frame(AG2, base.n, base.leq, tuple(rels))
+        frame = blow_up(base, [rng.randrange(64, 201) // base.n + 1
+                               for _ in range(base.n)])
+        tabled = Frame(AG2, frame.n, _tabled(rng, frame.leq),
+                       tuple(_tabled(rng, r) for r in frame.rels))
+        tags = _tags(tabled)
+        assert tags == _tags(frame) == _tags(base)
+        for c, seen in found.items():
+            seen.add(c in tags)
+    assert all(seen == {True, False} for seen in found.values())
+
+
 def test_classify_matches_naive_classes_on_dense_distinct_rows(transposes):
     # a reflexive symmetric relation with all 128 rows distinct: its
     # converse takes the numpy transpose

@@ -9,7 +9,7 @@ from ieml import (
     save_model,
 )
 from ieml.cli import run
-from ieml.modelio import default_names, save_mono
+from ieml.modelio import ROW_TABLE_MIN_PAIRS, default_names, save_mono
 from ieml.semantics import MonoModel, MonoStructure
 
 
@@ -273,3 +273,123 @@ def test_pair_list_errors(pairs, message):
     fails(load_model, raw, "rel[a]")
     raw = {"worlds": ["w0", "w1"], "leq": [["w0", "w0"], ["w1", "w1"]], "r": pairs}
     fails(load_mono, raw, "r")
+
+
+# ---------- row tables ----------
+
+def _table_docs(table):
+    """A model document and a mono document on three states whose ``rel.a``
+    and ``r`` are ``table``."""
+    worlds = ["w0", "w1", "w2"]
+    leq = [[w, w] for w in worlds]
+    return ({"agents": ["a"], "worlds": worlds, "leq": leq, "rel": {"a": table}},
+            {"worlds": worlds, "leq": leq, "r": table})
+
+
+NOT_HEX = "rows[0] is not lowercase hex without leading zeros"
+NOT_TABLE = 'expected a row table {"index": [...], "rows": [...]}'
+BAD_ROW_TABLES = [
+    ({"index": [0, 0, 0], "rows": ["g"]}, NOT_HEX),
+    ({"index": [0, 0, 0], "rows": ["0x1"]}, NOT_HEX),
+    ({"index": [0, 0, 0], "rows": ["+1"]}, NOT_HEX),
+    ({"index": [0, 0, 0], "rows": ["1_0"]}, NOT_HEX),
+    ({"index": [0, 0, 0], "rows": [" 1"]}, NOT_HEX),
+    ({"index": [0, 0, 0], "rows": ["1\n"]}, NOT_HEX),
+    ({"index": [0, 0, 0], "rows": ["A"]}, NOT_HEX),
+    ({"index": [0, 0, 0], "rows": ["01"]}, NOT_HEX),
+    ({"index": [0, 0, 0], "rows": [""]}, NOT_HEX),
+    ({"index": [0, 0, 0], "rows": [7]}, NOT_HEX),
+    ({"index": [0, 0, 0], "rows": ["8"]}, "rows[0] has a bit for no state"),
+    ({"index": [0, 0], "rows": ["1"]}, "index has 2 entries for 3 states"),
+    ({"index": [0, 0, 0, 0], "rows": ["1"]}, "index has 4 entries for 3 states"),
+    ({"index": [0, 1, 0], "rows": ["1"]}, "index entry 1 names no row"),
+    ({"index": [0, -1, 0], "rows": ["1"]}, "index entry -1 names no row"),
+    ({"index": [0, True, 0], "rows": ["1", "2"]}, "index entry True names no row"),
+    ({"index": [0, 1.0, 0], "rows": ["1", "2"]}, "index entry 1.0 names no row"),
+    ({"index": [0, "1", 0], "rows": ["1", "2"]}, "index entry '1' names no row"),
+    ({"index": [1, 0, 0], "rows": ["1", "2"]},
+     "index does not take the rows in order of first occurrence"),
+    ({"index": [0, 0, 0], "rows": ["1", "2"]}, "rows[1] is never used"),
+    ({"index": [0, 1, 1], "rows": ["1", "1"]}, "rows repeat"),
+    ({"index": "000", "rows": ["1"]}, NOT_TABLE),
+    ({"index": [0, 0, 0], "rows": "1"}, NOT_TABLE),
+    ({"index": [0, 0, 0], "rows": {"0": "1"}}, NOT_TABLE),
+    ({"index": [0, 0, 0]}, NOT_TABLE),
+    ({"index": [0, 0, 0], "rows": ["1"], "n": 3}, NOT_TABLE),
+]
+
+
+@pytest.mark.parametrize("table,message", BAD_ROW_TABLES)
+def test_row_table_errors(tmp_path, capsys, table, message):
+    model_doc, mono_doc = _table_docs(table)
+    for load, doc, what in ((load_model, model_doc, "rel[a]"), (load_mono, mono_doc, "r")):
+        with pytest.raises(ModelFormatError) as info:
+            load(doc)
+        assert str(info.value) == f"{what}: {message}"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(model_doc))
+    assert run(["classify", "--frame", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rel[a]: ") and "Traceback" not in err
+
+
+def test_row_table_reads_bit_j_as_worlds_j():
+    model_doc, mono_doc = _table_docs({"index": [0, 1, 1], "rows": ["6", "0"]})
+    want = Rel.from_pairs(3, [(0, 1), (0, 2)])
+    assert load_model(model_doc).frame.r(frozenset({"a"})) == want
+    assert load_mono(mono_doc)[0].structure.r == want
+
+
+def _sized(pairs: int):
+    """A one-agent model and a mono model on 300 states whose relations
+    hold ``pairs`` pairs in all: the identity order, and a relation of full
+    rows, one partial row and empty rows."""
+    n = 300
+    full, rest = divmod(pairs - n, n)
+    rows = tuple((1 << n) - 1 if i < full else (1 << rest) - 1 if i == full else 0
+                 for i in range(n))
+    leq, r = Rel.identity(n), Rel(n, rows)
+    frame = Frame.make(AgentSet.of("a"), n, leq, {frozenset({"a"}): r})
+    return Model.make(frame, {"p": {0, 7}}), MonoModel.make(MonoStructure(n, leq, r), {"p": {5}})
+
+
+@pytest.mark.parametrize("pairs", [ROW_TABLE_MIN_PAIRS, ROW_TABLE_MIN_PAIRS + 1])
+def test_round_trip_on_both_sides_of_the_threshold(tmp_path, pairs):
+    model, mono = _sized(pairs)
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    written = json.loads(path.read_text())
+    doc = load_model(path)
+    assert doc.model == model and doc.names == default_names(300)
+    save_mono(mono, path)
+    assert load_mono(path) == (mono, default_names(300))
+    mono_written = json.loads(path.read_text())
+    if pairs <= ROW_TABLE_MIN_PAIRS:
+        assert isinstance(written["leq"], list) and isinstance(mono_written["r"], list)
+        return
+    full, rest = divmod(pairs - 300, 300)
+    table = {"index": [0] * full + [1] + [2] * (299 - full),
+             "rows": [format((1 << 300) - 1, "x"), format((1 << rest) - 1, "x"), "0"]}
+    assert written["rel"]["a"] == mono_written["r"] == table
+    assert written["leq"] == {"index": list(range(300)),
+                              "rows": [format(1 << i, "x") for i in range(300)]}
+    # loaded relations keep their row tables, for the class passes
+    assert all("_table" in r.__dict__ for r in (doc.frame.leq, *doc.frame.rels))
+
+
+def test_row_tables_and_pair_lists_load_equal():
+    model, mono = _sized(ROW_TABLE_MIN_PAIRS + 1)
+    rows_doc = model_to_doc(model)
+    names = rows_doc["worlds"]
+
+    def pairs(rel):
+        return [[names[i], names[j]] for i, j in rel.pairs()]
+
+    pair_doc = dict(rows_doc, leq=pairs(model.frame.leq),
+                    rel={"a": pairs(model.frame.rels[0])})
+    mixed = dict(rows_doc, leq=pair_doc["leq"])
+    assert isinstance(rows_doc["rel"]["a"], dict)
+    assert load_model(pair_doc) == load_model(rows_doc) == load_model(mixed)
+    mono_rows = mono_to_doc(mono)
+    mono_mixed = dict(mono_rows, r=pairs(mono.structure.r))
+    assert load_mono(mono_mixed) == load_mono(mono_rows) == (mono, tuple(names))
