@@ -69,6 +69,30 @@ def _names(m: Model, src_names: Optional[Sequence[str]]) -> tuple:
     return tuple(src_names)
 
 
+def _block_lift(m: Model, w: int, tag: str, rel: dict,
+                src_names: Optional[Sequence[str]]) -> ConstructionResult:
+    """The model over ``rel`` in which source state t becomes the block of
+    states t*w ... t*w + w - 1, named ``{src[t]}|{tag}{i}`` and making up its
+    fiber; the preorder and the valuation are lifted blockwise."""
+    frame = m.frame
+    n, block = frame.n, (1 << w) - 1
+
+    def lift(mask: int) -> int:
+        acc = 0
+        for t in bits(mask):
+            acc |= block << (t * w)
+        return acc
+
+    heads, t_index = _table_of(map(lift, frame.leq.rows))
+    leq = Rel._from_table(n * w, heads, [c for c in t_index for _ in range(w)])
+    out_frame = Frame.make(frame.agents, n * w, leq, rel)
+    val = {atom: lift(mask) for atom, mask in m.val}
+    src = _names(m, src_names)
+    names = tuple(f"{src[t]}|{tag}{i}" for t in range(n) for i in range(w))
+    fibers = tuple(tuple(range(t * w, (t + 1) * w)) for t in range(n))
+    return ConstructionResult(Model.make(out_frame, val), names, fibers)
+
+
 # ---------- standardization ----------
 
 def standardize(m: Model, variant: str = "default",
@@ -162,29 +186,7 @@ def standardize(m: Model, variant: str = "default",
                 index.append(c)
         rel[agents.group_of_mask(amask)] = Rel._from_table(n_out, list(heads), index)
 
-    block = (1 << n_i) - 1
-    t_rows = []
-    for t in range(n):
-        row = 0
-        for u in bits(frame.leq.rows[t]):
-            row |= block << (u * n_i)
-        t_rows.append(row)
-    heads, t_index = _table_of(t_rows)
-    leq = Rel._from_table(n_out, heads, [c for c in t_index for _ in range(n_i)])
-    out_frame = Frame.make(agents, n_out, leq, rel)
-
-    val = {}
-    for atom, mask in m.val:
-        acc = 0
-        for t in bits(mask):
-            acc |= block << (t * n_i)
-        val[atom] = acc
-    out = Model.make(out_frame, val)
-
-    src = _names(m, src_names)
-    names = tuple(f"{src[t]}|g{i}" for t in range(n) for i in range(n_i))
-    fibers = tuple(tuple(range(t * n_i, (t + 1) * n_i)) for t in range(n))
-    return ConstructionResult(out, names, fibers)
+    return _block_lift(m, n_i, "g", rel, src_names)
 
 
 def witness_h(m: Model, alpha: Group, t: int, u: int, g: IFunc,
@@ -233,32 +235,14 @@ def transitive_lift(m: Model,
     """Duplicate every state into a 0-layer and a 1-layer; accessibility only
     crosses from layer 0 to layer 1, so no two steps compose."""
     frame = m.frame
-    n = frame.n
-    n_out = 2 * n
+    n_out = 2 * frame.n
     rel = {}
     for group in frame.agents.groups():
         rows = [0] * n_out
         for t, u in frame.r(group).pairs():
             rows[2 * t] |= 1 << (2 * u + 1)
         rel[group] = Rel(n_out, tuple(rows))
-    leq_rows = []
-    for t in range(n):
-        row = 0
-        for u in bits(frame.leq.rows[t]):
-            row |= 0b11 << (2 * u)
-        leq_rows.extend([row, row])
-    out_frame = Frame.make(frame.agents, n_out, Rel(n_out, tuple(leq_rows)), rel)
-    val = {}
-    for atom, mask in m.val:
-        acc = 0
-        for t in bits(mask):
-            acc |= 0b11 << (2 * t)
-        val[atom] = acc
-    out = Model.make(out_frame, val)
-    src = _names(m, src_names)
-    names = tuple(f"{src[t]}|{j}" for t in range(n) for j in (0, 1))
-    fibers = tuple((2 * t, 2 * t + 1) for t in range(n))
-    return ConstructionResult(out, names, fibers)
+    return _block_lift(m, 2, "", rel, src_names)
 
 
 # ---------- collapse to a reflexive symmetric frame ----------
@@ -366,26 +350,7 @@ def partition_lift(m: Model, variant: str = "plain",
                 index.append(c)
         rel[agents.group_of_mask(gm)] = Rel._from_table(n_out, list(heads), index)
 
-    t_rows = []
-    for t in range(n):
-        row = 0
-        for u in bits(frame.leq.rows[t]):
-            row |= full_j << (u * n_j)
-        t_rows.append(row)
-    heads, t_index = _table_of(t_rows)
-    leq = Rel._from_table(n_out, heads, [c for c in t_index for _ in range(n_j)])
-    out_frame = Frame.make(agents, n_out, leq, rel)
-    val = {}
-    for atom, mask in m.val:
-        acc = 0
-        for t in bits(mask):
-            acc |= full_j << (t * n_j)
-        val[atom] = acc
-    out = Model.make(out_frame, val)
-    src = _names(m, src_names)
-    names = tuple(f"{src[t]}|j{i}" for t in range(n) for i in range(n_j))
-    fibers = tuple(tuple(range(t * n_j, (t + 1) * n_j)) for t in range(n))
-    return ConstructionResult(out, names, fibers)
+    return _block_lift(m, n_j, "j", rel, src_names)
 
 
 def partition_lift_witnesses(m: Model, alpha: Group,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import BudgetError, PreconditionError
@@ -157,9 +158,9 @@ class Rel:
 
         Each row class's state set is ORed into the converse rows of its
         row's bits, so the work is the sum of popcounts over distinct rows.
-        When that sum outweighs a bit-matrix transpose of all n*n cells,
-        numpy does the transpose instead; no constructed frame comes near
-        that point, only dense relations with mostly distinct rows.
+        When that sum outweighs a bit-matrix transpose of all n*n cells
+        (``_bit_transpose``), the transpose runs instead; no constructed frame
+        comes near that point, only dense relations with mostly distinct rows.
         """
         memo = self.__dict__.get("_converse")
         if memo is None:
@@ -168,15 +169,14 @@ class Rel:
 
     def _transpose(self) -> "Rel":
         n = self.n
-        # numpy transposes all n*n cells at once; the row-class pass does
-        # `work` big-int ORs.  Measured crossover (Python 3.11, numpy 2.4):
-        # work/n near 3-6 up to n=1024, then 39 at n=2048 and 61 at n=8192,
-        # where the transpose's n*n-byte buffers outgrow the cache.  Frames
-        # of four states or fewer never reach numpy.
-        # The work is read off the row table, so the numpy side never builds
-        # the classes' state sets (n of them when all rows differ); heads that
-        # compose handed over may repeat, which can only overcount.
-        limit, work = n * (4 if n < 2048 else 48), 0
+        # _bit_transpose moves all n*n cells at once; the row-class pass does
+        # `work` big-int ORs.  Break-even work/n, measured (Python 3.11, all
+        # rows distinct): 3 at n=16, 1.5-2.2 at 64-256, 10-14 at 1024-2048,
+        # 23 at 4096, 35 at 8192; the floor of 4 keeps frames of four states
+        # or fewer off the transpose.  The work is read off the row table, so
+        # the transpose side never builds n state sets (heads that compose
+        # handed over may repeat, which can only overcount).
+        limit, work = n * max(4, isqrt(n) // 3), 0
         for r in self._row_table()[0]:
             work += r.bit_count()
             if work > limit:
@@ -244,13 +244,31 @@ class Rel:
         return self.compose(self).le(self)
 
     def rt_closure(self) -> "Rel":
-        rows = [r | (1 << i) for i, r in enumerate(self.rows)]
-        for j in range(self.n):
-            bit = 1 << j
-            for i in range(self.n):
-                if rows[i] & bit:
-                    rows[i] |= rows[j]
-        return Rel(self.n, tuple(rows))
+        """The reflexive-transitive closure.  From ``CLASS_PASS_MIN_STATES``
+        states on, Warshall's pass runs over row classes, not states: a
+        class's star (the states its states reach in one or more steps) takes
+        in the star of every class whose states it meets.  State i's row is
+        its class's star with i added; the result keeps a row table."""
+        n = self.n
+        if n < CLASS_PASS_MIN_STATES:  # per state: cheaper on a word or two
+            rows = [r | (1 << i) for i, r in enumerate(self.rows)]
+            for j in range(n):
+                bit = 1 << j
+                for i in range(n):
+                    if rows[i] & bit:
+                        rows[i] |= rows[j]
+            return Rel(n, tuple(rows))
+        classes = self.row_classes()
+        stars = [row for row, _ in classes]
+        for d, (_, states) in enumerate(classes):
+            for c, star in enumerate(stars):
+                if star & states:
+                    stars[c] = star | stars[d]
+        rows = [0] * n
+        for star, (_, states) in zip(stars, classes):
+            for i in bits(states):
+                rows[i] = star if star >> i & 1 else star | 1 << i
+        return Rel._from_table(n, *_table_of(rows))
 
 
 def joint_rows(*rels: Rel) -> Iterable[tuple[int, ...]]:
@@ -279,15 +297,28 @@ def _table_of(rows: Iterable[int]) -> tuple[list[int], list[int]]:
 
 
 def _bit_transpose(n: int, rows: tuple[int, ...]) -> list[int]:
-    """Transpose an n*n bit matrix through numpy, all cells at once."""
-    import numpy as np
-
-    nbytes = (n + 7) // 8
-    buf = b"".join(r.to_bytes(nbytes, "little") for r in rows)
-    arr = np.frombuffer(buf, dtype=np.uint8).reshape(n, nbytes)
-    unpacked = np.unpackbits(arr, axis=1, bitorder="little")[:, :n]
-    packed = np.packbits(np.ascontiguousarray(unpacked.T), axis=1, bitorder="little")
-    return [int.from_bytes(packed[i].tobytes(), "little") for i in range(n)]
+    """Transpose an n*n bit matrix in one int (Warren, *Hacker's Delight*,
+    2nd ed., 7-3): bit j of row i at i*w + j for a power-of-two width w,
+    each round swaps the off-diagonal b*b quarters of every 2b*2b block, for
+    b = w/2 ... 1.  Masks kept across calls would take w*w*log2(w)/8 bytes."""
+    w = max(8, 1 << (n - 1).bit_length())
+    wb = w // 8
+    m = int.from_bytes(b"".join(r.to_bytes(wb, "little") for r in rows), "little")
+    b = w // 2
+    while b:
+        # columns j with j & b in rows i without i & b, by doubling: the
+        # upper b of each 2b columns, a row, b rows, then every 2b rows
+        mask, size = ((1 << b) - 1) << b, 2 * b
+        while size < w * w:
+            if size != b * w:
+                mask |= mask << size
+            size *= 2
+        s = b * (w - 1)  # from (i, j) to (i + b, j - b)
+        t = ((m >> s) ^ m) & mask
+        m ^= t ^ (t << s)
+        b //= 2
+    buf = m.to_bytes(n * wb, "little")
+    return [int.from_bytes(buf[i * wb:(i + 1) * wb], "little") for i in range(n)]
 
 
 def compose(p: Rel, q: Rel) -> Rel:

@@ -70,11 +70,11 @@ def _random_frame(rng, agents, n, rs=False):
 
 @pytest.fixture
 def transposes(monkeypatch):
-    """Count the converses that take the numpy bit-matrix transpose."""
+    """Count the converses that take the bit-matrix transpose."""
     calls = []
-    numpy_transpose = semantics._bit_transpose
+    bit_transpose = semantics._bit_transpose
     monkeypatch.setattr(semantics, "_bit_transpose",
-                        lambda *a: calls.append(a) or numpy_transpose(*a))
+                        lambda *a: calls.append(a) or bit_transpose(*a))
     return calls
 
 
@@ -138,7 +138,7 @@ def test_classify_on_row_tables_matches_raw_rows():
 
 def test_classify_matches_naive_classes_on_dense_distinct_rows(transposes):
     # a reflexive symmetric relation with all 128 rows distinct: its
-    # converse takes the numpy transpose
+    # converse takes the bit-matrix transpose
     rng = random.Random(13)
     n = 128
     r = Rel.from_mask(n, rng.getrandbits(n * n))

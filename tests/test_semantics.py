@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -68,30 +72,91 @@ def test_rel_converse_and_closure():
         assert r.le(c)
 
 
-def test_rel_converse_numpy_path(monkeypatch):
+def test_rel_converse_transpose_path(monkeypatch):
     n = 200
     rng = random.Random(5)
     pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(900)}
     r = Rel.from_pairs(n, pairs)
     assert set(r.converse().pairs()) == {(j, i) for i, j in pairs}
 
-    # the converse picks numpy for a dense relation with all rows distinct
-    # and the row-class pass for one with few distinct rows
+    # the converse picks the bit-matrix transpose for a dense relation with
+    # all rows distinct and the row-class pass for one with few distinct rows
     transposes = []
-    numpy_transpose = semantics._bit_transpose
+    bit_transpose = semantics._bit_transpose
     monkeypatch.setattr(semantics, "_bit_transpose",
-                        lambda *a: transposes.append(a) or numpy_transpose(*a))
+                        lambda *a: transposes.append(a) or bit_transpose(*a))
     dense = Rel(n, tuple(rng.getrandbits(n) for _ in range(n)))
     base = [rng.getrandbits(n) for _ in range(3)]
     repetitive = Rel(n, tuple(rng.choice(base) for _ in range(n)))
     assert len(set(dense.rows)) == n and len(set(repetitive.rows)) <= 3
-    for rel, via_numpy in ((dense, True), (repetitive, False)):
+    for rel, via_transpose in ((dense, True), (repetitive, False)):
         transposes.clear()
         c = rel.converse()
-        assert bool(transposes) == via_numpy
+        assert bool(transposes) == via_transpose
         assert c is rel.converse()
         assert c.converse() == rel
         assert set(c.pairs()) == {(j, i) for i, j in rel.pairs()}
+
+
+def test_bit_transpose_against_pairwise():
+    rng = random.Random(16)
+    for n in (1, 2, 7, 8, 9, 63, 64, 65, 127, 200, 1000):
+        full = (1 << n) - 1
+        rows = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n)]
+        rows[0], rows[n // 2] = 0, full  # an empty and an all-ones row
+        rows[-1] |= 1 << (n - 1)  # and bit n-1 set in a row and a column
+        want = [0] * n
+        for i, r in enumerate(rows):
+            for j in range(n):
+                if r >> j & 1:
+                    want[j] |= 1 << i
+        assert semantics._bit_transpose(n, tuple(rows)) == want
+
+
+def test_runs_without_numpy():
+    # numpy blocked from import: the dense converse and the classification
+    # of a dense 128-state frame take the bit-matrix transpose and give what
+    # they give where numpy can be imported
+    code = textwrap.dedent("""
+        import random, sys
+        from ieml import AgentSet, Frame, Rel, classify, semantics
+        calls = []
+        bit_transpose = semantics._bit_transpose
+        semantics._bit_transpose = lambda *a: calls.append(a) or bit_transpose(*a)
+        rng = random.Random(5)
+        dense = Rel(200, tuple(rng.getrandbits(200) for _ in range(200)))
+        r = Rel.from_mask(128, rng.getrandbits(128 * 128))
+        r = Rel.from_pairs(128, r.pairs() + [(j, i) for i, j in r.pairs()]
+                           + [(i, i) for i in range(128)])
+        frame = Frame(AgentSet.of("a"), 128, Rel.identity(128), (r,))
+        print(dense.converse().rows, sorted(c.value for c in classify(frame)))
+        print(len(calls) >= 2, sys.modules.get("numpy") is not None)
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    outs = [subprocess.run([sys.executable, "-c", block + code], env=env,
+                           check=True, capture_output=True, text=True).stdout
+            for block in ("", "import sys; sys.modules['numpy'] = None\n")]
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines()[1] == "True False"
+
+
+def test_rt_closure_against_warshall():
+    # the pass over row classes from CLASS_PASS_MIN_STATES states on, on raw
+    # rows, tables with repeated heads, converses, composites and a chain
+    # whose paths run against the state order
+    rng = random.Random(17)
+    for n in (64, 70, 200):
+        chain = Rel(n, (0,) + tuple(1 << (i - 1) for i in range(1, n)))
+        for make in _rels_three_ways(rng, n) + [lambda: chain]:
+            r = make()
+            rows = [x | 1 << i for i, x in enumerate(r.rows)]
+            for j in range(n):
+                for i in range(n):
+                    if rows[i] >> j & 1:
+                        rows[i] |= rows[j]
+            c = r.rt_closure()
+            assert c.rows == tuple(rows)
+            assert c.converse() == Rel(n, tuple(rows)).converse()
 
 
 def test_rel_row_classes():
