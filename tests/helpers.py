@@ -184,6 +184,40 @@ def blow_up(frame: Frame, sizes) -> Frame:
     return Frame(frame.agents, n, lift(frame.leq), tuple(lift(r) for r in frame.rels))
 
 
+def bisimilar_blow_up(rng: random.Random, leq: Rel, rels, sizes,
+                      tabled: bool = False):
+    """Replace state s by ``sizes[s]`` copies that behave like it without
+    sharing its rows: the preorder relates copies exactly as it relates
+    their originals, and each copy's row in an accessibility relation holds
+    a random nonempty part of the copies of every successor.  Copy x
+    satisfies what its origin ``origin[x]`` does.  Returns ``(origin, leq,
+    rels)``; with ``tabled`` every relation keeps a row table, the way
+    construction outputs and loaded row tables do."""
+    origin = [s for s, k in enumerate(sizes) for _ in range(k)]
+    n = len(origin)
+    copies = [0] * len(sizes)
+    for x, s in enumerate(origin):
+        copies[s] |= 1 << x
+
+    def part(mask: int) -> int:
+        while True:
+            sub = rng.getrandbits(n) & mask
+            if sub:
+                return sub
+
+    def make(rows: list) -> Rel:
+        if not tabled:
+            return Rel(n, tuple(rows))
+        heads = list(dict.fromkeys(rows))
+        at = {r: c for c, r in enumerate(heads)}
+        return Rel._from_table(n, heads, [at[r] for r in rows])
+
+    big_leq = make([sum(copies[t] for t in bits(leq.rows[s])) for s in origin])
+    big_rels = tuple(make([sum(part(copies[t]) for t in bits(r.rows[s]))
+                           for s in origin]) for r in rels)
+    return origin, big_leq, big_rels
+
+
 def random_ast(rng: random.Random, atoms=("p", "q", "r"),
                agents=("a", "b"), depth: int = 4) -> Formula:
     """Formula generator independent of the search module's one."""

@@ -247,3 +247,23 @@ def test_construct_output_pinned(capsys, tmp_path, kind, doc, states, digest):
                 "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())["worlds"]) == states
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("module", ["ieml", "ieml.cli"])
+def test_python_dash_m_runs_the_cli(module, capsys):
+    import os
+    import subprocess
+    import sys
+    assert run(["parse", "p -> q"]) == 0
+    want = capsys.readouterr().out
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                              capture_output=True, text=True)
+
+    done = python_m("parse", "p -> q")
+    assert (done.returncode, done.stdout) == (0, want)
+    bad = python_m("parse", "p ->")
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr.startswith("error: ") and "Traceback" not in bad.stderr
