@@ -16,8 +16,8 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def _stub(calls):
-    """Parent latencies 10, 11, ... ms by seed, the change's at half, except
-    seed 104, where the change loses; wall time equal on both sides."""
+    """A latency of seed - 90 ms on the parent and half that on the change,
+    except at seed 104, where the change loses; equal wall times."""
     def runner(tree, workload, seed, seconds, trace):
         calls.append((tree.name, workload, seed, seconds, trace))
         half = tree.name == "change" and seed != 104
