@@ -337,3 +337,22 @@ def test_first_evaluation_stays_near_the_direct_path(monkeypatch, build):
     assert ev.truth_mask(f, dict(val)) == mask and not calls
     ev.truth_mask(f, {})
     assert calls
+
+
+def test_quotient_slot_keeps_no_reference_to_the_structure(always_quotient):
+    import gc
+    import weakref
+    from ieml.semantics import evaluator
+    rng = random.Random(83)
+    origin, frame = _blown_up_model(rng, _frames()[0])
+    val = {"p": 0}
+    assert evaluator(frame).truth_mask(P, val) == 0
+    assert evaluator(frame)._quotient(val) is not None
+    # freed by reference counting alone, evaluator, slot and quotient too
+    alive = weakref.ref(frame.leq)
+    gc.disable()
+    try:
+        del frame
+        assert alive() is None
+    finally:
+        gc.enable()
