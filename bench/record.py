@@ -1,19 +1,19 @@
 """Record a before/after benchmark comparison as one BENCH JSON file.
 
     python3 bench/record.py --parent REV --out BENCH_name.json \\
-        [--workloads suite,queries,construct] [--pairs 10] [--seconds 25] \\
-        [--seeds 101,102,...] [--trace-seconds 3]
+        [--seeds 101,102,...]
 
 The parent revision is exported with ``git archive`` into a temporary
 directory; the change is the working tree this script lives in.  For each
-workload, ``perfbench/run.py --trace 0`` runs in alternating pairs, the
-parent first in even pairs and the change first in odd ones, each pair at
-its own seed, so that a drift of the machine's speed meets both sides
-alike.  Per end-to-end metric of ``BENCHMARK.json`` the file holds both
-sides' values, medians and quartiles, the ratio of the medians, the pairs
-the change wins, whether the median gain exceeds the parent's interquartile
-range, and the metric's bound.  One traced pass per side and workload
-(``--trace 1``) adds the per-layer self times.  Stdlib only.
+workload of ``BENCHMARK.json``, ``perfbench/run.py --trace 0`` runs for its
+``run_seconds`` in alternating pairs, the parent first in even pairs and the
+change first in odd ones, one pair per seed (ten by default), so that a
+drift of the machine's speed meets both sides alike.  Per end-to-end metric
+the file holds both sides' values, medians and quartiles, the ratio of the
+medians, the pairs the change wins, whether the median gain exceeds the
+parent's interquartile range, and the metric's bound.  One traced pass per side and workload
+(``--trace 1``, TRACE_SECONDS at seed TRACE_SEED) adds the per-layer self
+times.  Stdlib only.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("suite", "queries", "construct")
+TRACE_SEED, TRACE_SECONDS = 1, 3.0
 
 
 def run_perfbench(tree: Path, workload: str, seed: int, seconds: float,
@@ -62,8 +62,7 @@ def export_tree(rev: str, dest: Path, repo: Path = ROOT) -> str:
 
 
 def summary(values: list) -> dict:
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive") \
-        if len(values) > 1 else values * 3
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"values": values, "median": q2, "q1": q1, "q3": q3}
 
 
@@ -84,14 +83,14 @@ def compare(parent: list, change: list, better: str, bound) -> dict:
     return out
 
 
-def record(parent_tree: Path, change_tree: Path, workloads, seeds, seconds: float,
-           trace_seed: int, trace_seconds: float, spec: dict,
+def record(parent_tree: Path, change_tree: Path, seeds, spec: dict,
            runner=run_perfbench) -> dict:
     """Alternating pairs per workload, then one traced pass per side."""
+    seconds = spec["run_seconds"]
     ends = {m["name"]: m for m in spec["end_to_end"]}
     trees = {"parent": parent_tree, "change": change_tree}
     out: dict = {}
-    for workload in workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         runs: dict = {"parent": [], "change": []}
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -112,7 +111,7 @@ def record(parent_tree: Path, change_tree: Path, workloads, seeds, seconds: floa
                     meta["better"], meta.get("bound"))
         traced = {}
         for side, tree in trees.items():
-            result = runner(tree, workload, trace_seed, trace_seconds, 1)
+            result = runner(tree, workload, TRACE_SEED, TRACE_SECONDS, 1)
             traced[side] = {"correct": result["correct"],
                             "self_s": {k: v["value"] for k, v in result["metrics"].items()
                                        if v["unit"] == "s"}}
@@ -124,30 +123,22 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, help="git revision to compare against")
     ap.add_argument("--out", required=True, type=Path)
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float)
-    ap.add_argument("--seeds", help="one seed per pair (default 101, 102, ...)")
-    ap.add_argument("--trace-seed", type=int, default=1)
-    ap.add_argument("--trace-seconds", type=float, default=3.0)
+    ap.add_argument("--seeds", default=",".join(map(str, range(101, 111))),
+                    help="one seed per pair (default 101-110)")
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec.get("run_seconds", 25)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds \
-        else list(range(101, 101 + args.pairs))
-    workloads = [w for w in args.workloads.split(",") if w]
+    seeds = [int(s) for s in args.seeds.split(",")]
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
     dirty = bool(subprocess.run(["git", "status", "--porcelain"], cwd=ROOT, check=True,
                                 capture_output=True, text=True).stdout.strip())
     with tempfile.TemporaryDirectory() as tmp:
         parent = export_tree(args.parent, Path(tmp))
-        results = record(Path(tmp) / "tree", ROOT, workloads, seeds, seconds,
-                         args.trace_seed, args.trace_seconds, spec)
+        results = record(Path(tmp) / "tree", ROOT, seeds, spec)
     doc = {"parent": parent, "change": {"head": head, "uncommitted_changes": dirty},
            "python": platform.python_version(), "cpus": os.cpu_count(),
-           "seconds": seconds, "seeds": seeds,
-           "trace": {"seed": args.trace_seed, "seconds": args.trace_seconds},
+           "seconds": spec["run_seconds"], "seeds": seeds,
+           "trace": {"seed": TRACE_SEED, "seconds": TRACE_SECONDS},
            "workloads": results}
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for workload, res in results.items():

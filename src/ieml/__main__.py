@@ -1,3 +1,2 @@
-"""``python -m ieml`` runs the command line of ``ieml.cli``."""
-from .cli import main
+from .cli import main  # python -m ieml runs the command line
 main()

@@ -633,17 +633,21 @@ def refine(blocks: list[int], relations: list[tuple],
         blocks = split
 
 
-# An evaluator runs on its quotient (``Evaluator._quotient``) from
-# CLASS_PASS_MIN_STATES states on if that makes a pass (a visit per row class
-# of each relation, at 1 + n/2048 times the cost on small ints: 95 ns up to
-# 256 states, 576 ns at 8192, Python 3.11) QUOTIENT_MIN_GAIN times cheaper.
-# Forced quotients of blow-ups (66-2049 states) broke even near 2-4, and from
-# 10 on took 0.18-0.64 of the direct time on the 7203-formula battery; the
-# suite's 64- and 128-state outputs (6-13, a wash) stay direct.  Refining
-# gives up past QUOTIENT_MAX_PASSES passes' worth of ANDs: the 8192-state
-# outputs of standardize need 1-3, a 512-state successor chain gives up.
+# From CLASS_PASS_MIN_STATES states on, an evaluator runs on its quotient if
+# that makes a pass (a visit per row class of each relation, at 1 + n/2048
+# times the cost on small ints: 95 ns up to 256 states, 576 ns at 8192, Python
+# 3.11) QUOTIENT_MIN_GAIN times cheaper.  Forced quotients of blow-ups (66-2049
+# states) broke even near 2-4, and from 10 on took 0.18-0.64 of the direct
+# time on the 7203-formula battery; the suite's 64- and 128-state outputs
+# (6-13, a wash) stay direct.  Refining gives up past QUOTIENT_MAX_PASSES
+# passes' worth of ANDs: standardize's 8192-state outputs need 1-3.
 QUOTIENT_MIN_GAIN = 16
 QUOTIENT_MAX_PASSES = 8
+
+
+def _lift(q: tuple, mask: int) -> int:
+    """The states of the blocks in ``mask``, a mask on the quotient ``q``."""
+    return sum(map(q[0].__getitem__, bits(mask)))
 
 
 class Evaluator:
@@ -702,13 +706,13 @@ class Evaluator:
 
     def run(self, program: Program, val: Mapping[str, int]) -> list[int]:
         """One truth mask per node of ``program``, in node order."""
-        blocks, ev, v = self._quotient(val) or (None, self, val)
+        q = self._quotient(val)
         masks: list[int] = []
-        ev._run(program, v, masks)
-        if blocks is None:
-            return masks
-        lifted = {m: sum(map(blocks.__getitem__, bits(m))) for m in set(masks)}
-        return list(map(lifted.__getitem__, masks))
+        (q[1] if q else self)._run(program, q[2] if q else val, masks)
+        if q:
+            lifted = {m: _lift(q, m) for m in set(masks)}
+            masks[:] = map(lifted.__getitem__, masks)
+        return masks
 
     def _mask(self, f: Formula, val: Mapping[str, int],
               memo: Optional[dict]) -> int:
@@ -722,8 +726,7 @@ class Evaluator:
             program, masks, i = last[1], [], -1  # the root is the last node
         else:
             recorded = memo.get("valuation")
-            if recorded is None:
-                # its masks are block sets of the quotient it keeps
+            if recorded is None:  # its masks are block sets of its quotient
                 memo["valuation"], memo["quotient"] = dict(val), self._quotient(val)
             elif recorded != val:
                 raise ValueError("the memo was filled under another valuation")
@@ -732,13 +735,9 @@ class Evaluator:
                 program = memo["program"] = Program()
             q, masks = memo.get("quotient"), memo.setdefault("masks", [])
             i = program.node(f)
-        if q is None:
-            if not masks or i >= len(masks):
-                self._run(program, val, masks)
-            return masks[i]
         if not masks or i >= len(masks):
-            q[1]._run(program, q[2], masks)
-        return sum(map(q[0].__getitem__, bits(masks[i])))
+            (q[1] if q else self)._run(program, q[2] if q else val, masks)
+        return _lift(q, masks[i]) if q else masks[i]
 
     def _quotient(self, val: Mapping[str, int]) -> Optional[tuple]:
         """``(blocks, evaluator, valuation)`` of the quotient to run on under
@@ -756,16 +755,17 @@ class Evaluator:
         if key == val:
             return q
         self._last_quotient = key = (dict(val), None)  # until it pays
-        blocks = [self._full]
-        for m in val.values():
-            blocks = [x for b in blocks for x in (b & m, b & ~m) if x]
         classes = [self._leq_classes] + [r.row_classes() for r in self._rels]
         direct = sum(map(len, classes)) / len(classes) \
             * (1 + self._full.bit_length() / 2048)  # per relation and pass
         # geq's pre-images are leq's images: no transpose is needed
         relations = classes + [tuple((s, r) for r, s in self._leq_classes)]
-        stable = refine(blocks, relations,
-                        QUOTIENT_MAX_PASSES * sum(map(len, relations)))
+        blocks = [self._full]
+        for m in val.values():
+            blocks = [x for b in blocks for x in (b & m, b & ~m) if x]
+        # refining only splits blocks: skip it if the valuation's do not pay
+        stable = None if len(blocks) * QUOTIENT_MIN_GAIN > direct else refine(
+            blocks, relations, QUOTIENT_MAX_PASSES * sum(map(len, relations)))
         if stable is None or len(stable[0]) * QUOTIENT_MIN_GAIN > direct:
             return None
         (blocks, images), k = stable, len(stable[0])

@@ -17,7 +17,8 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 def _stub(calls):
     """A latency of seed - 90 ms on the parent and half that on the change,
-    except at seed 104, where the change loses; equal wall times."""
+    except at seed 104, where the change loses; equal wall times.  A traced
+    pass reads 0.1 s of evaluation on the parent, half that on the change."""
     def runner(tree, workload, seed, seconds, trace):
         calls.append((tree.name, workload, seed, seconds, trace))
         half = tree.name == "change" and seed != 104
@@ -25,7 +26,8 @@ def _stub(calls):
         metrics = {"wall_s": {"value": 1.0, "unit": "s"},
                    "refute_p50_ms": {"value": ms, "unit": "ms"}}
         if trace:
-            metrics = {"semantics.eval.truth_mask_s": {"value": ms / 100, "unit": "s"},
+            metrics = {"semantics.eval.truth_mask_s": {"value": 0.05 if half else 0.1,
+                                                       "unit": "s"},
                        "semantics.eval.truth_mask_calls": {"value": 7, "unit": "count"}}
         return {"correct": True, "attempted": 5, "failed": 0, "metrics": metrics}
     return runner
@@ -34,13 +36,15 @@ def _stub(calls):
 def test_record_alternates_pairs_and_summarizes(tmp_path):
     calls = []
     parent, change = tmp_path / "parent", tmp_path / "change"
-    out = record.record(parent, change, ["construct"], [101, 102, 103, 104], 25.0,
-                        100, 3.0, SPEC, runner=_stub(calls))
-    plain = [(c[0], c[2]) for c in calls if c[4] == 0]
+    out = record.record(parent, change, [101, 102, 103, 104], SPEC, runner=_stub(calls))
+    assert list(out) == ["suite", "queries", "construct"]
+    plain = [(c[0], c[2]) for c in calls if c[1] == "construct" and c[4] == 0]
     assert plain == [("parent", 101), ("change", 101), ("change", 102), ("parent", 102),
                      ("parent", 103), ("change", 103), ("change", 104), ("parent", 104)]
-    assert [c[0] for c in calls if c[4] == 1] == ["parent", "change"]
-    assert all(c[3] == (25.0 if c[4] == 0 else 3.0) for c in calls)
+    assert [(c[0], c[2]) for c in calls if c[1] == "construct" and c[4] == 1] \
+        == [("parent", record.TRACE_SEED), ("change", record.TRACE_SEED)]
+    assert all(c[3] == (SPEC["run_seconds"] if c[4] == 0 else record.TRACE_SECONDS)
+               for c in calls)
     res = out["construct"]
     refute = res["metrics"]["refute_p50_ms"]
     assert refute["parent"]["values"] == [11, 12, 13, 14]
