@@ -458,16 +458,8 @@ def mono_equivalence_mismatches(multi: Model, mono: MonoModel,
     ``Program``, which is then not compiled again."""
     program = _program(formulas)
     lefts = evaluator(multi.frame).run(program, multi.val_map())
-    # the images are compiled once per program, not once per mono model
-    memo = {"program": program.image(tau)}
-    mismatches = []
-    for f, i in zip(program, program.roots):
-        left = lefts[i]
-        right = mono_truth_mask(mono, tau(f), memo)
-        if left != right:
-            mismatches.append({
-                "formula": str(f),
-                "multi_mask": left,
-                "mono_mask": right,
-            })
-    return mismatches
+    # the images are compiled once per program and run once per mono model
+    rights = mono_truth_mask(mono, program.image(tau))
+    return [{"formula": str(f), "multi_mask": lefts[i], "mono_mask": right}
+            for f, i, right in zip(program, program.roots, rights)
+            if lefts[i] != right]

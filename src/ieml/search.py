@@ -511,14 +511,12 @@ def _heredity_entry(budget: SizeBudget, agents: AgentSet,
     witnesses = []
     for frame in _take_frames(budget, FrameClass.ALL, frames_per_check, agents):
         model = _random_model(rng, frame, ("p", "q"))
-        formulas = sample_formulas(rng, ("p", "q"), groups,
-                                   budget.max_formula_depth, 20)
-        ev = Evaluator(frame)
-        memo: dict = {}
-        val = model.val_map()
-        for f in formulas:
+        program = Program(sample_formulas(rng, ("p", "q"), groups,
+                                          budget.max_formula_depth, 20))
+        masks = Evaluator(frame).run(program, model.val_map())
+        for f, i in zip(program, program.roots):
             checked += 1
-            if not is_closed(frame.leq, ev.truth_mask(f, val, memo)):
+            if not is_closed(frame.leq, masks[i]):
                 witnesses.append({"formula": render(f),
                                   "model": model_to_doc(model)})
     status = "pass" if not witnesses else "fail"

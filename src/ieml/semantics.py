@@ -507,7 +507,7 @@ class Program:
     """
 
     __slots__ = ("ops", "left", "right", "consts", "roots",
-                 "_nodes", "_index", "_const_index", "_images")
+                 "_nodes", "_const_index", "_images")
 
     def __init__(self, formulas: Iterable[Formula] = ()):
         self.ops = bytearray()
@@ -515,14 +515,12 @@ class Program:
         self.right = array("l")
         self.consts: list = []  # atom names and groups
         self.roots = array("l")
-        self._nodes: list = []  # node -> formula; keeps every id in _index alive
-        self._index: Optional[dict] = {}  # id(formula) -> node
+        self._nodes: list = []  # node -> formula; keeps every id in index alive
         self._const_index: dict = {}
         self._images: dict = {}  # function -> image Program
+        index: dict = {}  # id(formula) -> node, while compiling
         for f in formulas:
-            self.roots.append(self.node(f))
-        if self._nodes:  # a compiled list: the index is rebuilt if ever asked
-            self._index = None
+            self.roots.append(self._node(f, index))
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -538,12 +536,10 @@ class Program:
             out = self._images[fn] = Program(map(fn, self))
         return out
 
-    def node(self, f: Formula) -> int:
-        """The node of ``f``, compiling the subformulas not yet here.  The
-        walk keeps its own stack, so formula depth meets no recursion limit."""
-        index = self._index
-        if index is None:
-            index = self._index = {id(g): i for i, g in enumerate(self._nodes)}
+    def _node(self, f: Formula, index: dict) -> int:
+        """The node of ``f``, compiling the subformulas not yet in ``index``.
+        The walk keeps its own stack, so formula depth meets no recursion
+        limit."""
         hit = index.get(id(f))
         if hit is not None:
             return hit
@@ -590,7 +586,7 @@ class Program:
         return c
 
 
-# The last formula evaluated without a memo, and its Program: a search that
+# The last formula given to ``truth_mask``, and its Program: a search that
 # asks one formula under many valuations and frames compiles it once.  Only
 # the time of a call depends on this slot, never its result.
 _last_compiled: tuple = (None, None)
@@ -695,49 +691,31 @@ class Evaluator:
         self._classes: dict = {}  # group (None on a mono structure) -> row classes
         self._last_quotient: tuple = (None, None)  # valuation, quotient
 
-    def truth_mask(self, f: Formula, val: Mapping[str, int],
-                   memo: Optional[dict] = None) -> int:
-        """The states satisfying ``f``.  A memo dict shares subformula
-        results across calls; it records the valuation it was filled under
-        and refuses any other with ``ValueError``.  It may start as
-        ``{"program": p}``, ``p`` a ``Program`` holding the formulas to
-        come, so that many memos share one compilation."""
-        return self._mask(f, val, memo)
+    def truth_mask(self, f: Formula, val: Mapping[str, int]) -> int:
+        """The states satisfying ``f``.  A battery asked many times is
+        cheaper compiled once into a ``Program`` and given to ``run``."""
+        return self._mask(f, val)
 
     def run(self, program: Program, val: Mapping[str, int]) -> list[int]:
         """One truth mask per node of ``program``, in node order."""
         q = self._quotient(val)
-        masks: list[int] = []
-        (q[1] if q else self)._run(program, q[2] if q else val, masks)
+        masks = (q[1] if q else self)._run(program, q[2] if q else val)
         if q:
             lifted = {m: _lift(q, m) for m in set(masks)}
             masks[:] = map(lifted.__getitem__, masks)
         return masks
 
-    def _mask(self, f: Formula, val: Mapping[str, int],
-              memo: Optional[dict]) -> int:
-        if memo is None:
-            global _last_compiled
-            last = _last_compiled
-            if last[0] is not f:
-                last = _last_compiled = (f, Program((f,)))
-            # tested here, the size spares small structures a call per formula
-            q = self._quotient(val) if self._full >> (CLASS_PASS_MIN_STATES - 1) else None
-            program, masks, i = last[1], [], -1  # the root is the last node
-        else:
-            recorded = memo.get("valuation")
-            if recorded is None:  # its masks are block sets of its quotient
-                memo["valuation"], memo["quotient"] = dict(val), self._quotient(val)
-            elif recorded != val:
-                raise ValueError("the memo was filled under another valuation")
-            program = memo.get("program")
-            if program is None:
-                program = memo["program"] = Program()
-            q, masks = memo.get("quotient"), memo.setdefault("masks", [])
-            i = program.node(f)
-        if not masks or i >= len(masks):
-            (q[1] if q else self)._run(program, q[2] if q else val, masks)
-        return _lift(q, masks[i]) if q else masks[i]
+    def _mask(self, f: Formula, val: Mapping[str, int]) -> int:
+        global _last_compiled
+        last = _last_compiled
+        if last[0] is not f:
+            last = _last_compiled = (f, Program((f,)))
+        # the root is the last node; below the size test there is no quotient
+        if not self._full >> (CLASS_PASS_MIN_STATES - 1):
+            return self._run(last[1], val)[-1]
+        q = self._quotient(val)  # only the root's mask is lifted
+        masks = (q[1] if q else self)._run(last[1], q[2] if q else val)
+        return _lift(q, masks[-1]) if q else masks[-1]
 
     def _quotient(self, val: Mapping[str, int]) -> Optional[tuple]:
         """``(blocks, evaluator, valuation)`` of the quotient to run on under
@@ -785,15 +763,15 @@ class Evaluator:
             classes = self._classes[group] = rel.row_classes()
         return classes
 
-    def _run(self, program: Program, val: Mapping[str, int],
-             masks: list[int]) -> None:
-        """Append the masks of ``program``'s nodes from ``len(masks)`` on."""
+    def _run(self, program: Program, val: Mapping[str, int]) -> list[int]:
+        """The masks of ``program``'s nodes, on this structure itself."""
         ops, left, right, consts = \
             program.ops, program.left, program.right, program.consts
         full, leq_classes, mono = self._full, self._leq_classes, self._mono
         box, dia, variant = self._box, self._dia, self.variant
         modal: dict = {}  # group constant -> row classes
-        for i in range(len(masks), len(ops)):
+        masks: list[int] = []
+        for i in range(len(ops)):
             op = ops[i]
             bad = None  # set by the clauses that end in the preorder interior
             if op == _AND:
@@ -846,6 +824,7 @@ class Evaluator:
                         if row & bad == 0:
                             out |= states
             masks.append(out)
+        return masks
 
 
 def evaluator(structure: Union[Frame, MonoStructure],
@@ -916,10 +895,16 @@ def falsify_on_frame(f: Frame, a: Formula,
 
 # ---------- Mono-modal satisfaction (single box, plain accessibility) ----------
 
-def mono_truth_mask(mm: MonoModel, f: Formula,
-                    memo: Optional[dict] = None) -> int:
+def mono_truth_mask(mm: MonoModel,
+                    f: Union[Formula, Program]) -> Union[int, list[int]]:
+    """The states of ``mm`` satisfying ``f``, or for a ``Program`` the list
+    of each formula's truth mask, from one ``Evaluator.run``."""
+    ev, val = evaluator(mm.structure), dict(mm.val)
+    if isinstance(f, Program):
+        masks = ev.run(f, val)
+        return [masks[i] for i in f.roots]
     # _mask, not truth_mask: perfbench's tracer times the two as separate layers
-    return evaluator(mm.structure)._mask(f, dict(mm.val), memo)
+    return ev._mask(f, val)
 
 
 def mono_satisfies(mm: MonoModel, s: int, a: Formula) -> bool:

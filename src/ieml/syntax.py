@@ -451,29 +451,53 @@ def render(f: Formula, agents: Optional[AgentSet] = None) -> str:
 
 # ---------- Diamond-free fragment, sf and tau ----------
 
-def _translate(g: Formula) -> Optional[tuple]:
+_LEAVES = (Atom, Top, Bot)
+
+
+def _translate(f: Formula) -> Optional[tuple]:
     """``(tau image, box group or None)`` of a diamond-free node, or None.
 
     Kept in the node's ``__dict__`` like its hash, so each node is walked
-    once and shared subterms share one image."""
-    if isinstance(g, (Atom, Top, Bot)):
-        return g, None
-    kept = g.__dict__
-    if "_tau" in kept:
-        return kept["_tau"]
-    out = None
-    if isinstance(g, Box):
-        body = _translate(g.body)
-        if body is not None and body[1] in (None, g.group):
-            out = MonoBox(body[0]), g.group
-    elif isinstance(g, (Implies, Or, And)):
-        left, right = _translate(g.left), _translate(g.right)
-        if left is not None and right is not None and (
-                left[1] is None or right[1] is None or left[1] == right[1]):
-            out = (type(g)(left[0], right[0]),
-                   right[1] if left[1] is None else left[1])
-    kept["_tau"] = out  # None marks a diamond, a MonoBox or two box groups
-    return out
+    once and shared subterms share one image.  The walk keeps its own
+    stack, so formula depth meets no recursion limit."""
+    if isinstance(f, _LEAVES):
+        return f, None
+    if "_tau" in f.__dict__:
+        return f.__dict__["_tau"]
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        kept = g.__dict__
+        if "_tau" in kept:  # pushed twice before it was walked
+            stack.pop()
+            continue
+        out = None  # for a diamond, a MonoBox or two box groups
+        if isinstance(g, Box):
+            body = g.body
+            image = (body, None) if isinstance(body, _LEAVES) \
+                else body.__dict__.get("_tau", stack)  # stack: not walked yet
+            if image is stack:
+                stack.append(body)
+                continue
+            if image is not None and image[1] in (None, g.group):
+                out = MonoBox(image[0]), g.group
+        elif isinstance(g, (Implies, Or, And)):
+            a, b = g.left, g.right
+            left = (a, None) if isinstance(a, _LEAVES) else a.__dict__.get("_tau", stack)
+            right = (b, None) if isinstance(b, _LEAVES) else b.__dict__.get("_tau", stack)
+            if left is stack or right is stack:
+                if right is stack:
+                    stack.append(b)
+                if left is stack:
+                    stack.append(a)
+                continue
+            if left is not None and right is not None and (
+                    left[1] is None or right[1] is None or left[1] == right[1]):
+                out = (type(g)(left[0], right[0]),
+                       right[1] if left[1] is None else left[1])
+        kept["_tau"] = out
+        stack.pop()
+    return f.__dict__["_tau"]
 
 
 def is_diamond_free(f: Formula) -> bool:

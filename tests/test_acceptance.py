@@ -49,7 +49,7 @@ def test_criterion_1_heredity():
     groups = AG2.groups()
     formulas = all_formulas(("p", "q"), groups, 1) \
         + sample_formulas(rng, ("p", "q"), groups, 3, 250)
-    program = Program(formulas)  # compiled once, shared by every memo
+    program = Program(formulas)  # compiled once, run once per model
     frames = models = checks = 0
     for frame in enumerate_frames(budget, FrameClass.ALL):
         frames += 1
@@ -57,11 +57,9 @@ def test_criterion_1_heredity():
         for _ in range(2):
             model = _random_model(rng, frame, ("p", "q"))
             models += 1
-            val = model.val_map()
-            memo = {"program": program}
-            for f in formulas:
-                mask = ev.truth_mask(f, val, memo)
-                assert is_closed(frame.leq, mask), (f, model)
+            masks = ev.run(program, model.val_map())
+            for f, i in zip(formulas, program.roots):
+                assert is_closed(frame.leq, masks[i]), (f, model)
                 checks += 1
     assert frames >= 500 and max(f.n for f in [frame]) <= 4
     report(1, "heredity", f"{checks} truth sets over {models} models "
@@ -365,12 +363,11 @@ def test_criterion_8_variant_agreement():
     for frame in frames:
         model = _random_model(rng, frame, ("p", "q"))
         val = model.val_map()
-        evs = [Evaluator(frame, v) for v in
-               ("prenosil", "fischer_servi", "wijesekera")]
-        memos = [{}, {}, {}]
-        for f in sample_formulas(rng, ("p", "q"), groups, 3, 40):
-            masks = {ev.truth_mask(f, val, memo)
-                     for ev, memo in zip(evs, memos)}
+        program = Program(sample_formulas(rng, ("p", "q"), groups, 3, 40))
+        runs = [Evaluator(frame, v).run(program, val) for v in
+                ("prenosil", "fischer_servi", "wijesekera")]
+        for f, i in zip(program, program.roots):
+            masks = {run[i] for run in runs}
             assert len(masks) == 1, (f, frame)
             comparisons += 1
     report(8, "variant agreement", f"three diamonds agree on {comparisons} "

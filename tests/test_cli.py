@@ -193,6 +193,22 @@ def test_suite_command(capsys, monkeypatch):
     assert all(e["status"] == "pass" for e in doc["entries"].values())
 
 
+# The benchmark's suite budget: every change keeps these outputs byte-identical.
+SUITE_DIGESTS = {
+    1: "b5de18851d668d9536f962015c9d81bef1c0016f5be71c5613bc2237d3a11b31",
+    2: "0c9df4340dc828d5229b1debe9de202832b2926a9267cd87ad84fb47ab3975c1",
+    3: "2270c10f08b73fe2f940fa6d029dafcc8dbb0fb8ad32e64bb4a33afc3757fe10",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SUITE_DIGESTS))
+def test_suite_json_at_the_benchmark_budget_is_pinned(capsys, seed):
+    assert run(["suite", "--json", "--max-agents", "2", "--max-states", "3",
+                "--max-candidates", "100", "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SUITE_DIGESTS[seed]
+
+
 def test_usage_error(capsys):
     assert run(["nonsense"]) == 2
     assert run([]) == 2

@@ -4,20 +4,26 @@ import random
 import pytest
 
 from ieml import (
-    AgentSet, Frame, FrameClass, Model, MonoModel, MonoStructure, Rel,
+    AgentSet, Atom, Box, Frame, FrameClass, Model, MonoModel, MonoStructure, Rel,
     check_frame, classify, collapse_mono, equivalence_mismatches, expand_mono,
-    has_class, is_iel_structure, mono_equivalence_mismatches, parse,
+    has_class, Implies, is_closed, is_diamond_free, is_iel_structure,
+    mono_equivalence_mismatches, parse,
     partition_lift, partition_lift_witnesses, Program, rs_collapse, satisfies,
-    standardize, transitive_lift, witness_h,
+    standardize, tau, transitive_lift, witness_h,
 )
+from ieml import constructions
 from ieml.constructions import _icoords, _pi_table
 from ieml.errors import BudgetError, PreconditionError
 from ieml.search import (
     SizeBudget, all_formulas, diamond_free_formulas, enumerate_frames,
-    _random_model,
+    mono_structures, _random_model, _random_mono_model,
 )
+from ieml.semantics import evaluator, mono_truth_mask
 
-from helpers import two_chain_frame
+from helpers import (
+    bisimilar_blow_up, naive_mono_satisfies, naive_satisfies, random_ast,
+    two_chain_frame,
+)
 
 AG = AgentSet.of("a")
 AG2 = AgentSet.of("a", "b")
@@ -483,3 +489,91 @@ def test_equivalence_check_on_a_deep_formula():
         f = Implies(f, p)
     m = one_point_model()
     assert equivalence_mismatches(m, standardize(m), [f, p]) == []
+
+
+def test_mono_equivalence_reads_a_battery_in_one_mono_call(monkeypatch):
+    calls = []
+    one_pass = constructions.mono_truth_mask
+
+    def counted(mm, f):
+        calls.append(f)
+        return one_pass(mm, f)
+
+    monkeypatch.setattr(constructions, "mono_truth_mask", counted)
+    rng = random.Random(65)
+    program = Program(diamond_free_formulas(("p",), A, 2))
+    st = rng.choice([s for s in mono_structures(3, "minus") if s.r.pairs()])
+    mm = _random_mono_model(rng, st, ("p",))
+    multi = expand_mono(mm, AG, "minus").model
+    assert mono_equivalence_mismatches(multi, mm, program) == []
+    assert len(calls) == 1 and isinstance(calls[0], Program)
+
+
+def _lifted(origin, holds):
+    """The blow-up mask of the copies whose origin state satisfies ``holds``."""
+    at = [holds(s) for s in range(max(origin) + 1)]
+    return sum(1 << x for x, s in enumerate(origin) if at[s])
+
+
+def test_mono_equivalence_on_a_quotiented_blow_up_matches_oracle():
+    rng = random.Random(67)
+    formulas = diamond_free_formulas(("p",), A, 1) + [
+        f for f in (random_ast(rng, atoms=("p", "q"), agents=("a",), depth=4)
+                    for _ in range(120)) if is_diamond_free(f)]
+    program = Program(formulas)
+    images = program.image(tau)
+    checked = planted = 0
+    for st in rng.sample(list(mono_structures(3, "minus")), 40):
+        closed = [u for u in range(8) if is_closed(st.leq, u)]
+        src = MonoModel.make(st, {"p": rng.choice(closed), "q": rng.choice(closed)})
+        flips = [(s, src.v("p") ^ 1 << s) for s in range(3)
+                 if is_closed(st.leq, src.v("p") ^ 1 << s)]
+        if not flips:
+            continue
+        s, moved = rng.choice(flips)
+        # the moved state gets one copy, so the planted mismatch moves one bit
+        sizes = [1 if t == s else rng.randrange(70, 100) for t in range(3)]
+        origin, leq, (r,) = bisimilar_blow_up(rng, st.leq, (st.r,), sizes)
+        n = len(origin)
+        big = MonoStructure(n, leq, r)
+
+        def lift_val(model):
+            return {a: _lifted(origin, lambda t: m >> t & 1) for a, m in model.val}
+
+        multi_src = expand_mono(src, AG, "minus").model
+        multi = Model.make(Frame.make(AG, n, leq, {A: r}), lift_val(src))
+        multi_masks = [_lifted(origin, lambda t: naive_satisfies(multi_src, t, f))
+                       for f in formulas]
+        for mono_src in (src, MonoModel.make(st, {**dict(src.val), "p": moved})):
+            mono = MonoModel.make(big, lift_val(mono_src))
+            if evaluator(big)._quotient(dict(mono.val)) is None:
+                break  # the direct path: not what this test is about
+            want = [_lifted(origin, lambda t: naive_mono_satisfies(mono_src, t, g))
+                    for g in images]
+            assert mono_truth_mask(mono, images) == want
+            expected = [{"formula": str(f), "multi_mask": left, "mono_mask": right}
+                        for f, left, right in zip(formulas, multi_masks, want)
+                        if left != right]
+            assert mono_equivalence_mismatches(multi, mono, program) == expected
+            if mono_src is src:
+                assert expected == []
+                checked += 1
+            else:
+                assert expected
+                planted += 1
+    assert checked >= 10 and planted >= 10
+
+
+def test_tau_and_mono_check_on_a_deep_formula():
+    p = Atom("p")
+    f = p
+    for k in range(3000):  # built with the constructors, not the parser
+        f = Box(A, f) if k % 2 else Implies(f, p)
+    assert is_diamond_free(f)
+    g = tau(f)
+    assert tau(f) is g
+    st = MonoStructure(2, Rel.from_pairs(2, [(0, 0), (1, 1), (0, 1)]),
+                       Rel.from_pairs(2, [(0, 1), (1, 1)]))
+    mm = MonoModel.make(st, {"p": {1}})
+    multi = expand_mono(mm, AG, "minus").model
+    assert mono_equivalence_mismatches(multi, mm, [f, p]) == []

@@ -33,12 +33,6 @@ def always_quotient(monkeypatch):
     monkeypatch.setattr(semantics, "QUOTIENT_MIN_GAIN", 0)
 
 
-def _direct(ev: Evaluator, program: Program, val: dict) -> list:
-    masks: list = []
-    ev._run(program, val, masks)
-    return masks
-
-
 def _battery(rng, agents, count):
     """Random formulas and implications between them, sharing subformula
     objects the way generated batteries do."""
@@ -87,7 +81,7 @@ def test_quotient_masks_match_direct_run_and_oracles(always_quotient, tabled):
             formulas = _battery(rng, ("a", "b"), 12) + SINGLE
             program = Program(formulas)
             masks = ev.run(program, val)
-            assert masks == _direct(ev, program, val)
+            assert masks == ev._run(program, val)
             for f, i in zip(formulas, program.roots):
                 # each copy satisfies what its origin satisfies in the source
                 holds = [naive_satisfies(src, s, f, variant) for s in range(base.n)]
@@ -120,7 +114,7 @@ def test_quotient_on_mono_structures_matches_direct_run_and_oracle(
         formulas += [MonoBox(P), MonoBox(Implies(P, Q)), Implies(MonoBox(P), Q)]
         program = Program(formulas)
         masks = ev.run(program, val)
-        assert masks == _direct(ev, program, val)
+        assert masks == ev._run(program, val)
         for f, i in zip(formulas, program.roots):
             holds = [naive_mono_satisfies(src, s, f) for s in range(ms.n)]
             assert masks[i] == sum(1 << x for x, s in enumerate(origin)
@@ -151,7 +145,7 @@ def test_quotient_tells_states_apart_by_their_predecessors(always_quotient):
             ev = Evaluator(frame, variant)
             assert len(ev._quotient(val)[0]) == 3
             masks = ev.run(program, val)
-            assert masks == _direct(ev, program, val)
+            assert masks == ev._run(program, val)
             for f, i in zip(formulas, program.roots):
                 holds = [naive_satisfies(src, s, f, variant) for s in range(3)]
                 assert masks[i] == sum(1 << x for x, s in enumerate(origin)
@@ -183,35 +177,12 @@ def test_alternating_valuations_never_reuse_a_stale_quotient(always_quotient):
         formulas = _battery(rng, ("a", "b"), 10) + SINGLE
         program = Program(formulas)
         ev = Evaluator(frame)
-        want = {id(v): _direct(ev, program, v) for v in (first, second)}
+        want = {id(v): ev._run(program, v) for v in (first, second)}
         assert want[id(first)] != want[id(second)]
         for val in (first, second, first, second):
             assert ev.run(program, val) == want[id(val)]
             for f, i in zip(formulas, program.roots):
                 assert ev.truth_mask(f, val) == want[id(val)][i]
-
-
-def test_memo_keeps_its_quotient_across_calls(always_quotient):
-    rng = random.Random(73)
-    pool = [f for f in _frames() if len(up_sets(f)) > 2]
-    for base in rng.sample(pool, 4):
-        origin, frame = _blown_up_model(rng, base)
-        first, second = _two_valuations(rng, base, origin)
-        formulas = _battery(rng, ("a", "b"), 10) + SINGLE
-        program = Program(formulas)
-        ev = Evaluator(frame)
-        want = _direct(ev, program, first)
-        memo: dict = {}
-        for f, i in zip(formulas, program.roots):
-            # one formula per call, so the memo grows a few nodes at a time,
-            # while calls under another valuation move the evaluator's slot
-            assert ev.truth_mask(f, first, memo) == want[i]
-            ev.truth_mask(f, second)
-        assert memo["quotient"] is not None
-        for f, i in zip(formulas, program.roots):
-            assert ev.truth_mask(f, first, memo) == want[i]
-        with pytest.raises(ValueError, match="another valuation"):
-            ev.truth_mask(P, second, memo)
 
 
 def _converse(pairs):
@@ -290,7 +261,7 @@ def test_quotient_rule_on_constructed_outputs():
     assert out.frame.n == 8192 and quotient is not None and len(quotient[0]) <= 2
     program = Program([parse(t) for t in ("[a,b]p", "<a>p -> [b]p", "[a]<b>p",
                                           "<a,b>T", "[a](p -> <b>~p)")])
-    assert ev.run(program, val) == _direct(ev, program, val)
+    assert ev.run(program, val) == ev._run(program, val)
     frame, val, _ = _lift()
     assert frame.n == 972 and Evaluator(frame)._quotient(val) is None
     base = _frames()[0]
@@ -314,8 +285,7 @@ def test_first_evaluation_stays_near_the_direct_path(monkeypatch, build):
     def direct():  # the clause dispatch alone
         frame, val, f = build()  # fresh: no row classes kept yet
         start = time.perf_counter()
-        masks: list = []
-        Evaluator(frame)._run(Program((f,)), val, masks)
+        masks = Evaluator(frame)._run(Program((f,)), val)
         return time.perf_counter() - start, masks[-1]
 
     def first():

@@ -15,7 +15,7 @@ from ieml import (
 from ieml.errors import BudgetError, PreconditionError
 from ieml.search import SizeBudget, enumerate_frames, sample_formulas
 from ieml import semantics
-from ieml.semantics import VARIANTS, bits, mono_truth_mask
+from ieml.semantics import VARIANTS, Program, bits, mono_truth_mask
 from ieml.syntax import MonoBox
 
 from helpers import (
@@ -468,10 +468,10 @@ def test_heredity_property_small():
     for frame in enumerate_frames(budget, "all"):
         sets = up_sets(frame)
         model = Model.make(frame, {"p": rng.choice(sets), "q": rng.choice(sets)})
-        ev = Evaluator(frame)
-        memo = {}
-        for f in sample_formulas(rng, ("p", "q"), frame.agents.groups(), 3, 10):
-            assert is_closed(frame.leq, ev.truth_mask(f, model.val_map(), memo))
+        program = Program(sample_formulas(rng, ("p", "q"), frame.agents.groups(), 3, 10))
+        masks = Evaluator(frame).run(program, model.val_map())
+        for i in program.roots:
+            assert is_closed(frame.leq, masks[i])
 
 
 def test_box_antitone_in_accessibility():
@@ -607,10 +607,10 @@ def test_program_run_on_mono_structures_matches_oracle():
         mm = MonoModel.make(ms, {"p": rng.choice(closed), "q": rng.choice(closed)})
         formulas = [tau(f) for f in _shared_battery(rng, ("p", "q"), ("a",), 8)
                     if is_diamond_free(f)]
-        masks = evaluator(ms).run(Program(formulas), dict(mm.val))
-        memo: dict = {}
-        for f, i in zip(formulas, Program(formulas).roots):
-            assert masks[i] == mono_truth_mask(mm, f) == mono_truth_mask(mm, f, memo)
+        program = Program(formulas)
+        masks = evaluator(ms).run(program, dict(mm.val))
+        for f, i, mask in zip(formulas, program.roots, mono_truth_mask(mm, program)):
+            assert masks[i] == mono_truth_mask(mm, f) == mask
             assert masks[i] == sum(1 << s for s in range(ms.n)
                                    if naive_mono_satisfies(mm, s, f)), f
 
@@ -626,24 +626,6 @@ def test_program_shares_nodes_by_identity():
     assert program.consts.count("p") == 1 and A in program.consts
     with pytest.raises(TypeError):
         Program([Implies(p, "q")])
-
-
-def test_memo_refuses_another_valuation():
-    frame = chain_model().frame
-    ev = Evaluator(frame)
-    f = parse("p /\\ [a]p")
-    memo: dict = {}
-    assert ev.truth_mask(f, {"p": 0b11}, memo) == 0b11
-    assert ev.truth_mask(f, {"p": 0b11}, memo) == 0b11  # an equal fresh dict
-    assert ev.truth_mask(f, {"p": 0b00}) == 0
-    with pytest.raises(ValueError, match="another valuation"):
-        ev.truth_mask(f, {"p": 0b00}, memo)  # stale masks would give 3
-    st = MonoStructure(2, frame.leq, Rel.empty(2))
-    g = parse("p /\\ ~~p")
-    mono_memo: dict = {}
-    assert mono_truth_mask(MonoModel.make(st, {"p": 0b11}), g, mono_memo) == 0b11
-    with pytest.raises(ValueError, match="another valuation"):
-        mono_truth_mask(MonoModel.make(st, {"p": 0b10}), g, mono_memo)
 
 
 def test_deep_formula_compiles_and_runs_without_recursion():
