@@ -11,15 +11,13 @@ from .syntax import (
     render, sf, substitute, tau,
 )
 from .semantics import (
-    Evaluator, Frame, FrameReport, Model, MonoModel, MonoStructure, Program,
-    Rel, check_frame, compose, evaluator, falsify_on_frame, is_closed,
-    is_forward_confluent, mono_satisfies, satisfies, satisfies_variant,
-    true_in_model, up_sets, valid_in_frame,
+    Evaluator, Frame, FrameReport, Model, MonoStructure, Program, Rel,
+    check_frame, compose, evaluator, falsify_on_frame, is_closed,
+    is_forward_confluent, satisfies, up_sets, valid_in_frame,
 )
 from .frame_classes import FrameClass, classify, has_class, is_iel_structure
 from .modelio import (
-    ModelDoc, ModelFormatError, load_model, load_mono, model_to_doc,
-    mono_to_doc, save_model, save_mono,
+    ModelDoc, ModelFormatError, load_model, load_mono, model_to_doc, save_model,
 )
 from .constructions import (
     ConstructionResult, collapse_mono, equivalence_mismatches, expand_mono,

@@ -14,12 +14,11 @@ import sys
 from .errors import BudgetError, PreconditionError
 from .frame_classes import FrameClass, classify
 from .modelio import (
-    ModelFormatError, load_model, load_mono, model_to_doc, mono_to_doc,
-    save_model, save_mono,
+    ModelFormatError, load_model, load_mono, model_to_doc, save_model,
 )
 from .proofs import LogicId, check_derivation, load_derivation
 from .search import budget_from_env, countermodel, proposition_suite
-from .semantics import Evaluator, falsify_on_frame
+from .semantics import falsify_on_frame, satisfies
 from .syntax import AgentSet, ParseError, parse, render
 from . import constructions
 
@@ -53,9 +52,7 @@ def cmd_eval(args) -> int:
     doc = load_model(args.model, close_leq=args.close_leq,
                      complete_by_intersection=args.complete_by_intersection)
     f = parse(args.formula, doc.frame.agents)
-    state = doc.state(args.state)
-    ev = Evaluator(doc.frame, args.variant)
-    verdict = bool(ev.truth_mask(f, doc.model.val_map()) >> state & 1)
+    verdict = satisfies(doc.model, doc.state(args.state), f, args.variant)
     _emit(args, "true" if verdict else "false",
           {"formula": render(f), "state": args.state, "verdict": verdict})
     return OK
@@ -88,13 +85,12 @@ def cmd_classify(args) -> int:
 def cmd_construct(args) -> int:
     kind = args.kind
     if kind == "expandmono":
-        mono, names = load_mono(args.infile, close_leq=args.close_leq)
+        doc = load_mono(args.infile, close_leq=args.close_leq)
         if not args.agents:
             raise ModelFormatError("expandmono needs --agents")
         agents = AgentSet(tuple(args.agents.split(",")))
-        result = constructions.expand_mono(mono, agents, args.mono_kind,
-                                           src_names=names)
-        save_model(result.model, args.outfile, result.names)
+        result = constructions.expand_mono(doc.model, agents, args.mono_kind,
+                                           src_names=doc.names)
     else:
         doc = load_model(args.infile, close_leq=args.close_leq,
                          complete_by_intersection=args.complete_by_intersection)
@@ -119,11 +115,7 @@ def cmd_construct(args) -> int:
             alpha = doc.frame.agents.group(*args.group.split(","))
             result = constructions.collapse_mono(model, alpha, args.mono_kind,
                                                  src_names=names)
-            save_mono(result.model, args.outfile, result.names)
-            _emit(args, f"wrote {args.outfile} ({result.model.structure.n} states)",
-                  {"states": result.model.structure.n, "out": args.outfile})
-            return OK
-        save_model(result.model, args.outfile, result.names)
+    save_model(result.model, args.outfile, result.names)
     n = result.model.frame.n
     _emit(args, f"wrote {args.outfile} ({n} states)",
           {"states": n, "out": args.outfile})

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetError, PreconditionError
 from .frame_classes import FrameClass, has_class, is_iel_structure
 from .modelio import default_names
 from .semantics import (
-    Frame, Model, MonoModel, MonoStructure, Program, Rel, _table_of, bits,
+    Frame, Model, MonoStructure, Program, Rel, _table_of, bits,
     evaluator, mono_truth_mask,
 )
 from .syntax import AgentSet, Formula, Group, tau
@@ -35,7 +35,7 @@ JFunc = tuple
 
 @dataclass(frozen=True)
 class ConstructionResult:
-    model: Union[Model, MonoModel]
+    model: Model
     names: tuple
     fibers: tuple  # source state index -> tuple of output state indices
 
@@ -65,7 +65,7 @@ def _pi_table(m: Model, variant: str) -> dict:
 
 def _names(m: Model, src_names: Optional[Sequence[str]]) -> tuple:
     if src_names is None:
-        return default_names(m.frame.n if isinstance(m, Model) else m.structure.n)
+        return default_names(m.frame.n)
     return tuple(src_names)
 
 
@@ -374,18 +374,18 @@ def partition_lift_witnesses(m: Model, alpha: Group,
 
 # ---------- conversions between mono structures and frames ----------
 
-def expand_mono(mm: MonoModel, agents: AgentSet, kind: str = "minus",
+def expand_mono(m: Model, agents: AgentSet, kind: str = "minus",
                 src_names: Optional[Sequence[str]] = None) -> ConstructionResult:
-    """Read a single-relation structure as a frame where every group shares
-    the one relation; the result is standard, and doxastic or epistemic
-    according to the structure kind."""
-    st = mm.structure
+    """Read a model on a single-relation structure as one on a frame where
+    every group shares the one relation; the result is standard, and
+    doxastic or epistemic according to the structure kind."""
+    st = m.frame
     if not is_iel_structure(st, kind):
         raise PreconditionError(f"input is not a {kind} structure")
     rel = {g: st.r for g in agents.groups()}
     frame = Frame.make(agents, st.n, st.leq, rel)
-    out = Model(frame, mm.val)
-    names = _names(mm, src_names)
+    out = Model(frame, m.val)
+    names = _names(m, src_names)
     fibers = tuple((t,) for t in range(st.n))
     return ConstructionResult(out, names, fibers)
 
@@ -401,7 +401,7 @@ def collapse_mono(m: Model, alpha: Group, kind: str = "minus",
     if not has_class(frame, need):
         raise PreconditionError(f"collapse_mono({kind}) needs a {need.value} frame")
     r = frame.leq.compose(frame.r(alpha))
-    out = MonoModel(MonoStructure(frame.n, frame.leq, r), m.val)
+    out = Model(MonoStructure(frame.n, frame.leq, r), m.val)
     names = _names(m, src_names)
     fibers = tuple((t,) for t in range(frame.n))
     return ConstructionResult(out, names, fibers)
@@ -451,7 +451,7 @@ def equivalence_mismatches(src: Model, result: ConstructionResult,
     return mismatches
 
 
-def mono_equivalence_mismatches(multi: Model, mono: MonoModel,
+def mono_equivalence_mismatches(multi: Model, mono: Model,
                                 formulas: Iterable[Formula]) -> list[dict]:
     """Check `multi-agent satisfaction of B equals mono satisfaction of
     tau(B)` statewise; both models share one carrier.  ``formulas`` may be a

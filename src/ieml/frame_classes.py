@@ -88,9 +88,7 @@ def has_class(f: Frame, c: FrameClass) -> bool:
         return _prestandard(f, exact=False)
     if c is FrameClass.STANDARD:
         return _prestandard(f, exact=True)
-    if c is FrameClass.FORWARD_CONFLUENT:
-        return is_forward_confluent(f)
-    raise ValueError(f"unknown frame class {c!r}")  # pragma: no cover
+    return is_forward_confluent(f)  # FrameClass.FORWARD_CONFLUENT
 
 
 def classify(f: Frame) -> list[FrameClass]:

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from .semantics import (
-    Frame, Model, MonoModel, MonoStructure, Rel, _table_of, bits, check_frame,
+    Frame, Model, MonoStructure, Rel, _table_of, bits, check_frame,
 )
 from .syntax import AgentSet, Group
 
@@ -52,7 +52,7 @@ class ModelDoc:
     names: tuple[str, ...]
 
     @property
-    def frame(self) -> Frame:
+    def frame(self) -> Union[Frame, MonoStructure]:
         return self.model.frame
 
     def state(self, name: str) -> int:
@@ -62,23 +62,28 @@ class ModelDoc:
             raise ModelFormatError(f"unknown state name {name!r}") from None
 
 
-def _read(source: Source) -> dict:
+def _read(source: Source, keys: tuple[str, ...]) -> dict:
+    """The document, which must be an object holding each of ``keys``."""
     if isinstance(source, dict):
-        return source
-    with open(source) as fh:
-        text = fh.read()
-    # a pair list parses into one young list per pair, and the cyclic
-    # collector's passes over millions of them cost several times the parse;
-    # they hold no cycles, so the collector is paused for the parse
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        doc = json.loads(text)
-    finally:
-        if enabled:
-            gc.enable()
-    if not isinstance(doc, dict):
-        raise ModelFormatError("expected a JSON object")
+        doc = source
+    else:
+        with open(source) as fh:
+            text = fh.read()
+        # a pair list parses into one young list per pair, and the cyclic
+        # collector's passes over millions of them cost several times the
+        # parse; they hold no cycles, so the collector is paused for the parse
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            doc = json.loads(text)
+        finally:
+            if enabled:
+                gc.enable()
+        if not isinstance(doc, dict):
+            raise ModelFormatError("expected a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ModelFormatError(f"missing key {key!r}")
     return doc
 
 
@@ -185,6 +190,24 @@ def _valuation(doc: dict, index: dict) -> dict:
     return val
 
 
+def _carrier(doc: dict, close_leq: bool) -> tuple:
+    """The state names, each name's position and bit, and the preorder."""
+    names, index, bit = _worlds(doc)
+    leq = _rel(len(names), doc["leq"], index, bit, "leq")
+    return names, index, bit, leq.rt_closure() if close_leq else leq
+
+
+def _model_doc(structure: Union[Frame, MonoStructure], doc: dict,
+               names: tuple, index: dict) -> ModelDoc:
+    """The loaded document: ``structure`` under the document's valuation."""
+    val = _valuation(doc, index)
+    try:
+        model = Model.make(structure, val)
+    except ValueError as e:
+        raise ModelFormatError(str(e)) from None
+    return ModelDoc(model, names)
+
+
 def load_model(source: Source, close_leq: bool = False,
                complete_by_intersection: bool = False) -> ModelDoc:
     """Load a frame or model document.
@@ -195,20 +218,13 @@ def load_model(source: Source, close_leq: bool = False,
     result is a standard frame); the document must then list singleton keys
     only.  Valuations that are not closed under the preorder are rejected.
     """
-    doc = _read(source)
-    for key in ("agents", "worlds", "leq", "rel"):
-        if key not in doc:
-            raise ModelFormatError(f"missing key {key!r}")
+    doc = _read(source, ("agents", "worlds", "leq", "rel"))
     try:
         agents = AgentSet(tuple(doc["agents"]))
     except (TypeError, ValueError) as e:  # not a list, or a name not a string
         raise ModelFormatError(f"bad agents: {e}") from None
-    names, index, bit = _worlds(doc)
+    names, index, bit, leq = _carrier(doc, close_leq)
     n = len(names)
-
-    leq = _rel(n, doc["leq"], index, bit, "leq")
-    if close_leq:
-        leq = leq.rt_closure()
 
     rel_doc = doc["rel"]
     if not isinstance(rel_doc, dict):
@@ -252,13 +268,17 @@ def load_model(source: Source, close_leq: bool = False,
     report = check_frame(frame)
     if not report.ok:
         raise ModelFormatError("; ".join(report.problems))
+    return _model_doc(frame, doc, names, index)
 
-    val = _valuation(doc, index)
-    try:
-        model = Model.make(frame, val)
-    except ValueError as e:
-        raise ModelFormatError(str(e)) from None
-    return ModelDoc(model, names)
+
+def load_mono(source: Source, close_leq: bool = False) -> ModelDoc:
+    """Load a mono document: ``"r"`` in place of ``"agents"`` and ``"rel"``."""
+    doc = _read(source, ("worlds", "leq", "r"))
+    names, index, bit, leq = _carrier(doc, close_leq)
+    if not (leq.is_reflexive() and leq.is_transitive()):
+        raise ModelFormatError("leq is not a preorder")
+    r = _rel(len(names), doc["r"], index, bit, "r")
+    return _model_doc(MonoStructure(len(names), leq, r), doc, names, index)
 
 
 # ---------- writing ----------
@@ -290,64 +310,27 @@ def _row_table_doc(rel: Rel) -> dict:
     return {"index": index, "rows": [format(h, "x") for h in heads]}
 
 
-def _save(doc: dict, path: Union[str, Path]) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def model_to_doc(model: Model, names: Optional[tuple[str, ...]] = None) -> dict:
+    """The model's document; a model on a ``MonoStructure`` writes ``"r"``
+    in place of ``"agents"`` and ``"rel"``."""
     frame = model.frame
     if names is None:
         names = default_names(frame.n)
-    enc = _encoder([frame.leq, *frame.rels], names)
-    return {
-        "agents": list(frame.agents.names),
-        "worlds": list(names),
-        "leq": enc(frame.leq),
-        "rel": {frame.agents.key(g): enc(frame.r(g)) for g in frame.agents.groups()},
-        "valuation": _val_names(model.val, names),
-    }
+    mono = isinstance(frame, MonoStructure)
+    enc = _encoder([frame.leq, *((frame.r,) if mono else frame.rels)], names)
+    doc = {"worlds": list(names), "leq": enc(frame.leq),
+           "valuation": _val_names(model.val, names)}
+    if mono:
+        doc["r"] = enc(frame.r)
+    else:
+        doc["agents"] = list(frame.agents.names)
+        doc["rel"] = {frame.agents.key(g): enc(frame.r(g))
+                      for g in frame.agents.groups()}
+    return doc
 
 
 def save_model(model: Model, path: Union[str, Path],
                names: Optional[tuple[str, ...]] = None) -> None:
-    _save(model_to_doc(model, names), path)
-
-
-def load_mono(source: Source, close_leq: bool = False) -> tuple[MonoModel, tuple[str, ...]]:
-    doc = _read(source)
-    for key in ("worlds", "leq", "r"):
-        if key not in doc:
-            raise ModelFormatError(f"missing key {key!r}")
-    names, index, bit = _worlds(doc)
-    n = len(names)
-    leq = _rel(n, doc["leq"], index, bit, "leq")
-    if close_leq:
-        leq = leq.rt_closure()
-    if not (leq.is_reflexive() and leq.is_transitive()):
-        raise ModelFormatError("leq is not a preorder")
-    r = _rel(n, doc["r"], index, bit, "r")
-    val = _valuation(doc, index)
-    try:
-        mm = MonoModel.make(MonoStructure(n, leq, r), val)
-    except ValueError as e:
-        raise ModelFormatError(str(e)) from None
-    return mm, names
-
-
-def mono_to_doc(mm: MonoModel, names: Optional[tuple[str, ...]] = None) -> dict:
-    st = mm.structure
-    if names is None:
-        names = default_names(st.n)
-    enc = _encoder([st.leq, st.r], names)
-    return {
-        "worlds": list(names),
-        "leq": enc(st.leq),
-        "r": enc(st.r),
-        "valuation": _val_names(mm.val, names),
-    }
-
-
-def save_mono(mm: MonoModel, path: Union[str, Path],
-              names: Optional[tuple[str, ...]] = None) -> None:
-    _save(mono_to_doc(mm, names), path)
+    doc = model_to_doc(model, names)
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")

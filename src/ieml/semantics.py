@@ -427,30 +427,6 @@ def _val_items(n: int, val: Mapping[str, Union[int, Iterable[int]]]) -> tuple:
 
 
 @dataclass(frozen=True)
-class Model:
-    frame: Frame
-    val: tuple  # sorted ((atom, state mask), ...)
-
-    def __post_init__(self):
-        for name, mask in self.val:
-            if not is_closed(self.frame.leq, mask):
-                raise ValueError(f"valuation of {name!r} is not closed under the preorder")
-
-    @classmethod
-    def make(cls, frame: Frame, val: Mapping[str, Union[int, Iterable[int]]]) -> "Model":
-        return cls(frame, _val_items(frame.n, val))
-
-    def v(self, atom: str) -> int:
-        for name, mask in self.val:
-            if name == atom:
-                return mask
-        return 0
-
-    def val_map(self) -> dict:
-        return dict(self.val)
-
-
-@dataclass(frozen=True)
 class MonoStructure:
     """Single-relation birelational structure (no groups)."""
 
@@ -464,25 +440,30 @@ class MonoStructure:
 
 
 @dataclass(frozen=True)
-class MonoModel:
-    structure: MonoStructure
-    val: tuple
+class Model:
+    """A valuation on a group ``Frame`` or on a ``MonoStructure``."""
+
+    frame: Union[Frame, MonoStructure]
+    val: tuple  # sorted ((atom, state mask), ...)
 
     def __post_init__(self):
         for name, mask in self.val:
-            if not is_closed(self.structure.leq, mask):
+            if not is_closed(self.frame.leq, mask):
                 raise ValueError(f"valuation of {name!r} is not closed under the preorder")
 
     @classmethod
-    def make(cls, structure: MonoStructure,
-             val: Mapping[str, Union[int, Iterable[int]]]) -> "MonoModel":
-        return cls(structure, _val_items(structure.n, val))
+    def make(cls, frame: Union[Frame, MonoStructure],
+             val: Mapping[str, Union[int, Iterable[int]]]) -> "Model":
+        return cls(frame, _val_items(frame.n, val))
 
     def v(self, atom: str) -> int:
         for name, mask in self.val:
             if name == atom:
                 return mask
         return 0
+
+    def val_map(self) -> dict:
+        return dict(self.val)
 
 
 # ---------- Compiled formula lists ----------
@@ -838,26 +819,13 @@ def evaluator(structure: Union[Frame, MonoStructure],
     return ev
 
 
-def _holds(structure: Union[Frame, MonoStructure], val: tuple, s: int,
-           a: Formula, variant: str = "prenosil") -> bool:
-    if not 0 <= s < structure.n:
+def satisfies(m: Model, s: int, a: Formula, variant: str = "prenosil") -> bool:
+    """The satisfaction relation at state ``s``, on a frame or a mono
+    structure; ``variant`` picks the diamond clause, the others do not
+    depend on it."""
+    if not 0 <= s < m.frame.n:
         raise ValueError(f"state {s} out of range")
-    return bool(evaluator(structure, variant).truth_mask(a, dict(val)) >> s & 1)
-
-
-def satisfies(m: Model, s: int, a: Formula) -> bool:
-    """The satisfaction relation at state ``s``."""
-    return _holds(m.frame, m.val, s, a)
-
-
-def satisfies_variant(m: Model, s: int, a: Formula, variant: str) -> bool:
-    """Satisfaction with the chosen diamond clause; other clauses unchanged."""
-    return _holds(m.frame, m.val, s, a, variant)
-
-
-def true_in_model(m: Model, a: Formula) -> bool:
-    full = (1 << m.frame.n) - 1
-    return evaluator(m.frame).truth_mask(a, m.val_map()) == full
+    return bool(evaluator(m.frame, variant).truth_mask(a, dict(m.val)) >> s & 1)
 
 
 def _assignment_space(f: Frame, a: Formula, cap: int) -> tuple[list[str], list[int]]:
@@ -893,19 +861,16 @@ def falsify_on_frame(f: Frame, a: Formula,
     return None
 
 
-# ---------- Mono-modal satisfaction (single box, plain accessibility) ----------
+# ---------- Mono-modal truth sets ----------
 
-def mono_truth_mask(mm: MonoModel,
+def mono_truth_mask(mono: Model,
                     f: Union[Formula, Program]) -> Union[int, list[int]]:
-    """The states of ``mm`` satisfying ``f``, or for a ``Program`` the list
-    of each formula's truth mask, from one ``Evaluator.run``."""
-    ev, val = evaluator(mm.structure), dict(mm.val)
+    """The states of ``mono`` (a model on a ``MonoStructure``) satisfying
+    ``f``, or for a ``Program`` the list of each formula's truth mask, from
+    one ``Evaluator.run``."""
+    ev, val = evaluator(mono.frame), mono.val_map()
     if isinstance(f, Program):
         masks = ev.run(f, val)
         return [masks[i] for i in f.roots]
     # _mask, not truth_mask: perfbench's tracer times the two as separate layers
     return ev._mask(f, val)
-
-
-def mono_satisfies(mm: MonoModel, s: int, a: Formula) -> bool:
-    return _holds(mm.structure, mm.val, s, a)

@@ -437,7 +437,7 @@ def _render(f: Formula, need: int, agents: Optional[AgentSet]) -> str:
         s = f"<{group_text(f.group, agents)}>{_render(f.body, _UNARY, agents)}"
     elif isinstance(f, MonoBox):
         s = f"[]{_render(f.body, _UNARY, agents)}"
-    else:  # pragma: no cover
+    else:
         raise TypeError(f"not a formula: {f!r}")
     if _level(f) < need:
         return f"({s})"

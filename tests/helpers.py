@@ -11,7 +11,7 @@ import random
 
 from ieml import (
     AgentSet, And, Atom, BOT, Bot, Box, Dia, Formula, Implies, Model,
-    MonoBox, MonoModel, Or, TOP, Top, atoms_of,
+    MonoBox, Or, TOP, Top, atoms_of,
 )
 from ieml.semantics import Frame, Rel, bits
 
@@ -66,8 +66,8 @@ def naive_satisfies(m: Model, s: int, f: Formula, variant: str = "prenosil") -> 
     return sat(s, f)
 
 
-def naive_mono_satisfies(mm: MonoModel, s: int, f: Formula) -> bool:
-    st = mm.structure
+def naive_mono_satisfies(mm: Model, s: int, f: Formula) -> bool:
+    st = mm.frame
     leq = rel_pairs(st.leq)
     r = rel_pairs(st.r)
     val = {atom: set(bits(mask)) for atom, mask in mm.val}

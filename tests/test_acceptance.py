@@ -23,7 +23,7 @@ from ieml.proofs import check_derivation, load_derivation, soundness_probe
 from ieml.search import (
     SizeBudget, all_formulas, axiom_instances, countermodel,
     diamond_free_formulas, enumerate_frames, mono_structures, sample_formulas,
-    _random_model, _random_mono_model,
+    _random_model,
 )
 
 from helpers import random_ast
@@ -304,7 +304,7 @@ def test_criterion_6_conservative_extension_round_trip():
         need = (FrameClass.EPISTEMIC if kind == "full" else FrameClass.DOXASTIC,
                 FrameClass.STANDARD)
         for ms in picks:
-            mono = _random_mono_model(rng, ms, ("p",))
+            mono = _random_model(rng, ms, ("p",))
             result = expand_mono(mono, AG2, kind)
             for c in need:
                 assert has_class(result.model.frame, c)
@@ -321,7 +321,7 @@ def test_criterion_6_conservative_extension_round_trip():
             model = _random_model(rng, frame, ("p",))
             for alpha in (A, AB):
                 result = collapse_mono(model, alpha, kind)
-                assert is_iel_structure(result.model.structure, kind)
+                assert is_iel_structure(result.model.frame, kind)
                 assert mono_equivalence_mismatches(model, result.model,
                                                    df[alpha]) == []
                 collapses += 1

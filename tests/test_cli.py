@@ -254,12 +254,21 @@ def test_one_parser_serves_every_call(capsys, monkeypatch, model_file):
               "a,b": [[x, y] for x in "st" for y in "st"]},
       "valuation": {"p": ["t"]}},
      32, "7c1dd8ed2873119dc4d068cb306048d84564a35322094321cdb7481dbdb9e68e"),
+    # a mono document: the text of test_modelio's pinned one
+    ("collapsemono --group a",
+     {"agents": ["a", "b"], "worlds": ["x", "y", "z"],
+      "leq": [["x", "x"], ["y", "y"], ["z", "z"], ["x", "y"], ["y", "z"],
+              ["x", "z"]],
+      "rel": {"a": [["x", "y"], ["y", "z"], ["z", "z"]],
+              "b": [["y", "y"], ["x", "z"]], "a,b": []},
+      "valuation": {"p": ["z"], "q": ["y", "z"]}},
+     3, "d58ddc8ad9f6da45ab942ce772e79d2117b8714ecad28e2a65c17ee1c04b430f"),
 ])
 def test_construct_output_pinned(capsys, tmp_path, kind, doc, states, digest):
     src = tmp_path / "in.json"
     src.write_text(json.dumps(doc))
     out = tmp_path / "out.json"
-    assert run(["construct", "--kind", kind, "--in", str(src),
+    assert run(["construct", "--kind", *kind.split(), "--in", str(src),
                 "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())["worlds"]) == states
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

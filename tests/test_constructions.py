@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ieml import (
-    AgentSet, Atom, Box, Frame, FrameClass, Model, MonoModel, MonoStructure, Rel,
+    AgentSet, Atom, Box, Frame, FrameClass, Model, MonoStructure, Rel,
     check_frame, classify, collapse_mono, equivalence_mismatches, expand_mono,
     has_class, Implies, is_closed, is_diamond_free, is_iel_structure,
     mono_equivalence_mismatches, parse,
@@ -16,7 +16,7 @@ from ieml.constructions import _icoords, _pi_table
 from ieml.errors import BudgetError, PreconditionError
 from ieml.search import (
     SizeBudget, all_formulas, diamond_free_formulas, enumerate_frames,
-    mono_structures, _random_model, _random_mono_model,
+    mono_structures, _random_model,
 )
 from ieml.semantics import evaluator, mono_truth_mask
 
@@ -333,7 +333,7 @@ def test_partition_lift_prestandard_variant():
 
 def test_expand_mono_examples():
     ms = MonoStructure(1, Rel.identity(1), Rel.identity(1))
-    mono = MonoModel.make(ms, {"p": {0}})
+    mono = Model.make(ms, {"p": {0}})
     res = expand_mono(mono, AG2, "minus")
     tags = classify(res.model.frame)
     assert FrameClass.DOXASTIC in tags and FrameClass.STANDARD in tags
@@ -343,18 +343,18 @@ def test_expand_mono_examples():
 
 def test_expand_mono_precondition():
     leq = Rel.from_pairs(2, [(0, 0), (1, 1), (0, 1)])
-    bad = MonoModel.make(MonoStructure(2, leq, Rel.from_pairs(2, [(1, 1)])), {})
+    bad = Model.make(MonoStructure(2, leq, Rel.from_pairs(2, [(1, 1)])), {})
     with pytest.raises(PreconditionError):
         expand_mono(bad, AG2, "minus")
 
 
 def test_expand_mono_claim_battery():
-    from ieml.search import mono_structures, _random_mono_model
+    from ieml.search import mono_structures, _random_model
     rng = random.Random(53)
     structures = [s for n in (1, 2, 3) for s in mono_structures(n, "minus")]
     formulas = {g: Program(diamond_free_formulas(("p",), g, 2)) for g in AG2.groups()}
     for ms in structures[:20] + rng.sample(structures, 30):
-        mono = _random_mono_model(rng, ms, ("p",))
+        mono = _random_model(rng, ms, ("p",))
         res = expand_mono(mono, AG2, "minus")
         for g, fs in formulas.items():
             assert mono_equivalence_mismatches(res.model, mono, fs) == []
@@ -363,12 +363,12 @@ def test_expand_mono_claim_battery():
 def test_collapse_mono_examples():
     m = one_point_model(AG2)
     res = collapse_mono(m, A, "minus")
-    assert is_iel_structure(res.model.structure, "minus")
+    assert is_iel_structure(res.model.frame, "minus")
 
     empty = Model.make(two_chain_frame(AG2), {})
     res2 = collapse_mono(empty, A, "minus")
-    assert res2.model.structure.r == Rel.empty(2)
-    assert is_iel_structure(res2.model.structure, "minus")
+    assert res2.model.frame.r == Rel.empty(2)
+    assert is_iel_structure(res2.model.frame, "minus")
 
     with pytest.raises(PreconditionError):
         collapse_mono(empty, A, "full")  # not epistemic
@@ -383,7 +383,7 @@ def test_collapse_mono_epistemic_yields_full_structure():
         model = _random_model(rng, frame, ("p",))
         for alpha in (A, AB):
             res = collapse_mono(model, alpha, "full")
-            assert is_iel_structure(res.model.structure, "full")
+            assert is_iel_structure(res.model.frame, "full")
             assert mono_equivalence_mismatches(model, res.model,
                                                formulas[alpha]) == []
         done += 1
@@ -454,23 +454,23 @@ def test_equivalence_checks_agree_on_program_list_and_generator():
 
 
 def test_mono_equivalence_checks_agree_on_program_list_and_generator():
-    from ieml.search import mono_structures, _random_mono_model
+    from ieml.search import mono_structures, _random_model
     rng = random.Random(63)
     formulas = diamond_free_formulas(("p",), A, 1) + [parse("[a]([a]p -> p)")]
     broken = 0
     structures = [s for n in (1, 2, 3) for s in mono_structures(n, "minus")]
     for st in rng.sample(structures, 30):
-        mm = _random_mono_model(rng, st, ("p",))
+        mm = _random_model(rng, st, ("p",))
         multi = expand_mono(mm, AG, "minus").model
         assert _three_ways(mono_equivalence_mismatches, multi, mm,
                            formulas=formulas) == []
         flipped = _closed_flip(st.leq, mm.v("p"))
         bad = []
         if flipped is not None:
-            bad.append(MonoModel.make(st, {"p": flipped}))
+            bad.append(Model.make(st, {"p": flipped}))
         dropped = _dropped_edge(st.r)
         if dropped is not None:
-            bad.append(MonoModel(MonoStructure(st.n, st.leq, dropped), mm.val))
+            bad.append(Model(MonoStructure(st.n, st.leq, dropped), mm.val))
         for mono in bad:
             records = _three_ways(mono_equivalence_mismatches, multi, mono,
                                   formulas=formulas)
@@ -503,7 +503,7 @@ def test_mono_equivalence_reads_a_battery_in_one_mono_call(monkeypatch):
     rng = random.Random(65)
     program = Program(diamond_free_formulas(("p",), A, 2))
     st = rng.choice([s for s in mono_structures(3, "minus") if s.r.pairs()])
-    mm = _random_mono_model(rng, st, ("p",))
+    mm = _random_model(rng, st, ("p",))
     multi = expand_mono(mm, AG, "minus").model
     assert mono_equivalence_mismatches(multi, mm, program) == []
     assert len(calls) == 1 and isinstance(calls[0], Program)
@@ -525,7 +525,7 @@ def test_mono_equivalence_on_a_quotiented_blow_up_matches_oracle():
     checked = planted = 0
     for st in rng.sample(list(mono_structures(3, "minus")), 40):
         closed = [u for u in range(8) if is_closed(st.leq, u)]
-        src = MonoModel.make(st, {"p": rng.choice(closed), "q": rng.choice(closed)})
+        src = Model.make(st, {"p": rng.choice(closed), "q": rng.choice(closed)})
         flips = [(s, src.v("p") ^ 1 << s) for s in range(3)
                  if is_closed(st.leq, src.v("p") ^ 1 << s)]
         if not flips:
@@ -544,8 +544,8 @@ def test_mono_equivalence_on_a_quotiented_blow_up_matches_oracle():
         multi = Model.make(Frame.make(AG, n, leq, {A: r}), lift_val(src))
         multi_masks = [_lifted(origin, lambda t: naive_satisfies(multi_src, t, f))
                        for f in formulas]
-        for mono_src in (src, MonoModel.make(st, {**dict(src.val), "p": moved})):
-            mono = MonoModel.make(big, lift_val(mono_src))
+        for mono_src in (src, Model.make(st, {**dict(src.val), "p": moved})):
+            mono = Model.make(big, lift_val(mono_src))
             if evaluator(big)._quotient(dict(mono.val)) is None:
                 break  # the direct path: not what this test is about
             want = [_lifted(origin, lambda t: naive_mono_satisfies(mono_src, t, g))
@@ -574,6 +574,6 @@ def test_tau_and_mono_check_on_a_deep_formula():
     assert tau(f) is g
     st = MonoStructure(2, Rel.from_pairs(2, [(0, 0), (1, 1), (0, 1)]),
                        Rel.from_pairs(2, [(0, 1), (1, 1)]))
-    mm = MonoModel.make(st, {"p": {1}})
+    mm = Model.make(st, {"p": {1}})
     multi = expand_mono(mm, AG, "minus").model
     assert mono_equivalence_mismatches(multi, mm, [f, p]) == []

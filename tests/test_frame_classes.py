@@ -22,6 +22,13 @@ def test_one_point_full_frame_has_every_class():
     assert classify(frame) == list(FrameClass)
 
 
+def test_has_class_rejects_unknown_classes():
+    frame = two_chain_frame(AG2)
+    with pytest.raises(ValueError, match="not a valid FrameClass"):
+        has_class(frame, "bogus")
+    assert all(isinstance(has_class(frame, c), bool) for c in FrameClass)
+
+
 def test_two_chain_empty_relations():
     frame = two_chain_frame(AG2)
     assert has_class(frame, FrameClass.DOXASTIC)      # vacuous

@@ -1,16 +1,16 @@
 import gc
+import hashlib
 import json
 
 import pytest
 
 from ieml import (
-    AgentSet, Frame, FrameClass, Model, ModelFormatError, Rel, has_class,
-    load_model, load_mono, model_to_doc, mono_to_doc, parse, satisfies,
-    save_model,
+    AgentSet, Frame, FrameClass, Model, ModelFormatError, MonoStructure, Rel,
+    collapse_mono, has_class, load_model, load_mono, model_to_doc, parse,
+    satisfies, save_model,
 )
 from ieml.cli import run
-from ieml.modelio import ROW_TABLE_MIN_PAIRS, default_names, save_mono
-from ieml.semantics import MonoModel, MonoStructure
+from ieml.modelio import ROW_TABLE_MIN_PAIRS, default_names
 
 
 def base_doc():
@@ -105,7 +105,7 @@ def test_loading_a_file_leaves_the_collector_as_found(tmp_path, monkeypatch, ena
     (gc.enable if enabled else gc.disable)()
     try:
         assert load_model(model).frame.n == 2 and gc.isenabled() == enabled
-        assert load_mono(mono)[0].structure.n == 1 and gc.isenabled() == enabled
+        assert load_mono(mono).frame.n == 1 and gc.isenabled() == enabled
         for load in (load_model, load_mono):
             with pytest.raises(ValueError):
                 load(bad)
@@ -153,19 +153,20 @@ def test_frame_document_without_valuation():
 def test_mono_roundtrip(tmp_path):
     st = MonoStructure(2, Rel.from_pairs(2, [(0, 0), (1, 1), (0, 1)]),
                        Rel.from_pairs(2, [(0, 1), (1, 1)]))
-    mm = MonoModel.make(st, {"p": {1}})
-    doc = mono_to_doc(mm, ("s", "t"))
+    mm = Model.make(st, {"p": {1}})
+    doc = model_to_doc(mm, ("s", "t"))
     assert doc["r"] == [["s", "t"], ["t", "t"]]
-    back, names = load_mono(doc)
-    assert back == mm and names == ("s", "t")
+    assert "agents" not in doc and "rel" not in doc
+    back = load_mono(doc)
+    assert back.model == mm and back.names == ("s", "t")
+    assert back.frame is back.model.frame
 
 
 def test_mono_loader_rejects_non_preorder():
     doc = {"worlds": ["s", "t"], "leq": [["s", "t"]], "r": []}
     with pytest.raises(ModelFormatError, match="preorder"):
         load_mono(doc)
-    back, _ = load_mono(doc, close_leq=True)
-    assert back.structure.leq.is_reflexive()
+    assert load_mono(doc, close_leq=True).frame.leq.is_reflexive()
 
 
 def test_default_names():
@@ -235,14 +236,41 @@ def test_save_mono_writes_canonical_json(tmp_path):
     odd = {"worlds": w, "leq": [[x, x] for x in w] + [[w[0], w[1]]],
            "r": [[w[3], w[4]], [w[6], w[0]], [None, 2.5]],
            "valuation": {"p": [w[1]], "é\"": []}}
-    odd_mm, odd_names = load_mono(odd)
-    cases = [(MonoModel.make(st, {}), None),
-             (odd_mm, tuple((i,) for i in range(len(w)))), (odd_mm, odd_names)]
+    odd_doc = load_mono(odd)
+    cases = [(Model.make(st, {}), None),
+             (odd_doc.model, tuple((i,) for i in range(len(w)))),
+             (odd_doc.model, odd_doc.names)]
     for mm, names in cases:
         path = tmp_path / "mono.json"
-        save_mono(mm, path, names)
-        assert path.read_text() == _canonical(mono_to_doc(mm, names))
-    assert load_mono(path) == (odd_mm, tuple(w))
+        save_model(mm, path, names)
+        assert path.read_text() == _canonical(model_to_doc(mm, names))
+    assert load_mono(path) == odd_doc
+    assert odd_doc.names == tuple(w)
+
+
+def test_saved_mono_document_is_pinned(tmp_path):
+    # collapse_mono's output of a fixed doxastic model, written with names;
+    # the text is the one the mono writer gave before it was merged into
+    # save_model
+    chain = Rel.from_pairs(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)])
+    ag = AgentSet.of("a", "b")
+    frame = Frame.make(ag, 3, chain, {
+        frozenset("a"): Rel.from_pairs(3, [(0, 1), (1, 2), (2, 2)]),
+        frozenset("b"): Rel.from_pairs(3, [(1, 1), (0, 2)]),
+        frozenset("ab"): Rel.empty(3)})
+    model = Model.make(frame, {"p": {2}, "q": {1, 2}})
+    result = collapse_mono(model, frozenset("a"), "minus", src_names=("x", "y", "z"))
+    path = tmp_path / "mono.json"
+    save_model(result.model, path, result.names)
+    text = path.read_text()
+    assert json.loads(text) == {
+        "worlds": ["x", "y", "z"],
+        "leq": [["x", "x"], ["x", "y"], ["x", "z"], ["y", "y"], ["y", "z"],
+                ["z", "z"]],
+        "r": [["x", "y"], ["x", "z"], ["y", "z"], ["z", "z"]],
+        "valuation": {"p": ["z"], "q": ["y", "z"]}}
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "d58ddc8ad9f6da45ab942ce772e79d2117b8714ecad28e2a65c17ee1c04b430f"
 
 
 # ---------- loader error messages ----------
@@ -337,7 +365,7 @@ def test_row_table_reads_bit_j_as_worlds_j():
     model_doc, mono_doc = _table_docs({"index": [0, 1, 1], "rows": ["6", "0"]})
     want = Rel.from_pairs(3, [(0, 1), (0, 2)])
     assert load_model(model_doc).frame.r(frozenset({"a"})) == want
-    assert load_mono(mono_doc)[0].structure.r == want
+    assert load_mono(mono_doc).frame.r == want
 
 
 def _sized(pairs: int):
@@ -350,7 +378,7 @@ def _sized(pairs: int):
                  for i in range(n))
     leq, r = Rel.identity(n), Rel(n, rows)
     frame = Frame.make(AgentSet.of("a"), n, leq, {frozenset({"a"}): r})
-    return Model.make(frame, {"p": {0, 7}}), MonoModel.make(MonoStructure(n, leq, r), {"p": {5}})
+    return Model.make(frame, {"p": {0, 7}}), Model.make(MonoStructure(n, leq, r), {"p": {5}})
 
 
 @pytest.mark.parametrize("pairs", [ROW_TABLE_MIN_PAIRS, ROW_TABLE_MIN_PAIRS + 1])
@@ -361,8 +389,9 @@ def test_round_trip_on_both_sides_of_the_threshold(tmp_path, pairs):
     written = json.loads(path.read_text())
     doc = load_model(path)
     assert doc.model == model and doc.names == default_names(300)
-    save_mono(mono, path)
-    assert load_mono(path) == (mono, default_names(300))
+    save_model(mono, path)
+    mono_doc = load_mono(path)
+    assert mono_doc.model == mono and mono_doc.names == default_names(300)
     mono_written = json.loads(path.read_text())
     if pairs <= ROW_TABLE_MIN_PAIRS:
         assert isinstance(written["leq"], list) and isinstance(mono_written["r"], list)
@@ -390,6 +419,8 @@ def test_row_tables_and_pair_lists_load_equal():
     mixed = dict(rows_doc, leq=pair_doc["leq"])
     assert isinstance(rows_doc["rel"]["a"], dict)
     assert load_model(pair_doc) == load_model(rows_doc) == load_model(mixed)
-    mono_rows = mono_to_doc(mono)
-    mono_mixed = dict(mono_rows, r=pairs(mono.structure.r))
-    assert load_mono(mono_mixed) == load_mono(mono_rows) == (mono, tuple(names))
+    mono_rows = model_to_doc(mono)
+    mono_mixed = dict(mono_rows, r=pairs(mono.frame.r))
+    mono_doc = load_mono(mono_rows)
+    assert load_mono(mono_mixed) == mono_doc
+    assert mono_doc.model == mono and mono_doc.names == tuple(names)

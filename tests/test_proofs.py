@@ -184,6 +184,15 @@ def test_rejections_with_first_failure_line(case):
     assert fragment in result.failure[1]
 
 
+def test_unknown_step_type_is_rejected():
+    # a Derivation built through the Python API may hold any object as a step
+    d = Derivation(((parse("[a]T"), AxiomStep("A3")), (parse("[a]T"), "A3")))
+    result = check_derivation(d, LogicId.L_all)
+    assert not result.accepted
+    assert result.failure == (2, "unknown justification 'A3'")
+    assert len(result.evidence) == 1
+
+
 def test_rejection_reports_json():
     result = check_derivation(
         _lines(axiom("p -> [a]p", "A6")), LogicId.L_all)

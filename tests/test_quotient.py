@@ -9,8 +9,8 @@ import pytest
 
 from ieml import (
     AgentSet, Atom, BOT, Box, Dia, Evaluator, Frame, Implies, Model,
-    MonoModel, MonoStructure, Rel, TOP, is_closed, is_diamond_free, parse,
-    partition_lift, satisfies_variant, standardize, tau, up_sets,
+    MonoStructure, Rel, TOP, is_closed, is_diamond_free, parse,
+    partition_lift, satisfies, standardize, tau, up_sets,
 )
 from ieml import semantics
 from ieml.search import SizeBudget, enumerate_frames, mono_structures
@@ -106,7 +106,7 @@ def test_quotient_on_mono_structures_matches_direct_run_and_oracle(
                                               _sizes(rng, ms.n), tabled)
         big = MonoStructure(len(origin), leq, r)
         closed = [u for u in range(1 << ms.n) if is_closed(ms.leq, u)]
-        src = MonoModel.make(ms, {"p": rng.choice(closed), "q": rng.choice(closed)})
+        src = Model.make(ms, {"p": rng.choice(closed), "q": rng.choice(closed)})
         val = _lift_val(src.val, origin)
         ev = Evaluator(big)
         assert ev._quotient(val) is not None
@@ -119,7 +119,7 @@ def test_quotient_on_mono_structures_matches_direct_run_and_oracle(
             holds = [naive_mono_satisfies(src, s, f) for s in range(ms.n)]
             assert masks[i] == sum(1 << x for x, s in enumerate(origin)
                                    if holds[s]), f
-        mm = MonoModel.make(big, val)
+        mm = Model.make(big, val)
         x = rng.randrange(big.n)
         for f, i in zip(formulas[-3:], program.roots[-3:]):
             assert (masks[i] >> x & 1) == naive_mono_satisfies(mm, x, f)
@@ -150,8 +150,8 @@ def test_quotient_tells_states_apart_by_their_predecessors(always_quotient):
                 holds = [naive_satisfies(src, s, f, variant) for s in range(3)]
                 assert masks[i] == sum(1 << x for x, s in enumerate(origin)
                                        if holds[s]), (variant, f)
-    assert satisfies_variant(src, 1, formulas[0], "prenosil")
-    assert not satisfies_variant(src, 2, formulas[0], "prenosil")
+    assert satisfies(src, 1, formulas[0], "prenosil")
+    assert not satisfies(src, 2, formulas[0], "prenosil")
 
 
 def _blown_up_model(rng, base):

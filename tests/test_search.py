@@ -251,15 +251,15 @@ def test_suite_claim_witnesses_golden(monkeypatch):
     # class failures, truncated to three of each
     import ieml.constructions as constructions
     import ieml.search as search
-    from ieml.semantics import Frame, Model, MonoModel, MonoStructure, Rel
+    from ieml.semantics import Frame, Model, MonoStructure, Rel
 
     def emptied(build):
         def run(*args, **kwargs):
             result = build(*args, **kwargs)
             m = result.model
-            if isinstance(m, MonoModel):
-                st = m.structure
-                m = MonoModel(MonoStructure(st.n, st.leq, Rel.empty(st.n)), m.val)
+            if isinstance(m.frame, MonoStructure):
+                st = m.frame
+                m = Model(MonoStructure(st.n, st.leq, Rel.empty(st.n)), m.val)
             else:
                 f = m.frame
                 m = Model(Frame(f.agents, f.n, f.leq,

@@ -8,9 +8,9 @@ import pytest
 
 from ieml import (
     AgentSet, Atom, BOT, Box, Dia, Evaluator, Frame, Implies, Model,
-    MonoModel, MonoStructure, Rel, TOP, check_frame, compose,
-    falsify_on_frame, is_closed, mono_satisfies, parse, satisfies,
-    satisfies_variant, substitute, true_in_model, up_sets, valid_in_frame,
+    MonoStructure, Rel, TOP, check_frame, compose,
+    falsify_on_frame, is_closed, parse, satisfies,
+    substitute, up_sets, valid_in_frame,
 )
 from ieml.errors import BudgetError, PreconditionError
 from ieml.search import SizeBudget, enumerate_frames, sample_formulas
@@ -337,11 +337,11 @@ def test_satisfies_variants():
     one = Frame.make(AG, 1, Rel.identity(1), {A: Rel.identity(1)})
     m = Model.make(one, {"p": {0}})
     for v in ("prenosil", "fischer_servi", "wijesekera"):
-        assert satisfies_variant(m, 0, parse("<a>p"), v)
+        assert satisfies(m, 0, parse("<a>p"), v)
     # prenosil variant is the plain relation
     m2 = chain_model({"p": {1}}, {A: Rel.from_pairs(2, [(0, 1)])})
     f = parse("<a>p")
-    assert satisfies_variant(m2, 0, f, "prenosil") == satisfies(m2, 0, f)
+    assert satisfies(m2, 0, f, "prenosil") == satisfies(m2, 0, f)
 
 
 def test_fischer_servi_requires_forward_confluence():
@@ -349,7 +349,7 @@ def test_fischer_servi_requires_forward_confluence():
     frame = two_chain_frame(AG, {A: Rel.from_pairs(2, [(0, 0)])})
     m = Model.make(frame, {})
     with pytest.raises(PreconditionError):
-        satisfies_variant(m, 0, parse("<a>p"), "fischer_servi")
+        satisfies(m, 0, parse("<a>p"), "fischer_servi")
 
 
 def test_variants_cross_validated_with_oracle():
@@ -364,7 +364,7 @@ def test_variants_cross_validated_with_oracle():
             f = random_ast(rng, atoms=("p",), agents=("a",), depth=3)
             for variant in ("prenosil", "fischer_servi", "wijesekera"):
                 for s in range(frame.n):
-                    assert satisfies_variant(model, s, f, variant) == \
+                    assert satisfies(model, s, f, variant) == \
                         naive_satisfies(model, s, f, variant)
 
 
@@ -409,16 +409,20 @@ def test_variants_on_blown_up_frames_match_oracle():
                                        for a in ("p", "q")})
             for f in formulas:
                 for s in copies():
-                    assert satisfies_variant(model, s, f, variant) == \
+                    assert satisfies(model, s, f, variant) == \
                         naive_satisfies(model, s, f, variant), (variant, f, s)
 
 
 def test_true_in_model():
+    # truth in a model is satisfaction at every state
+    def true_in(m, f):
+        return all(satisfies(m, s, f) for s in range(m.frame.n))
+
     m = chain_model({"p": {1}})
-    assert true_in_model(m, parse("T"))
-    assert not true_in_model(m, parse("p"))
+    assert true_in(m, parse("T"))
+    assert not true_in(m, parse("p"))
     one = Frame.make(AG, 1, Rel.identity(1), {A: Rel.identity(1)})
-    assert true_in_model(Model.make(one, {"p": {0}}), parse("[a]p"))
+    assert true_in(Model.make(one, {"p": {0}}), parse("[a]p"))
 
 
 # ---------- validity ----------
@@ -497,10 +501,10 @@ def test_box_antitone_in_accessibility():
 def test_mono_satisfaction_box_clause():
     st = MonoStructure(2, Rel.from_pairs(2, [(0, 0), (1, 1), (0, 1)]),
                        Rel.from_pairs(2, [(0, 1), (1, 1)]))
-    mm = MonoModel.make(st, {"p": {1}})
-    assert mono_satisfies(mm, 0, MonoBox(Atom("p")))
-    assert mono_satisfies(mm, 0, parse("~~p"))
-    assert not mono_satisfies(mm, 0, Atom("p"))
+    mm = Model.make(st, {"p": {1}})
+    assert satisfies(mm, 0, MonoBox(Atom("p")))
+    assert satisfies(mm, 0, parse("~~p"))
+    assert not satisfies(mm, 0, Atom("p"))
 
 
 def test_mono_satisfaction_against_oracle():
@@ -509,7 +513,7 @@ def test_mono_satisfaction_against_oracle():
     structures = [s for n in (1, 2, 3) for s in mono_structures(n)]
     for ms in rng.sample(structures, 60):
         closed = [u for u in range(1 << ms.n) if is_closed(ms.leq, u)]
-        mm = MonoModel.make(ms, {"p": rng.choice(closed)})
+        mm = Model.make(ms, {"p": rng.choice(closed)})
         for _ in range(6):
             f = random_ast(rng, atoms=("p",), agents=("a",), depth=3)
             from ieml import is_diamond_free, tau
@@ -517,7 +521,7 @@ def test_mono_satisfaction_against_oracle():
                 continue
             g = tau(f)
             for s in range(ms.n):
-                assert mono_satisfies(mm, s, g) == naive_mono_satisfies(mm, s, g)
+                assert satisfies(mm, s, g) == naive_mono_satisfies(mm, s, g)
 
 
 def test_mono_satisfies_on_blown_up_structure_matches_oracle():
@@ -532,17 +536,17 @@ def test_mono_satisfies_on_blown_up_structure_matches_oracle():
         st = MonoStructure(big.n, big.leq, big.rels[0])
         assert len(st.r.row_classes()) <= ms.n
         closed = [u for u in range(1 << ms.n) if is_closed(ms.leq, u)]
-        mm = MonoModel.make(st, {a: _lifted(rng.choice(closed), sizes)
+        mm = Model.make(st, {a: _lifted(rng.choice(closed), sizes)
                                  for a in ("p", "q")})
         for f in formulas:
             for s in copies():
-                assert mono_satisfies(mm, s, f) == naive_mono_satisfies(mm, s, f), (f, s)
+                assert satisfies(mm, s, f) == naive_mono_satisfies(mm, s, f), (f, s)
 
 
 def test_wrong_kind_of_box_is_a_type_error():
     st = MonoStructure(2, Rel.from_pairs(2, [(0, 0), (1, 1), (0, 1)]),
                        Rel.from_pairs(2, [(0, 1), (1, 1)]))
-    mm = MonoModel.make(st, {"p": {1}})
+    mm = Model.make(st, {"p": {1}})
     p = Atom("p")
     with pytest.raises(TypeError):
         Evaluator(chain_model().frame).truth_mask(MonoBox(p), {})
@@ -604,7 +608,7 @@ def test_program_run_on_mono_structures_matches_oracle():
     structures = [s for n in (1, 2, 3) for s in mono_structures(n)]
     for ms in rng.sample(structures, 40):
         closed = [u for u in range(1 << ms.n) if is_closed(ms.leq, u)]
-        mm = MonoModel.make(ms, {"p": rng.choice(closed), "q": rng.choice(closed)})
+        mm = Model.make(ms, {"p": rng.choice(closed), "q": rng.choice(closed)})
         formulas = [tau(f) for f in _shared_battery(rng, ("p", "q"), ("a",), 8)
                     if is_diamond_free(f)]
         program = Program(formulas)

@@ -13,7 +13,7 @@ from ieml import (
     atoms_of, depth_of, instantiate, is_diamond_free, match_instance, parse,
     render, sf, substitute, tau,
 )
-from ieml.semantics import Evaluator, MonoModel, MonoStructure, Rel, mono_truth_mask
+from ieml.semantics import Evaluator, Model, MonoStructure, Rel, mono_truth_mask
 from ieml.syntax import MAX_DEPTH, MonoBox
 
 from helpers import random_ast, two_chain_frame
@@ -85,7 +85,7 @@ def test_parse_nesting_bound(shape):
     frame = two_chain_frame(AgentSet.of("a"))
     Evaluator(frame).truth_mask(f, {"p": 0b10})
     g = tau(f)
-    mono = MonoModel.make(MonoStructure(2, frame.leq, Rel.total(2)), {"p": {1}})
+    mono = Model.make(MonoStructure(2, frame.leq, Rel.total(2)), {"p": {1}})
     mono_truth_mask(mono, g)
 
 
@@ -125,6 +125,11 @@ def test_render_examples():
     # canonical agent order comes from the agent set when given
     ag = AgentSet.of("b", "a")
     assert render(Box(AB, Atom("p")), ag) == "[b,a]p"
+
+
+def test_render_rejects_a_non_formula():
+    with pytest.raises(TypeError, match="not a formula: 'q'"):
+        render(Implies(Atom("p"), "q"))
 
 
 def test_roundtrip_seeded():
