@@ -6,12 +6,12 @@ countermodel search."""
 from .errors import BudgetError, PreconditionError
 from .syntax import (
     AgentSet, And, Atom, BOT, Bot, Box, Dia, Formula, Group, Implies,
-    Match, MonoBox, Or, ParseError, Schema, TOP, Top, agents_of, atoms_of,
-    depth_of, groups_of, instantiate, is_diamond_free, match_instance, parse,
-    render, sf, substitute, tau,
+    Match, MonoBox, Or, ParseError, Program, Schema, TOP, Top, agents_of,
+    atoms_of, depth_of, groups_of, instantiate, is_diamond_free,
+    match_instance, parse, render, sf, substitute, tau,
 )
 from .semantics import (
-    Evaluator, Frame, FrameReport, Model, MonoStructure, Program, Rel,
+    Evaluator, Frame, FrameReport, Model, MonoStructure, Rel,
     check_frame, compose, evaluator, falsify_on_frame, is_closed,
     is_forward_confluent, satisfies, up_sets, valid_in_frame,
 )

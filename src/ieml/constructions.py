@@ -16,10 +16,10 @@ from .errors import BudgetError, PreconditionError
 from .frame_classes import FrameClass, has_class, is_iel_structure
 from .modelio import default_names
 from .semantics import (
-    Frame, Model, MonoStructure, Program, Rel, _table_of, bits,
-    evaluator, mono_truth_mask,
+    Frame, Model, MonoStructure, Rel, _table_of, bits, evaluator,
+    mono_truth_mask,
 )
-from .syntax import AgentSet, Formula, Group, tau
+from .syntax import AgentSet, Formula, Group, Program, tau
 
 STANDARDIZE_MAX_STATES = 8192
 PARTITION_LIFT_MAX_STATES = 4096

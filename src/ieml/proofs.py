@@ -17,7 +17,7 @@ from .frame_classes import FrameClass
 from .modelio import model_to_doc
 from .semantics import falsify_on_frame, DEFAULT_ASSIGNMENT_CAP
 from .syntax import (
-    AgentSet, Box, Dia, Formula, Group, Implies, Or, Schema, agents_of,
+    AgentSet, Box, Dia, Formula, Group, Implies, Or, Program, Schema,
     match_instance, parse, render, substitute,
 )
 
@@ -136,9 +136,7 @@ class Derivation:
     lines: tuple  # ((Formula, Step), ...)
 
     def agents(self) -> AgentSet:
-        names: set = set()
-        for formula, _ in self.lines:
-            names |= agents_of(formula)
+        names = frozenset().union(*Program(f for f, _ in self.lines).groups())
         return AgentSet(tuple(sorted(names))) if names else AgentSet.of("a")
 
 

@@ -23,13 +23,12 @@ from .errors import BudgetError
 from .frame_classes import FrameClass, has_class, is_iel_structure
 from .modelio import model_to_doc
 from .semantics import (
-    DEFAULT_ASSIGNMENT_CAP, Evaluator, Frame, Model, MonoStructure,
-    Program, Rel, bits, falsify_on_frame, is_closed, satisfies, up_sets,
-    valid_in_frame,
+    DEFAULT_ASSIGNMENT_CAP, Evaluator, Frame, Model, MonoStructure, Rel,
+    bits, falsify_on_frame, is_closed, satisfies, up_sets, valid_in_frame,
 )
 from .syntax import (
-    AgentSet, And, Atom, BOT, Box, Dia, Formula, Group, Implies, Or, TOP,
-    groups_of, instantiate, render,
+    AgentSet, And, Atom, BOT, Box, Dia, Formula, Group, Implies, Or, Program,
+    TOP, agents_of, groups_of, instantiate, render,
 )
 
 AGENT_POOL = ("a", "b", "c", "d", "e", "f", "g", "h")
@@ -346,8 +345,6 @@ class CountermodelResult:
 def agents_for_formula(a: Formula) -> AgentSet:
     """The agent universe a search over frames needs: the formula's own
     agents, or a single default agent for purely propositional input."""
-    from .syntax import agents_of
-
     names = sorted(agents_of(a))
     if not names:
         return default_agents(1)
@@ -551,16 +548,16 @@ def _rule_entries(budget: SizeBudget, agents: AgentSet,
         checked = 0
         vacuous = 0
         witnesses = []
+        if rule == "R3":
+            cases = [(Implies(Dia(group, a), Or(b, Box(group, Implies(a, c)))),
+                      Implies(Dia(group, a), Or(b, Dia(group, c))))
+                     for a, b, c in _rule_pool_r3(group)]
+        else:
+            wrap = Box if rule == "R1" else Dia
+            cases = [(Implies(a, b),
+                      Implies(wrap(group, a), wrap(group, b)))
+                     for a, b in _RULE_POOL_AB]
         for frame in frames:
-            if rule == "R3":
-                cases = [(Implies(Dia(group, a), Or(b, Box(group, Implies(a, c)))),
-                          Implies(Dia(group, a), Or(b, Dia(group, c))))
-                         for a, b, c in _rule_pool_r3(group)]
-            else:
-                wrap = Box if rule == "R1" else Dia
-                cases = [(Implies(a, b),
-                          Implies(wrap(group, a), wrap(group, b)))
-                         for a, b in _RULE_POOL_AB]
             for premise, conclusion in cases:
                 checked += 1
                 if not valid_in_frame(frame, premise):

@@ -18,15 +18,14 @@ each structure keeps (``evaluator``).
 from __future__ import annotations
 
 import itertools
-from array import array
 from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import BudgetError, PreconditionError
 from .syntax import (
-    AgentSet, Atom, Bot, Box, Dia, Formula, Group, Implies, MonoBox, And, Or,
-    Top, atoms_of,
+    _ATOM, _TOP, _BOT, _AND, _OR, _IMPLIES, _BOX, _DIA, _MONOBOX, AgentSet,
+    Formula, Group, Program, _compiled, atoms_of,
 )
 
 DEFAULT_ASSIGNMENT_CAP = 1 << 20
@@ -466,113 +465,6 @@ class Model:
         return dict(self.val)
 
 
-# ---------- Compiled formula lists ----------
-
-# Node operations of a ``Program``.
-_ATOM, _TOP, _BOT, _AND, _OR, _IMPLIES, _BOX, _DIA, _MONOBOX = range(9)
-_OPS = {Atom: _ATOM, Top: _TOP, Bot: _BOT, And: _AND, Or: _OR,
-        Implies: _IMPLIES, Box: _BOX, Dia: _DIA, MonoBox: _MONOBOX}
-
-
-class Program:
-    """A formula list compiled into one node array.
-
-    Nodes are hash-consed by object identity (Filliatre and Conchon,
-    *Type-safe modular hash-consing*, 2006): a subformula object that several
-    formulas share is one node.  Every node comes after its children, so one
-    pass in index order evaluates them all (``Evaluator.run``).  Node i is
-    stored flat: ``ops[i]``, then ``left[i]`` (the first child, or the atom
-    name's index in ``consts``) and ``right[i]`` (the second child, or the
-    box or diamond group's index in ``consts``).  ``len`` and iteration give
-    the compiled formulas in order, and ``roots`` their nodes.
-    """
-
-    __slots__ = ("ops", "left", "right", "consts", "roots",
-                 "_nodes", "_const_index", "_images")
-
-    def __init__(self, formulas: Iterable[Formula] = ()):
-        self.ops = bytearray()
-        self.left = array("l")
-        self.right = array("l")
-        self.consts: list = []  # atom names and groups
-        self.roots = array("l")
-        self._nodes: list = []  # node -> formula; keeps every id in index alive
-        self._const_index: dict = {}
-        self._images: dict = {}  # function -> image Program
-        index: dict = {}  # id(formula) -> node, while compiling
-        for f in formulas:
-            self.roots.append(self._node(f, index))
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-    def __iter__(self) -> Iterator[Formula]:
-        return map(self._nodes.__getitem__, self.roots)
-
-    def image(self, fn) -> "Program":
-        """The ``Program`` of ``fn(f)`` for each formula, in order, compiled
-        on first use and kept."""
-        out = self._images.get(fn)
-        if out is None:
-            out = self._images[fn] = Program(map(fn, self))
-        return out
-
-    def _node(self, f: Formula, index: dict) -> int:
-        """The node of ``f``, compiling the subformulas not yet in ``index``.
-        The walk keeps its own stack, so formula depth meets no recursion
-        limit."""
-        hit = index.get(id(f))
-        if hit is not None:
-            return hit
-        stack = [f]
-        while stack:
-            g = stack[-1]
-            if id(g) in index:  # pushed twice before it was compiled
-                stack.pop()
-                continue
-            op = _OPS.get(type(g))
-            if op is None:
-                raise TypeError(f"not a formula: {g!r}")
-            a = b = 0
-            if op == _ATOM:
-                a = self._const(g.name)
-            elif op in (_AND, _OR, _IMPLIES):
-                a, b = index.get(id(g.left)), index.get(id(g.right))
-                if a is None or b is None:
-                    if b is None:
-                        stack.append(g.right)
-                    if a is None:
-                        stack.append(g.left)
-                    continue
-            elif op != _TOP and op != _BOT:
-                a = index.get(id(g.body))
-                if a is None:
-                    stack.append(g.body)
-                    continue
-                if op != _MONOBOX:
-                    b = self._const(g.group)
-            stack.pop()
-            index[id(g)] = len(self.ops)
-            self.ops.append(op)
-            self.left.append(a)
-            self.right.append(b)
-            self._nodes.append(g)
-        return index[id(f)]
-
-    def _const(self, value) -> int:
-        c = self._const_index.get(value)
-        if c is None:
-            c = self._const_index[value] = len(self.consts)
-            self.consts.append(value)
-        return c
-
-
-# The last formula given to ``truth_mask``, and its Program: a search that
-# asks one formula under many valuations and frames compiles it once.  Only
-# the time of a call depends on this slot, never its result.
-_last_compiled: tuple = (None, None)
-
-
 # ---------- Satisfaction ----------
 
 def is_forward_confluent(f: Frame) -> bool:
@@ -687,15 +579,12 @@ class Evaluator:
         return masks
 
     def _mask(self, f: Formula, val: Mapping[str, int]) -> int:
-        global _last_compiled
-        last = _last_compiled
-        if last[0] is not f:
-            last = _last_compiled = (f, Program((f,)))
+        program = _compiled(f)
         # the root is the last node; below the size test there is no quotient
         if not self._full >> (CLASS_PASS_MIN_STATES - 1):
-            return self._run(last[1], val)[-1]
+            return self._run(program, val)[-1]
         q = self._quotient(val)  # only the root's mask is lifted
-        masks = (q[1] if q else self)._run(last[1], q[2] if q else val)
+        masks = (q[1] if q else self)._run(program, q[2] if q else val)
         return _lift(q, masks[-1]) if q else masks[-1]
 
     def _quotient(self, val: Mapping[str, int]) -> Optional[tuple]:

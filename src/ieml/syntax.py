@@ -1,4 +1,5 @@
-r"""Formula syntax: AST, parser, printer, subformulas, translation, schemata.
+r"""Formula syntax: AST, compiled node arrays, parser, printer, subformulas,
+translation, schemata.
 
 Concrete grammar (ASCII):
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 # A group is a nonempty set of agent names.
 Group = frozenset
@@ -103,12 +104,19 @@ class Formula:
         # Dia over one body, or Top and Bot, the same hash) and computed
         # once, on first use, from the children's kept hashes.  Only the
         # declared fields (the dataclass's __match_args__) count: the dict
-        # also keeps the tau image.
-        fields_ = self.__dict__
-        h = fields_.get("_hash")
+        # also keeps the tau image.  A child without a kept hash sends the
+        # whole tree through one pass in node order, children first, so no
+        # call recurses.
+        kept = self.__dict__
+        h = kept.get("_hash")
         if h is None:  # the dataclass is frozen, so write the dict itself
-            h = fields_["_hash"] = hash(
-                (type(self), *(fields_[k] for k in self.__match_args__)))
+            parts = [kept[k] for k in self.__match_args__]
+            for c in parts:
+                if type(c) in _OPS and "_hash" not in c.__dict__:
+                    for g in Program((self,))._nodes[:-1]:
+                        hash(g)
+                    break
+            h = kept["_hash"] = hash((type(self), *parts))
         return h
 
     def __reduce__(self):  # rebuild on unpickling: string hashes vary per process
@@ -193,39 +201,154 @@ TOP = Top()
 BOT = Bot()
 
 
+# ---------- Compiled formula lists ----------
+
+# Node operations of a ``Program``.
+_ATOM, _TOP, _BOT, _AND, _OR, _IMPLIES, _BOX, _DIA, _MONOBOX = range(9)
+_OPS = {Atom: _ATOM, Top: _TOP, Bot: _BOT, And: _AND, Or: _OR,
+        Implies: _IMPLIES, Box: _BOX, Dia: _DIA, MonoBox: _MONOBOX}
+_BINARY = (_AND, _OR, _IMPLIES)
+
+
+class Program:
+    """A formula list compiled into one node array.
+
+    Nodes are hash-consed by object identity (Filliatre and Conchon,
+    *Type-safe modular hash-consing*, 2006): a subformula object that several
+    formulas share is one node.  Every node comes after its children, so one
+    pass in index order evaluates them all (``Evaluator.run``), and every
+    walk over a formula in this module is such a pass.  Node i is stored
+    flat: ``ops[i]``, then ``left[i]`` (the first child, or the atom name's
+    index in ``consts``) and ``right[i]`` (the second child, or the box or
+    diamond group's index in ``consts``).  ``len`` and iteration give the
+    compiled formulas in order, and ``roots`` their nodes.
+    """
+
+    __slots__ = ("ops", "left", "right", "consts", "roots",
+                 "_nodes", "_const_index", "_images")
+
+    def __init__(self, formulas: Iterable[Formula] = ()):
+        self.ops = bytearray()
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.consts: list = []  # atom names and groups
+        self.roots: list[int] = []
+        self._nodes: list = []  # node -> formula; keeps every id in index alive
+        self._const_index: dict = {}
+        self._images: dict = {}  # function -> image Program
+        index: dict = {}  # id(formula) -> node, while compiling
+        for f in formulas:
+            self.roots.append(self._node(f, index))
+
+    def __len__(self) -> int:
+        return len(self.roots)
+
+    def __iter__(self) -> Iterator[Formula]:
+        return map(self._nodes.__getitem__, self.roots)
+
+    def atoms(self) -> frozenset:
+        """The atom names occurring in the compiled formulas."""
+        return frozenset(c for c in self.consts if isinstance(c, str))
+
+    def groups(self) -> frozenset:
+        """The groups of the boxes and diamonds in the compiled formulas."""
+        return frozenset(c for c in self.consts if not isinstance(c, str))
+
+    def image(self, fn) -> "Program":
+        """The ``Program`` of ``fn(f)`` for each formula, in order, compiled
+        on first use and kept."""
+        out = self._images.get(fn)
+        if out is None:
+            out = self._images[fn] = Program(map(fn, self))
+        return out
+
+    def _node(self, f: Formula, index: dict) -> int:
+        """The node of ``f``, compiling the subformulas not yet in ``index``.
+        The walk keeps its own stack, so formula depth meets no recursion
+        limit."""
+        hit = index.get(id(f))
+        if hit is not None:
+            return hit
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            if id(g) in index:  # pushed twice before it was compiled
+                stack.pop()
+                continue
+            op = _OPS.get(type(g))
+            if op is None:
+                raise TypeError(f"not a formula: {g!r}")
+            a = b = 0
+            if op == _ATOM:
+                a = self._const(g.name)
+            elif op in _BINARY:
+                a, b = index.get(id(g.left)), index.get(id(g.right))
+                if a is None or b is None:
+                    if b is None:
+                        stack.append(g.right)
+                    if a is None:
+                        stack.append(g.left)
+                    continue
+            elif op != _TOP and op != _BOT:
+                a = index.get(id(g.body))
+                if a is None:
+                    stack.append(g.body)
+                    continue
+                if op != _MONOBOX:
+                    b = self._const(g.group)
+            stack.pop()
+            index[id(g)] = len(self.ops)
+            self.ops.append(op)
+            self.left.append(a)
+            self.right.append(b)
+            self._nodes.append(g)
+        return index[id(f)]
+
+    def _const(self, value) -> int:
+        c = self._const_index.get(value)
+        if c is None:
+            c = self._const_index[value] = len(self.consts)
+            self.consts.append(value)
+        return c
+
+
+# The last formula ``_compiled`` was given, and its Program.  The walks in
+# this module and ``Evaluator.truth_mask`` read formulas through it, so a
+# search that asks one formula under many valuations and frames, or
+# evaluates and then prints it, compiles it once.  Only the time of a call
+# depends on this slot, never its result.
+_last_compiled: tuple = (None, None)
+
+
+def _compiled(f: Formula) -> Program:
+    global _last_compiled
+    last = _last_compiled  # one read: other threads may replace it
+    if last[0] is not f:
+        last = _last_compiled = (f, Program((f,)))
+    return last[1]
+
+
 def atoms_of(f: Formula) -> frozenset:
-    if isinstance(f, Atom):
-        return frozenset({f.name})
-    if isinstance(f, (Implies, Or, And)):
-        return atoms_of(f.left) | atoms_of(f.right)
-    if isinstance(f, (Box, Dia, MonoBox)):
-        return atoms_of(f.body)
-    return frozenset()
+    return _compiled(f).atoms()
 
 
 def groups_of(f: Formula) -> frozenset:
-    if isinstance(f, (Implies, Or, And)):
-        return groups_of(f.left) | groups_of(f.right)
-    if isinstance(f, (Box, Dia)):
-        return frozenset({f.group}) | groups_of(f.body)
-    if isinstance(f, MonoBox):
-        return groups_of(f.body)
-    return frozenset()
+    return _compiled(f).groups()
 
 
 def agents_of(f: Formula) -> frozenset:
-    out: frozenset = frozenset()
-    for g in groups_of(f):
-        out |= g
-    return out
+    return frozenset().union(*groups_of(f))
 
 
 def depth_of(f: Formula) -> int:
-    if isinstance(f, (Implies, Or, And)):
-        return 1 + max(depth_of(f.left), depth_of(f.right))
-    if isinstance(f, (Box, Dia, MonoBox)):
-        return 1 + depth_of(f.body)
-    return 0
+    p = _compiled(f)
+    depth: list[int] = []
+    for op, a, b in zip(p.ops, p.left, p.right):
+        if op in _BINARY:
+            depth.append(1 + max(depth[a], depth[b]))
+        else:
+            depth.append(0 if op in (_ATOM, _TOP, _BOT) else 1 + depth[a])
+    return depth[-1]
 
 
 # ---------- Parser ----------
@@ -269,8 +392,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # How deep a parsed formula may nest.  Its syntax tree may be at most this
 # deep, and at most this many parentheses, prefix operators and right-nested
 # arrows may be open at once.  The parser spends up to five stack frames on
-# each open parenthesis and the recursive walks over the tree one per level,
-# so both stay well under the interpreter's default limit of 1000.
+# each open parenthesis, so it stays well under the interpreter's default
+# limit of 1000.  Formulas built through the API have no bound: hashing,
+# printing, ``tau`` and the walks below are passes over a node array, and
+# only matching, equality and pickling still recurse once per level.
 MAX_DEPTH = 150
 
 
@@ -405,48 +530,37 @@ def parse(text: str, agents: Optional[AgentSet] = None) -> Formula:
 
 # ---------- Printer ----------
 
-_IMP, _OR, _AND, _UNARY = 1, 2, 3, 4
-
-
-def _level(f: Formula) -> int:
-    if isinstance(f, Implies):
-        return _IMP
-    if isinstance(f, Or):
-        return _OR
-    if isinstance(f, And):
-        return _AND
-    return _UNARY
-
-
-def _render(f: Formula, need: int, agents: Optional[AgentSet]) -> str:
-    if isinstance(f, Atom):
-        s = f.name
-    elif isinstance(f, Top):
-        s = "T"
-    elif isinstance(f, Bot):
-        s = "F"
-    elif isinstance(f, Implies):
-        s = f"{_render(f.left, _OR, agents)} -> {_render(f.right, _IMP, agents)}"
-    elif isinstance(f, Or):
-        s = f"{_render(f.left, _OR, agents)} \\/ {_render(f.right, _AND, agents)}"
-    elif isinstance(f, And):
-        s = f"{_render(f.left, _AND, agents)} /\\ {_render(f.right, _UNARY, agents)}"
-    elif isinstance(f, Box):
-        s = f"[{group_text(f.group, agents)}]{_render(f.body, _UNARY, agents)}"
-    elif isinstance(f, Dia):
-        s = f"<{group_text(f.group, agents)}>{_render(f.body, _UNARY, agents)}"
-    elif isinstance(f, MonoBox):
-        s = f"[]{_render(f.body, _UNARY, agents)}"
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    if _level(f) < need:
-        return f"({s})"
-    return s
+# How tightly each node kind binds, and per infix kind its text and the
+# binding its left and right operands need to go without parentheses.
+_IMP_LEVEL, _OR_LEVEL, _AND_LEVEL, _UNARY_LEVEL = 1, 2, 3, 4
+_LEVEL = {_IMPLIES: _IMP_LEVEL, _OR: _OR_LEVEL, _AND: _AND_LEVEL}
+_INFIX = {_IMPLIES: (" -> ", _OR_LEVEL, _IMP_LEVEL),
+          _OR: (" \\/ ", _OR_LEVEL, _AND_LEVEL),
+          _AND: (" /\\ ", _AND_LEVEL, _UNARY_LEVEL)}
 
 
 def render(f: Formula, agents: Optional[AgentSet] = None) -> str:
     """Canonical text for ``f``; ``parse(render(f)) == f``."""
-    return _render(f, _IMP, agents)
+    p = _compiled(f)
+    ops, left, right, consts = p.ops, p.left, p.right, p.consts
+    text: list[str] = []
+
+    def operand(j: int, need: int) -> str:
+        return text[j] if _LEVEL.get(ops[j], _UNARY_LEVEL) >= need else f"({text[j]})"
+
+    for i, op in enumerate(ops):
+        if op in _INFIX:
+            sep, need_left, need_right = _INFIX[op]
+            text.append(operand(left[i], need_left) + sep + operand(right[i], need_right))
+        elif op == _ATOM:
+            text.append(consts[left[i]])
+        elif op == _TOP or op == _BOT:
+            text.append("T" if op == _TOP else "F")
+        else:
+            group = "" if op == _MONOBOX else group_text(consts[right[i]], agents)
+            text.append(("<%s>" if op == _DIA else "[%s]") % group
+                        + operand(left[i], _UNARY_LEVEL))
+    return text[-1]
 
 
 # ---------- Diamond-free fragment, sf and tau ----------
@@ -516,15 +630,7 @@ def _require_diamond_free(f: Formula, op: str) -> tuple:
 def sf(f: Formula) -> frozenset:
     """Subformula closure of a diamond-free formula."""
     _require_diamond_free(f, "sf")
-
-    def go(g: Formula) -> frozenset:
-        if isinstance(g, (Implies, Or, And)):
-            return frozenset({g}) | go(g.left) | go(g.right)
-        if isinstance(g, Box):
-            return frozenset({g}) | go(g.body)
-        return frozenset({g})
-
-    return go(f)
+    return frozenset(_compiled(f)._nodes)
 
 
 def tau(f: Formula) -> Formula:
@@ -534,23 +640,27 @@ def tau(f: Formula) -> Formula:
 
 # ---------- Substitution ----------
 
+def _rebuild(f: Formula, atom, group) -> Formula:
+    """``f`` rebuilt with ``atom(g)`` for each atom ``g`` and ``group(G)``
+    for each box or diamond group ``G``; a shared subformula stays shared."""
+    p = _compiled(f)
+    out: list[Formula] = []
+    for g, op, a, b in zip(p._nodes, p.ops, p.left, p.right):
+        if op == _ATOM:
+            g = atom(g)
+        elif op in _BINARY:
+            g = type(g)(out[a], out[b])
+        elif op == _MONOBOX:
+            g = MonoBox(out[a])
+        elif op == _BOX or op == _DIA:
+            g = type(g)(group(g.group), out[a])
+        out.append(g)
+    return out[-1]
+
+
 def substitute(f: Formula, sigma: Mapping[str, Formula]) -> Formula:
     """Simultaneous replacement of atoms; atoms outside ``sigma`` are fixed."""
-    if isinstance(f, Atom):
-        return sigma.get(f.name, f)
-    if isinstance(f, Implies):
-        return Implies(substitute(f.left, sigma), substitute(f.right, sigma))
-    if isinstance(f, Or):
-        return Or(substitute(f.left, sigma), substitute(f.right, sigma))
-    if isinstance(f, And):
-        return And(substitute(f.left, sigma), substitute(f.right, sigma))
-    if isinstance(f, Box):
-        return Box(f.group, substitute(f.body, sigma))
-    if isinstance(f, Dia):
-        return Dia(f.group, substitute(f.body, sigma))
-    if isinstance(f, MonoBox):
-        return MonoBox(substitute(f.body, sigma))
-    return f
+    return _rebuild(f, lambda g: sigma.get(g.name, g), lambda group: group)
 
 
 # ---------- Schemata and matching ----------
@@ -673,25 +783,17 @@ def instantiate(schema: Schema, atom_map: Mapping[str, Formula],
                 group_map: Mapping[str, Group]) -> Formula:
     """Plug concrete formulas and groups into a schema."""
 
-    def go(g: Formula) -> Formula:
-        if isinstance(g, Atom):
-            if g.name not in atom_map:
-                raise KeyError(f"no binding for metavariable {g.name!r}")
-            return atom_map[g.name]
-        if isinstance(g, Implies):
-            return Implies(go(g.left), go(g.right))
-        if isinstance(g, Or):
-            return Or(go(g.left), go(g.right))
-        if isinstance(g, And):
-            return And(go(g.left), go(g.right))
-        if isinstance(g, (Box, Dia)):
-            members: frozenset = frozenset()
-            for v in g.group:
-                if v not in group_map:
-                    raise KeyError(f"no binding for group metavariable {v!r}")
-                members |= group_map[v]
-            node = Box if isinstance(g, Box) else Dia
-            return node(frozenset(members), go(g.body))
-        return g
+    def atom(g: Atom) -> Formula:
+        if g.name not in atom_map:
+            raise KeyError(f"no binding for metavariable {g.name!r}")
+        return atom_map[g.name]
 
-    return go(schema.formula)
+    def group(slot: Group) -> Group:
+        members: frozenset = frozenset()
+        for v in slot:
+            if v not in group_map:
+                raise KeyError(f"no binding for group metavariable {v!r}")
+            members |= group_map[v]
+        return members
+
+    return _rebuild(schema.formula, atom, group)

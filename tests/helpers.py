@@ -11,7 +11,7 @@ import random
 
 from ieml import (
     AgentSet, And, Atom, BOT, Bot, Box, Dia, Formula, Implies, Model,
-    MonoBox, Or, TOP, Top, atoms_of,
+    MonoBox, Or, TOP, Top,
 )
 from ieml.semantics import Frame, Rel, bits
 
@@ -93,10 +93,21 @@ def naive_mono_satisfies(mm: Model, s: int, f: Formula) -> bool:
     return sat(s, f)
 
 
+def naive_atoms(f: Formula) -> set:
+    """The atom names in f, collected here rather than by ieml's compiler."""
+    if isinstance(f, Atom):
+        return {f.name}
+    if isinstance(f, (Implies, Or, And)):
+        return naive_atoms(f.left) | naive_atoms(f.right)
+    if isinstance(f, (Box, Dia, MonoBox)):
+        return naive_atoms(f.body)
+    return set()
+
+
 def naive_valid_in_frame(frame: Frame, f: Formula) -> bool:
     """Enumerate full valuations over the atoms of f (all subsets, skipping
     the ones that are not closed) and require truth at every state."""
-    names = sorted(atoms_of(f))
+    names = sorted(naive_atoms(f))
     n = frame.n
     leq = rel_pairs(frame.leq)
 

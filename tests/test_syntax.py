@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 
 from ieml import (
     AgentSet, And, Atom, BOT, Box, Dia, Implies, Or, ParseError, Schema, TOP,
-    atoms_of, depth_of, instantiate, is_diamond_free, match_instance, parse,
-    render, sf, substitute, tau,
+    agents_of, atoms_of, depth_of, groups_of, instantiate, is_diamond_free,
+    match_instance, parse, render, sf, substitute, tau,
 )
 from ieml.semantics import Evaluator, Model, MonoStructure, Rel, mono_truth_mask
 from ieml.syntax import MAX_DEPTH, MonoBox
@@ -80,7 +80,6 @@ def test_parse_nesting_bound(shape):
         assert e.value.position == refused_at
     f = parse(text(MAX_DEPTH))
     assert depth_of(f) == (0 if shape == "parentheses" else MAX_DEPTH)
-    # the recursive walks over a formula at the bound fit the stack
     assert parse(render(f)) == f
     frame = two_chain_frame(AgentSet.of("a"))
     Evaluator(frame).truth_mask(f, {"p": 0b10})
@@ -348,3 +347,59 @@ def test_depth_and_atoms_helpers():
     f = parse("[a](p -> <b>q)")
     assert depth_of(f) == 3
     assert atoms_of(f) == frozenset({"p", "q"})
+
+
+# Each node kind chained 3000 deep with the constructors, which no depth
+# bound guards, and the chain's text.
+CHAINS = {
+    "Implies": (lambda f: Implies(Atom("q"), f), "q -> " * 3000 + "p"),
+    "And": (lambda f: And(f, Atom("q")), "p" + " /\\ q" * 3000),
+    "Box": (lambda f: Box(A, f), "[a]" * 3000 + "p"),
+    "Dia": (lambda f: Dia(B, f), "<b>" * 3000 + "p"),
+    "MonoBox": (MonoBox, "[]" * 3000 + "p"),
+}
+
+
+def _chain(step):
+    f = Atom("p")
+    for _ in range(3000):
+        f = step(f)
+    return f
+
+
+@pytest.mark.parametrize("kind", sorted(CHAINS))
+def test_syntax_walks_take_api_built_formulas_of_any_depth(kind):
+    step, text = CHAINS[kind]
+    f = _chain(step)
+    assert hash(f) == hash(_chain(step)) != hash(step(f))
+    assert render(f) == str(f) == text
+    assert atoms_of(f) == ({"p", "q"} if "q" in text else {"p"})
+    groups = {"Box": {A}, "Dia": {B}}.get(kind, set())
+    assert groups_of(f) == groups
+    assert agents_of(f) == set().union(*groups)
+    assert depth_of(f) == 3000
+    assert render(substitute(f, {"p": Atom("r")})) == text.replace("p", "r")
+    plugged = instantiate(Schema("S", f), {"p": BOT, "q": TOP},
+                          {"a": AB, "b": AB})
+    assert render(plugged) == text.replace("p", "F").replace("q", "T") \
+        .replace("[a]", "[a,b]").replace("<b>", "<a,b>")
+    if is_diamond_free(f):
+        assert len(sf(f)) == 3000 + len(atoms_of(f))
+    else:
+        for walk in (sf, tau):
+            with pytest.raises(ValueError, match="diamond-free formulas only"):
+                walk(f)
+
+
+def test_shared_subformulas_stay_shared():
+    f = Atom("p")
+    for _ in range(30):
+        f = And(f, f)
+        g = substitute(f, {"p": Atom("q")})
+        assert g.left is g.right
+    for _ in range(30):
+        assert g.left is g.right
+        g = g.left
+    assert g == Atom("q")
+    # 2**30 paths, 31 nodes: each walk visits a node once
+    assert atoms_of(f) == {"p"} and depth_of(f) == 30
