@@ -7,6 +7,7 @@ no proof search is attempted.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -244,30 +245,65 @@ def check_derivation(d: Derivation, logic: LogicId) -> CheckResult:
 
 # ---------- derivation files ----------
 
+class _Malformed(Exception):
+    """A field of the wrong type; ``parse_derivation`` adds the line."""
+
+
+def _strs(values) -> bool:
+    return all(isinstance(v, str) for v in values)
+
+
+# What each justification field must hold, and how an error says it.
+_FIELDS = {
+    "kind": (lambda v: isinstance(v, str), "a string"),
+    "id": (lambda v: isinstance(v, str), "a string"),
+    "i": (lambda v: type(v) is int, "a line number"),  # not a bool
+    "j": (lambda v: type(v) is int, "a line number"),
+    "group": (lambda v: isinstance(v, list) and v and _strs(v),
+              "a nonempty list of agent names"),
+    "map": (lambda v: isinstance(v, dict) and _strs(v) and _strs(v.values()),
+            "an object from atom names to formulas"),
+}
+
+
+def _field(just: dict, name: str):
+    """``just[name]``, checked against ``_FIELDS``; a missing field is a
+    KeyError."""
+    value = just[name]
+    ok, want = _FIELDS[name]
+    if not ok(value):
+        raise _Malformed(f"{name!r} must be {want}, got {json.dumps(value)}")
+    return value
+
+
 def parse_derivation(data: list) -> Derivation:
+    """The derivation a JSON document holds.  Every field is checked for its
+    type, so a malformed line is a ValueError naming the line and the field,
+    never an engine error; an unknown schema or a bad premise index is left
+    for ``check_derivation`` to reject at its line."""
     if not isinstance(data, list):
         raise ValueError("a derivation file holds a JSON list of lines")
     lines = []
     for k, entry in enumerate(data, start=1):
         try:
             formula = parse(entry["formula"])
-            just = entry["just"]
-            kind = just["kind"]
+            field = functools.partial(_field, entry["just"])
+            kind = field("kind")
             if kind == "axiom":
-                step: Step = AxiomStep(just["id"])
+                step: Step = AxiomStep(field("id"))
             elif kind == "mp":
-                step = MPStep(int(just["i"]), int(just["j"]))
+                step = MPStep(field("i"), field("j"))
             elif kind in ("r1", "r2", "r3"):
-                step = RuleStep(kind.upper(), int(just["i"]),
-                                frozenset(just["group"]))
+                step = RuleStep(kind.upper(), field("i"), frozenset(field("group")))
             elif kind == "sub":
-                step = SubStep(int(just["i"]),
-                               tuple(sorted((k2, parse(v))
-                                            for k2, v in just["map"].items())))
+                step = SubStep(field("i"), tuple(sorted(
+                    (a, parse(v)) for a, v in field("map").items())))
             else:
-                raise ValueError(f"unknown justification kind {kind!r}")
+                raise _Malformed(f"unknown justification kind {kind!r}")
         except (KeyError, TypeError) as e:
             raise ValueError(f"line {k}: malformed entry ({e})") from None
+        except _Malformed as e:
+            raise ValueError(f"line {k}: {e}") from None
         lines.append((formula, step))
     return Derivation(tuple(lines))
 

@@ -57,9 +57,14 @@ def budget_from_env(**overrides) -> SizeBudget:
     fields = {}
     for name in ("max_states", "max_agents", "max_formula_depth",
                  "max_candidates", "seed"):
-        env = os.environ.get(f"IEML_BUDGET_{name.upper()}")
+        var = f"IEML_BUDGET_{name.upper()}"
+        env = os.environ.get(var)
         if env is not None:
-            fields[name] = int(env)
+            try:
+                fields[name] = int(env)
+            except ValueError:
+                raise ValueError(f"{var} ({name}) must be an integer, "
+                                 f"got {env!r}") from None
     fields.update({k: v for k, v in overrides.items() if v is not None})
     return SizeBudget(**fields)
 
@@ -143,8 +148,16 @@ def _propose_group_mask(rng: random.Random, n: int, leq: Rel, wanted: set) -> in
 
 
 def _propose_frame(rng: random.Random, n: int, agents: AgentSet,
-                   wanted: set) -> Frame:
-    leq = Rel.from_mask(n, _random_relation(rng, n)).rt_closure()
+                   wanted: set, shared: dict) -> Frame:
+    """A random frame biased toward ``wanted``; its relations come from
+    ``shared`` (mask -> ``Rel``), so frames reuse what a ``Rel`` keeps."""
+    def rel(mask: int) -> Rel:
+        r = shared.get(mask)
+        if r is None:
+            r = shared[mask] = Rel.from_mask(n, mask)
+        return r
+
+    leq = rel(Rel.from_mask(n, _random_relation(rng, n)).rt_closure().mask())
     n_groups = (1 << len(agents)) - 1
     masks: dict = {}
     if FrameClass.STANDARD in wanted:
@@ -167,7 +180,7 @@ def _propose_frame(rng: random.Random, n: int, agents: AgentSet,
     else:
         for gm in range(1, n_groups + 1):
             masks[gm] = _propose_group_mask(rng, n, leq, wanted)
-    rels = tuple(Rel.from_mask(n, masks[gm]) for gm in range(1, n_groups + 1))
+    rels = tuple(rel(masks[gm]) for gm in range(1, n_groups + 1))
     return Frame(agents, n, leq, rels)
 
 
@@ -191,9 +204,9 @@ def enumerate_frames(budget: SizeBudget, classes=FrameClass.ALL,
     remaining = budget.max_candidates
     for n in range(1, budget.max_states + 1):
         raw = _raw_space(n, n_groups)
+        # one Rel per relation, shared by every frame that uses it, so what
+        # a Rel keeps (row classes, converse, up-sets) is computed once
         if raw is not None and raw <= remaining:
-            # one Rel per relation, shared by every frame that uses it, so
-            # what a Rel keeps (row classes, converse) is computed once
             rels = [Rel.from_mask(n, m) for m in range(1 << (n * n))]
             for leq in preorders(n):
                 for group_rels in itertools.product(rels, repeat=n_groups):
@@ -209,9 +222,10 @@ def enumerate_frames(budget: SizeBudget, classes=FrameClass.ALL,
             levels_left = budget.max_states - n + 1
             tries = remaining // levels_left
             remaining -= tries
+            shared: dict = {}
             for _ in range(tries):
                 stats["candidates"] += 1
-                frame = _propose_frame(rng, n, agents, wanted)
+                frame = _propose_frame(rng, n, agents, wanted, shared)
                 if frame in seen:
                     continue
                 if all(has_class(frame, c) for c in classes):

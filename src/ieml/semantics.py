@@ -11,9 +11,10 @@ inside / image meets the body) plus one preorder-interior pass.  Every pass
 runs over a relation's row classes (``Rel.row_classes``: each distinct row
 with the set of states that have it), so its cost follows the number of
 distinct rows, not of states.  It evaluates a ``Program``, a formula list
-compiled once into a node array, in one loop per valuation.  The
-satisfaction and validity functions below wrap it, through the evaluator
-each structure keeps (``evaluator``).
+compiled once into a node array, in one loop per valuation, or, for
+``falsify_on_frame``, in one loop for all of a frame's valuations, each in a
+lane of the same ints.  The satisfaction and validity functions below wrap
+it, through the evaluator each structure keeps (``evaluator``).
 """
 from __future__ import annotations
 
@@ -134,6 +135,23 @@ class Rel:
             # the dataclass is frozen, so write the dict itself
             memo = self.__dict__["_row_classes"] = tuple(classes.items())
         return memo
+
+    def spread_classes(self, rep: int = 1, swap: bool = False) -> tuple:
+        """``row_classes`` with each row repeated into every lane of the
+        lane-repeat constant ``rep`` (``row * rep``; ``falsify_on_frame``),
+        or with ``swap`` each class as ``(states * rep, row)``, the pairs of
+        the converse's pre-images (a preorder's up-closure).  Kept per
+        ``(rep, swap)``, like the classes, so the frames of a stream that
+        share a relation share them."""
+        if rep == 1 and not swap:
+            return self.row_classes()
+        memo = self.__dict__.setdefault("_spread", {})
+        out = memo.get((rep, swap))
+        if out is None:
+            out = memo[(rep, swap)] = tuple(
+                (s * rep, r) if swap else (r * rep, s)
+                for r, s in self.row_classes())
+        return out
 
     def _row_table(self) -> tuple[list[int], list[int]]:
         """``(heads, index)``: state i has row ``heads[index[i]]``.  Built once
@@ -409,10 +427,17 @@ def is_closed(leq: Rel, mask: int) -> bool:
 
 def up_sets(f: Union[Frame, MonoStructure],
             cap: int = DEFAULT_ASSIGNMENT_CAP) -> list[int]:
-    """All closed state sets as bitmasks, ascending."""
+    """All closed state sets as bitmasks, ascending.  The list is computed
+    once per preorder and kept with ``f.leq``, like its row classes, so the
+    frames of a stream that share a preorder share it: do not modify it."""
     if 1 << f.n > cap:
         raise BudgetError(f"2^{f.n} candidate sets exceed the cap {cap}")
-    return [u for u in range(1 << f.n) if is_closed(f.leq, u)]
+    leq = f.leq
+    memo = leq.__dict__.get("_up_sets")
+    if memo is None:
+        memo = leq.__dict__["_up_sets"] = \
+            [u for u in range(1 << f.n) if is_closed(leq, u)]
+    return memo
 
 
 def _val_items(n: int, val: Mapping[str, Union[int, Iterable[int]]]) -> tuple:
@@ -514,6 +539,16 @@ QUOTIENT_MIN_GAIN = 16
 QUOTIENT_MAX_PASSES = 8
 
 
+def _meets(classes: tuple, x: int) -> int:
+    """The union of the states of the ``(row, states)`` classes whose row
+    meets ``x``: the test every modal and interior clause is made of."""
+    out = 0
+    for row, states in classes:
+        if row & x:
+            out |= states
+    return out
+
+
 def _lift(q: tuple, mask: int) -> int:
     """The states of the blocks in ``mask``, a mask on the quotient ``q``."""
     return sum(map(q[0].__getitem__, bits(mask)))
@@ -535,14 +570,18 @@ class Evaluator:
     one pass over the preorder's classes, the other variants keep the
     witnesses).  Implication, the group box and the ``wijesekera`` diamond
     end in one shared preorder-interior pass: the states of a preorder class
-    hold when its row misses every bad state.  A large structure runs on its
-    bisimulation quotient under the valuation when that pays (``_quotient``).
+    hold when its row misses every bad state.  So every clause is built from
+    one test, "the states of the classes whose row meets x".  A large
+    structure runs on its bisimulation quotient under the valuation when
+    that pays (``_quotient``).  ``falsify_on_frame`` runs ``_run`` on many
+    valuations at once, one per lane; there the meets test reads a carry
+    into each lane's guard bit instead of branching per class.
 
     An evaluator keeps no reference to its structure, so the structure can
     keep it (``evaluator``) without a reference cycle.
     """
 
-    __slots__ = ("variant", "_mono", "_box", "_dia", "_full", "_leq_classes",
+    __slots__ = ("variant", "_mono", "_box", "_dia", "_full", "_leq",
                  "_rels", "_agents", "_kind", "_classes", "_last_quotient")
 
     def __init__(self, frame: Union[Frame, MonoStructure],
@@ -557,11 +596,11 @@ class Evaluator:
         self.variant = variant
         self._box, self._dia = (_MONOBOX, None) if self._mono else (_BOX, _DIA)
         self._full = (1 << frame.n) - 1
-        self._leq_classes = frame.leq.row_classes()
+        self._leq = frame.leq
         self._rels, self._agents = ((frame.r,), None) if self._mono \
             else (frame.rels, frame.agents)
         self._kind = type(frame).__name__
-        self._classes: dict = {}  # group (None on a mono structure) -> row classes
+        self._classes: dict = {}  # lane-repeat constant -> _classes_in
         self._last_quotient: tuple = (None, None)  # valuation, quotient
 
     def truth_mask(self, f: Formula, val: Mapping[str, int]) -> int:
@@ -603,11 +642,11 @@ class Evaluator:
         if key == val:
             return q
         self._last_quotient = key = (dict(val), None)  # until it pays
-        classes = [self._leq_classes] + [r.row_classes() for r in self._rels]
+        classes = [self._leq.row_classes()] + [r.row_classes() for r in self._rels]
         direct = sum(map(len, classes)) / len(classes) \
             * (1 + self._full.bit_length() / 2048)  # per relation and pass
         # geq's pre-images are leq's images: no transpose is needed
-        relations = classes + [tuple((s, r) for r, s in self._leq_classes)]
+        relations = classes + [self._leq.spread_classes(1, swap=True)]
         blocks = [self._full]
         for m in val.values():
             blocks = [x for b in blocks for x in (b & m, b & ~m) if x]
@@ -626,20 +665,43 @@ class Evaluator:
         self._last_quotient = (key[0], q)
         return q
 
-    def _row_classes(self, group: Optional[Group]) -> tuple:
-        classes = self._classes.get(group)
+    def _classes_in(self, rep: int) -> dict:
+        """The classes the clauses test, each row spread into the lanes of
+        ``rep``, kept per lane count: ``"leq"`` the preorder's, ``"up"`` the
+        preorder's swapped, and each group's relation's (None for a mono
+        structure's) once a clause reads it."""
+        classes = self._classes.get(rep)
         if classes is None:
-            rel = self._rels[0 if self._mono else self._agents.mask(group) - 1]
-            classes = self._classes[group] = rel.row_classes()
+            classes = self._classes[rep] = {
+                "leq": self._leq.spread_classes(rep),
+                "up": self._leq.spread_classes(rep, swap=True)}
         return classes
 
-    def _run(self, program: Program, val: Mapping[str, int]) -> list[int]:
-        """The masks of ``program``'s nodes, on this structure itself."""
+    def _run(self, program: Program, val: Mapping[str, int],
+             rep: int = 1) -> list[int]:
+        """The masks of ``program``'s nodes, on this structure itself.  With
+        a lane-repeat constant ``rep`` (bit 0 of each lane, see
+        ``falsify_on_frame``), each value of ``val`` and each mask holds one
+        truth set per lane, and only the "which classes meet x" test differs:
+        a carry into each lane's guard bit replaces the branch."""
         ops, left, right, consts = \
             program.ops, program.left, program.right, program.consts
-        full, leq_classes, mono = self._full, self._leq_classes, self._mono
+        full, mono = self._full * rep, self._mono
         box, dia, variant = self._box, self._dia, self.variant
-        modal: dict = {}  # group constant -> row classes
+        if rep == 1:
+            meets = _meets
+        else:
+            n, guards = self._full.bit_length(), (self._full + 1) * rep
+
+            def meets(classes: tuple, x: int) -> int:
+                out = 0
+                for row, states in classes:
+                    # lane by lane, (x & row) + full carries into the guard
+                    # bit exactly when x meets the row there
+                    out |= ((((x & row) + full) & guards) >> n) * states
+                return out
+        spread = self._classes_in(rep)
+        leq_classes = spread["leq"]
         masks: list[int] = []
         for i in range(len(ops)):
             op = ops[i]
@@ -654,28 +716,20 @@ class Evaluator:
                 out = val.get(consts[left[i]], 0)
             elif op == box or op == dia:
                 body = masks[left[i]]
-                classes = modal.get(right[i])
+                group = None if mono else consts[right[i]]
+                classes = spread.get(group)
                 if classes is None:
-                    classes = modal[right[i]] = \
-                        self._row_classes(None if mono else consts[right[i]])
-                if op == box:  # image inside the body
-                    over = ~body
-                    bad = 0
-                    for row, states in classes:
-                        if row & over:
-                            bad |= states
+                    classes = spread[group] = self._rels[
+                        0 if mono else self._agents.mask(group) - 1
+                    ].spread_classes(rep)
+                if op == box:  # image inside the body: it misses ~body
+                    bad = meets(classes, ~body)
                     if mono:  # the mono box reads r directly, no interior
                         out, bad = full & ~bad, None
                 else:  # image meets the body
-                    out = 0
-                    for row, states in classes:
-                        if row & body:
-                            out |= states
+                    out = meets(classes, body)
                     if variant == "prenosil":  # up-closure of the witnesses
-                        witnesses, out = out, 0
-                        for row, states in leq_classes:
-                            if states & witnesses:
-                                out |= row
+                        out = meets(spread["up"], out)
                     elif variant == "wijesekera":
                         bad = full & ~out
             elif op == _TOP:
@@ -685,14 +739,8 @@ class Evaluator:
             else:  # a MonoBox on a frame, a Box or Dia on a mono structure
                 raise TypeError(
                     f"not a formula over a {self._kind}: {program._nodes[i]!r}")
-            if bad is not None:
-                if bad == 0:
-                    out = full
-                else:
-                    out = 0
-                    for row, states in leq_classes:
-                        if row & bad == 0:
-                            out |= states
+            if bad is not None:  # the classes whose row misses every bad state
+                out = full if bad == 0 else full & ~meets(leq_classes, bad)
             masks.append(out)
         return masks
 
@@ -735,18 +783,69 @@ def valid_in_frame(f: Frame, a: Formula,
     return falsify_on_frame(f, a, cap) is None
 
 
+# A lane sweep packs at most this many bits of valuations into one int.  At
+# 3 states and 3 atoms (at most 8 up-sets: 512 lanes of 4 bits) a frame's
+# whole valuation space is one chunk.
+LANE_CHUNK_BITS = 2048
+
+
+def _repeat(count: int, stride: int) -> int:
+    """The lane-repeat constant: bit 0 of each of ``count`` fields of
+    ``stride`` bits, so ``x * _repeat(count, stride)`` copies a narrower
+    ``x`` into every field."""
+    return ((1 << count * stride) - 1) // ((1 << stride) - 1)
+
+
+def _lanes(leq: Rel, sets: list[int], m: int) -> tuple[int, int, list[int]]:
+    """How a lane sweep over ``m`` atoms packs valuations by the up-sets
+    ``sets`` of ``leq``: how many of the last atoms are packed, the
+    lane-repeat constant, and each packed atom's mask.  Kept with ``leq``,
+    like its up-sets."""
+    memo = leq.__dict__.setdefault("_lanes", {})
+    got = memo.get(m)
+    if got is None:
+        w, k = leq.n + 1, len(sets)
+        inner = m
+        while inner and k ** inner * w > LANE_CHUNK_BITS:
+            inner -= 1
+        lanes = k ** inner
+        masks, block = [], lanes
+        for _ in range(inner):
+            block //= k  # the lanes each up-set of this atom fills in a row
+            cycle = sum(u << s * block * w for s, u in enumerate(sets)) \
+                * _repeat(block, w)
+            masks.append(cycle * _repeat(lanes // (block * k), block * k * w))
+        got = memo[m] = (inner, _repeat(lanes, w), masks)
+    return got
+
+
 def falsify_on_frame(f: Frame, a: Formula,
                      cap: int = DEFAULT_ASSIGNMENT_CAP) -> Optional[tuple[Model, int]]:
-    """A model on ``f`` and a state where ``a`` fails, if one exists."""
+    """A model on ``f`` and a state where ``a`` fails, if one exists: the
+    first falsifying valuation in ``itertools.product`` order over the
+    up-sets, at its lowest falsified state.
+
+    Valuations are checked in lanes (Lamport, "Multiple byte processing with
+    full-word instructions", CACM 18(8), 1975; Warren, *Hacker's Delight*,
+    2nd ed., ch. 6): lane k of an int holds valuation k's truth set in n
+    state bits plus a guard bit, and one ``Evaluator`` pass serves every
+    lane.  As many of the fastest-varying atoms as fit ``LANE_CHUNK_BITS``
+    are packed, each atom's mask its up-sets repeated across the lanes by
+    multiplication; each choice of the other atoms is one chunk, in order.
+    So the lowest missing bit of the first chunk with one is the answer."""
     names, sets = _assignment_space(f, a, cap)
-    ev = evaluator(f)
-    full = (1 << f.n) - 1
-    for choice in itertools.product(sets, repeat=len(names)):
-        val = dict(zip(names, choice))
-        mask = ev.truth_mask(a, val)
-        if mask != full:
-            state = next(bits(full & ~mask))
-            return Model.make(f, val), state
+    inner, rep, masks = _lanes(f.leq, sets, len(names))
+    w, k, outer = f.n + 1, len(sets), len(names) - inner
+    packed = dict(zip(names[outer:], masks))
+    ev, program = evaluator(f), _compiled(a)
+    full = ev._full * rep
+    for head in itertools.product(sets, repeat=outer):
+        packed.update(zip(names, [u * rep for u in head]))
+        missing = full & ~ev._run(program, packed, rep)[-1]
+        if missing:
+            lane, state = divmod((missing & -missing).bit_length() - 1, w)
+            tail = [sets[lane // k ** (inner - 1 - p) % k] for p in range(inner)]
+            return Model.make(f, dict(zip(names, head + tuple(tail)))), state
     return None
 
 

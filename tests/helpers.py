@@ -104,25 +104,27 @@ def naive_atoms(f: Formula) -> set:
     return set()
 
 
-def naive_valid_in_frame(frame: Frame, f: Formula) -> bool:
-    """Enumerate full valuations over the atoms of f (all subsets, skipping
-    the ones that are not closed) and require truth at every state."""
+def naive_falsify(frame: Frame, f: Formula):
+    """The first valuation of the atoms of f, in product order over the
+    closed sets taken as ascending bitmasks, under which f fails at some
+    state: ``(atom -> mask, lowest failing state)``, or None.  Every subset
+    is tested against the preorder's pairs, one valuation at a time."""
     names = sorted(naive_atoms(f))
     n = frame.n
     leq = rel_pairs(frame.leq)
+    closed = [m for m in range(1 << n)
+              if all(m >> t & 1 for s, t in leq if m >> s & 1)]
+    for choice in itertools.product(closed, repeat=len(names)):
+        val = dict(zip(names, choice))
+        model = Model.make(frame, val)
+        for s in range(n):
+            if not naive_satisfies(model, s, f):
+                return val, s
+    return None
 
-    def closed(states: set) -> bool:
-        return all(t in states for s in states for t in range(n) if (s, t) in leq)
 
-    subsets = [set(c) for k in range(n + 1)
-               for c in itertools.combinations(range(n), k)]
-    for choice in itertools.product(subsets, repeat=len(names)):
-        if not all(closed(c) for c in choice):
-            continue
-        model = Model.make(frame, dict(zip(names, choice)))
-        if not all(naive_satisfies(model, s, f) for s in range(n)):
-            return False
-    return True
+def naive_valid_in_frame(frame: Frame, f: Formula) -> bool:
+    return naive_falsify(frame, f) is None
 
 
 def naive_compose(p: Rel, q: Rel) -> set:

@@ -143,6 +143,36 @@ def test_construct_roundtrip(capsys, tmp_path, model_file, mono_file):
     assert std["worlds"] == ["w0|g0", "w0|g1"]
 
 
+_IPL1 = {"formula": "p -> (q -> p)", "just": {"kind": "axiom", "id": "IPL1"}}
+
+
+@pytest.mark.parametrize("lines, message", [
+    ([{"formula": "p -> (q -> p)", "just": {"kind": "axiom", "id": []}}],
+     "line 1: 'id' must be a string, got []"),
+    ([_IPL1, {"formula": "[a](p -> (q -> p))",
+              "just": {"kind": "r1", "i": 1, "group": [1]}}],
+     "line 2: 'group' must be a nonempty list of agent names, got [1]"),
+    ([_IPL1, {"formula": "q -> (q -> q)",
+              "just": {"kind": "sub", "i": 1, "map": ["p", "q"]}}],
+     "line 2: 'map' must be an object from atom names to formulas, "
+     "got [\"p\", \"q\"]"),
+    ([_IPL1, {"formula": "q -> (q -> q)",
+              "just": {"kind": "sub", "i": True, "map": {"p": "q"}}}],
+     "line 2: 'i' must be a line number, got true"),
+    ([_IPL1, {"formula": "p", "just": {"kind": "mp", "i": 1, "j": "1"}}],
+     "line 2: 'j' must be a line number, got \"1\""),
+    ([{"formula": "p", "just": {"kind": ["axiom"], "id": "IPL1"}}],
+     "line 1: 'kind' must be a string, got [\"axiom\"]"),
+])
+def test_prove_malformed_derivation_exit_2(capsys, tmp_path, lines, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(lines))
+    assert run(["prove", "--logic", "L_par_D", "--derivation", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err
+
+
 def test_construct_missing_flag_is_usage_error(capsys, mono_file):
     assert run(["construct", "--kind", "expandmono", "--in", mono_file,
                 "--out", "/tmp/x.json"]) == 2

@@ -34,6 +34,14 @@ def test_budget_from_env(monkeypatch):
     assert b2.max_states == 2
 
 
+def test_budget_from_env_names_a_bad_variable(monkeypatch):
+    monkeypatch.setenv("IEML_BUDGET_MAX_AGENTS", "x")
+    with pytest.raises(ValueError) as info:
+        budget_from_env()
+    assert str(info.value) == \
+        "IEML_BUDGET_MAX_AGENTS (max_agents) must be an integer, got 'x'"
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         SizeBudget(max_agents=0)
@@ -96,6 +104,26 @@ def test_enumerate_stats_exhaustive_flag():
     small = SizeBudget(max_states=3, max_agents=2, max_candidates=50, seed=0)
     list(enumerate_frames(small, FrameClass.ALL, stats=stats2))
     assert not stats2["exhaustive"]
+
+
+def test_enumerate_sampled_stream_golden():
+    """The frames and stats of sampled streams (3 states, 300 candidates)
+    over several classes, seeds and agent counts, pinned by digest: sharing
+    relations across a stream must not change a frame or its order."""
+    doc = []
+    for cls in (FrameClass.ALL, FrameClass.EPISTEMIC, FrameClass.UD,
+                FrameClass.PRESTANDARD, FrameClass.PARTITION):
+        for seed in (0, 7):
+            for k in (1, 2):
+                stats = {}
+                budget = SizeBudget(max_states=3, max_agents=k,
+                                    max_candidates=300, seed=seed)
+                frames = [[f.n, list(f.leq.rows), [list(r.rows) for r in f.rels]]
+                          for f in enumerate_frames(budget, cls, stats=stats)]
+                assert not stats["exhaustive"]
+                doc.append([cls.value, seed, k, frames, stats])
+    assert _digest(doc) == \
+        "8f9009e94b6cdac9cb32b91d0e19e475704340b35facae38951c3bfe685fd93f"
 
 
 # ---------- models and formulas ----------

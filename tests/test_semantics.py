@@ -19,8 +19,8 @@ from ieml.semantics import VARIANTS, Program, bits, mono_truth_mask
 from ieml.syntax import MonoBox
 
 from helpers import (
-    blow_up, naive_compose, naive_mono_satisfies, naive_satisfies,
-    naive_valid_in_frame, random_ast, two_chain_frame,
+    blow_up, naive_compose, naive_falsify, naive_mono_satisfies,
+    naive_satisfies, naive_valid_in_frame, random_ast, two_chain_frame,
 )
 
 AG = AgentSet.of("a")
@@ -449,6 +449,48 @@ def test_validity_against_full_valuation_oracle():
             assert valid_in_frame(frame, f) == naive_valid_in_frame(frame, f)
             checked += 1
     assert checked >= 100
+
+
+def _first_countermodel(frame, f):
+    hit = falsify_on_frame(frame, f)
+    return None if hit is None else (hit[0].val_map(), hit[1])
+
+
+def test_lane_sweep_finds_the_naive_first_countermodel():
+    """falsify_on_frame checks all valuations in lanes; it must name the
+    same first falsifying valuation (product order) and lowest falsified
+    state as the one-valuation-at-a-time oracle."""
+    rng = random.Random(16)
+    for _ in range(80):
+        agents = rng.choice((AG, AG2))
+        n = rng.randint(1, 4)
+        leq = Rel.from_mask(n, rng.getrandbits(n * n)
+                            & rng.getrandbits(n * n)).rt_closure()
+        rels = tuple(Rel.from_mask(n, rng.getrandbits(n * n))
+                     for _ in agents.groups())
+        frame = Frame(agents, n, leq, rels)
+        atoms = ("p", "q", "r")[:rng.randrange(4)]
+        f = random_ast(rng, atoms or ("p",), agents.names, 3)
+        if not atoms:
+            f = substitute(f, {"p": rng.choice((TOP, BOT))})
+        assert _first_countermodel(frame, f) == naive_falsify(frame, f), \
+            (frame, f)
+
+
+def test_lane_sweep_across_chunks():
+    """On the discrete four-state frame three atoms have 16^3 valuations,
+    more than one chunk holds, so the sweep takes several chunks."""
+    frame = Frame(AG2, 4, Rel.identity(4),
+                  (Rel.total(4), Rel.from_pairs(4, [(0, 1), (2, 3)]),
+                   Rel.empty(4)))
+    assert len(up_sets(frame)) ** 3 * 5 > semantics.LANE_CHUNK_BITS
+    for text in ("p /\\ q -> r", "p -> [a](q \\/ r)", "<b>q /\\ r -> <a>p",
+                 "p /\\ q -> q \\/ r", "[a,b]r -> [a,b]r"):
+        f = parse(text)
+        assert _first_countermodel(frame, f) == naive_falsify(frame, f), text
+    # the first falsifying valuation of p /\ q -> r lies past the first chunk
+    assert _first_countermodel(frame, parse("p /\\ q -> r")) \
+        == ({"p": 1, "q": 1, "r": 0}, 0)
 
 
 def test_validity_invariant_under_atom_renaming():
