@@ -254,8 +254,8 @@ def rs_collapse(m: Model,
     if not has_class(frame, FrameClass.UD):
         raise PreconditionError(
             "rs_collapse needs an up and down reflexive and symmetric frame")
-    out_frame = Frame(frame.agents, frame.n, frame.leq,
-                      tuple(up & down for up, down in frame.ud_composites()))
+    out_frame = Frame(frame.agents, frame.n, frame.leq, tuple(
+        up & down for up, down in map(frame.ud_pair, frame.rels)))
     out = Model(out_frame, m.val)
     names = _names(m, src_names)
     fibers = tuple((t,) for t in range(frame.n))

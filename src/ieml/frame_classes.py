@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .semantics import Frame, MonoStructure, is_forward_confluent, joint_rows
+from .semantics import Frame, MonoStructure, joint_rows, kept
 
 
 class FrameClass(str, Enum):
@@ -23,25 +23,30 @@ class FrameClass(str, Enum):
     FORWARD_CONFLUENT = "forward_confluent"
 
 
-def _doxastic(f: Frame) -> bool:
-    return all(r.le(f.leq) for r in f.rels)
-
-
-def _serial_box(f: Frame) -> bool:
+# Every class but prestandard and standard is a conjunction over the frame's
+# relations R of tests on the pair (leq, R).
+_TESTS = {
+    "doxastic": lambda f, r: r.le(f.leq),
     # every state reaches some state through leq followed by accessibility
-    return all(row for r in f.rels for (row,) in joint_rows(f.leq.compose(r)))
-
-
-def _ud_reflexive(f: Frame) -> bool:
-    return all(up.is_reflexive() and down.is_reflexive()
-               for up, down in f.ud_composites())
-
-
-def _ud_symmetric(f: Frame) -> bool:
-    # every (s, t) in R has t up s and t down s, i.e. the converse of R
-    # lies inside both composites
-    return all(r.converse().le(up) and r.converse().le(down)
-               for r, (up, down) in zip(f.rels, f.ud_composites()))
+    "serial": lambda f, r: all(row for (row,) in joint_rows(f.leq.compose(r))),
+    "reflexive": lambda f, r: r.is_reflexive(),
+    "symmetric": lambda f, r: r.is_symmetric(),
+    "transitive": lambda f, r: r.is_transitive(),
+    "ud_reflexive": lambda f, r: all(x.is_reflexive() for x in f.ud_pair(r)),
+    # every (s, t) in R has t up s and t down s, i.e. the converse of R lies
+    # inside both composites
+    "ud_symmetric": lambda f, r: all(r.converse().le(x) for x in f.ud_pair(r)),
+    "forward_confluent": lambda f, r: f.geq().compose(r).le(r.compose(f.geq())),
+}
+_PER_RELATION = {
+    FrameClass.ALL: (),
+    FrameClass.EPISTEMIC: ("doxastic", "serial"),
+    FrameClass.RS: ("reflexive", "symmetric"),
+    FrameClass.PARTITION: ("reflexive", "symmetric", "transitive"),
+    FrameClass.UD: ("ud_reflexive", "ud_symmetric"),
+    # each other class is the test of its name
+    **{FrameClass(t): (t,) for t in _TESTS if t != "serial"},
+}
 
 
 def _prestandard(f: Frame, exact: bool) -> bool:
@@ -61,34 +66,17 @@ def _prestandard(f: Frame, exact: bool) -> bool:
 
 
 def has_class(f: Frame, c: FrameClass) -> bool:
-    c = FrameClass(c)
-    if c is FrameClass.ALL:
-        return True
-    if c is FrameClass.DOXASTIC:
-        return _doxastic(f)
-    if c is FrameClass.EPISTEMIC:
-        return _doxastic(f) and _serial_box(f)
-    if c is FrameClass.REFLEXIVE:
-        return all(r.is_reflexive() for r in f.rels)
-    if c is FrameClass.SYMMETRIC:
-        return all(r.is_symmetric() for r in f.rels)
-    if c is FrameClass.TRANSITIVE:
-        return all(r.is_transitive() for r in f.rels)
-    if c is FrameClass.RS:
-        return has_class(f, FrameClass.REFLEXIVE) and has_class(f, FrameClass.SYMMETRIC)
-    if c is FrameClass.PARTITION:
-        return has_class(f, FrameClass.RS) and has_class(f, FrameClass.TRANSITIVE)
-    if c is FrameClass.UD_REFLEXIVE:
-        return _ud_reflexive(f)
-    if c is FrameClass.UD_SYMMETRIC:
-        return _ud_symmetric(f)
-    if c is FrameClass.UD:
-        return _ud_reflexive(f) and _ud_symmetric(f)
-    if c is FrameClass.PRESTANDARD:
-        return _prestandard(f, exact=False)
-    if c is FrameClass.STANDARD:
-        return _prestandard(f, exact=True)
-    return is_forward_confluent(f)  # FrameClass.FORWARD_CONFLUENT
+    """Does the frame belong to the class?  Each test's verdict on a pair
+    ``(leq, R)`` is kept in the frame's memo (``Frame.memo``): the frames of
+    one ``enumerate_frames`` stream share the memo and their relations, so
+    the stream judges each pair once per test, however many frames hold it."""
+    if not isinstance(c, FrameClass):
+        c = FrameClass(c)
+    if c is FrameClass.PRESTANDARD or c is FrameClass.STANDARD:
+        return _prestandard(f, exact=c is FrameClass.STANDARD)
+    memo, leq = f.memo(), f.leq
+    return all(kept(memo, (t, id(leq), id(r)), _TESTS[t], f, r)
+               for r in f.rels for t in _PER_RELATION[c])
 
 
 def classify(f: Frame) -> list[FrameClass]:

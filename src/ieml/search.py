@@ -8,6 +8,7 @@ decision procedures and deduplicated.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -24,7 +25,7 @@ from .frame_classes import FrameClass, has_class, is_iel_structure
 from .modelio import model_to_doc
 from .semantics import (
     DEFAULT_ASSIGNMENT_CAP, Evaluator, Frame, Model, MonoStructure, Rel,
-    bits, falsify_on_frame, is_closed, satisfies, up_sets, valid_in_frame,
+    bits, falsify_on_frame, is_closed, kept, satisfies, up_sets, valid_in_frame,
 )
 from .syntax import (
     AgentSet, And, Atom, BOT, Box, Dia, Formula, Group, Implies, Or, Program,
@@ -109,6 +110,7 @@ def _random_relation(rng: random.Random, n: int) -> int:
     return mask
 
 
+@functools.cache
 def _diag(n: int) -> int:
     return sum(1 << (i * n + i) for i in range(n))
 
@@ -122,74 +124,82 @@ def _symmetrize(n: int, mask: int) -> int:
     return out
 
 
-def _propose_group_mask(rng: random.Random, n: int, leq: Rel, wanted: set) -> int:
-    if FrameClass.PARTITION in wanted:
+def _composed(memo: dict, n: int, p: int, q: int, converse: bool) -> int:
+    """The mask of ``P;Q``, or of ``P^-1;Q`` with ``converse``."""
+    rel = kept(memo, p, Rel.from_mask, n, p)
+    rel = rel.converse() if converse else rel
+    return rel.compose(kept(memo, q, Rel.from_mask, n, q)).mask()
+
+
+def _propose_group_mask(rng: random.Random, n: int, leq: int, wanted: set,
+                        memo: dict) -> int:
+    if "partition" in wanted:
         labels = [rng.randrange(n) for _ in range(n)]
         return sum(1 << (i * n + j) for i in range(n) for j in range(n)
                    if labels[i] == labels[j])
-    if FrameClass.EPISTEMIC in wanted or FrameClass.DOXASTIC in wanted:
-        mask = _random_relation(rng, n) & leq.mask()
-        if FrameClass.EPISTEMIC in wanted:
+    if "epistemic" in wanted or "doxastic" in wanted:
+        mask = _random_relation(rng, n) & leq
+        if "epistemic" in wanted:
             mask |= _diag(n)  # guarantees a successor through the preorder
         return mask
-    if FrameClass.RS in wanted or (
-            FrameClass.UD in wanted and rng.random() < 0.6):
-        return _symmetrize(n, _random_relation(rng, n)) | _diag(n)
+    if "rs" in wanted or ("ud" in wanted and rng.random() < 0.6):
+        mask = _random_relation(rng, n)
+        return kept(memo, ("sym", mask), _symmetrize, n, mask) | _diag(n)
     mask = _random_relation(rng, n)
-    if FrameClass.REFLEXIVE in wanted:
+    if "reflexive" in wanted:
         mask |= _diag(n)
-    if FrameClass.SYMMETRIC in wanted:
-        mask = _symmetrize(n, mask)
-    if FrameClass.TRANSITIVE in wanted:
-        mask = Rel.from_mask(n, mask).compose(Rel.from_mask(n, mask)).mask() | mask
-    if FrameClass.FORWARD_CONFLUENT in wanted:
-        mask = leq.converse().compose(Rel.from_mask(n, mask)).mask()
+    if "symmetric" in wanted:
+        mask = kept(memo, ("sym", mask), _symmetrize, n, mask)
+    if "transitive" in wanted:
+        mask |= kept(memo, ("trans", mask), _composed, memo, n, mask, mask, False)
+    if "forward_confluent" in wanted:
+        mask = kept(memo, ("fc", leq, mask), _composed, memo, n, leq, mask, True)
     return mask
 
 
-def _propose_frame(rng: random.Random, n: int, agents: AgentSet,
-                   wanted: set, shared: dict) -> Frame:
-    """A random frame biased toward ``wanted``; its relations come from
-    ``shared`` (mask -> ``Rel``), so frames reuse what a ``Rel`` keeps."""
-    def rel(mask: int) -> Rel:
-        r = shared.get(mask)
-        if r is None:
-            r = shared[mask] = Rel.from_mask(n, mask)
-        return r
-
-    leq = rel(Rel.from_mask(n, _random_relation(rng, n)).rt_closure().mask())
-    n_groups = (1 << len(agents)) - 1
+def _propose_masks(rng: random.Random, n: int, n_groups: int, wanted: set,
+                   memo: dict) -> tuple[int, ...]:
+    """The masks ``(leq, R(1), ..., R(n_groups))`` of a random frame biased
+    toward ``wanted``, reusing the closures and proposals kept in ``memo``."""
+    raw = _random_relation(rng, n)
+    leq = kept(memo, ("closure", raw),
+               lambda: Rel.from_mask(n, raw).rt_closure().mask())
     masks: dict = {}
-    if FrameClass.STANDARD in wanted:
+    if "standard" in wanted:
         for gm in range(1, n_groups + 1):
             if gm & (gm - 1) == 0:
-                masks[gm] = _propose_group_mask(rng, n, leq, wanted)
+                masks[gm] = _propose_group_mask(rng, n, leq, wanted, memo)
         for gm in range(1, n_groups + 1):
             if gm & (gm - 1):
                 acc = (1 << (n * n)) - 1
                 for a in bits(gm):
                     acc &= masks[1 << a]
                 masks[gm] = acc
-    elif FrameClass.PRESTANDARD in wanted:
+    elif "prestandard" in wanted:
         for gm in sorted(range(1, n_groups + 1), key=lambda m: (bin(m).count("1"), m)):
             bound = (1 << (n * n)) - 1
             for sub in range(1, gm):
                 if sub | gm == gm and sub in masks:
                     bound &= masks[sub]
-            masks[gm] = _propose_group_mask(rng, n, leq, wanted) & bound
+            masks[gm] = _propose_group_mask(rng, n, leq, wanted, memo) & bound
     else:
         for gm in range(1, n_groups + 1):
-            masks[gm] = _propose_group_mask(rng, n, leq, wanted)
-    rels = tuple(rel(masks[gm]) for gm in range(1, n_groups + 1))
-    return Frame(agents, n, leq, rels)
+            masks[gm] = _propose_group_mask(rng, n, leq, wanted, memo)
+    return (leq,) + tuple(masks[gm] for gm in range(1, n_groups + 1))
 
 
 def enumerate_frames(budget: SizeBudget, classes=FrameClass.ALL,
                      agents: Optional[AgentSet] = None,
                      stats: Optional[dict] = None) -> Iterator[Frame]:
-    """Deterministic stream of pairwise-distinct frames of the given classes."""
+    """Deterministic stream of pairwise-distinct frames of the given classes.
+
+    Per state count the frames share one memo (``Frame.share``): one ``Rel``
+    per mask, so what a ``Rel`` keeps is computed once, each class test's
+    verdict and composite pair per ``(leq, R)`` (``has_class``), and the
+    sampler's closures and proposal masks.  Samples dedupe on their masks."""
     classes = _normalize_classes(classes)
-    wanted = set(classes)
+    # class names, not members: an Enum member hashes in Python code
+    wanted = {c.value for c in classes}
     if agents is None:
         agents = default_agents(budget.max_agents)
     n_groups = (1 << len(agents)) - 1
@@ -200,20 +210,17 @@ def enumerate_frames(budget: SizeBudget, classes=FrameClass.ALL,
         stats["exhaustive"] = False
         return
     rng = random.Random(budget.seed)
-    seen: set = set()
     remaining = budget.max_candidates
     for n in range(1, budget.max_states + 1):
         raw = _raw_space(n, n_groups)
-        # one Rel per relation, shared by every frame that uses it, so what
-        # a Rel keeps (row classes, converse, up-sets) is computed once
         if raw is not None and raw <= remaining:
-            rels = [Rel.from_mask(n, m) for m in range(1 << (n * n))]
+            memo = {m: Rel.from_mask(n, m) for m in range(1 << (n * n))}
+            rels = list(memo.values())
             for leq in preorders(n):
                 for group_rels in itertools.product(rels, repeat=n_groups):
                     stats["candidates"] += 1
-                    frame = Frame(agents, n, leq, group_rels)
+                    frame = Frame(agents, n, leq, group_rels).share(memo)
                     if all(has_class(frame, c) for c in classes):
-                        seen.add(frame)
                         stats["emitted"] += 1
                         yield frame
             remaining -= raw
@@ -222,14 +229,17 @@ def enumerate_frames(budget: SizeBudget, classes=FrameClass.ALL,
             levels_left = budget.max_states - n + 1
             tries = remaining // levels_left
             remaining -= tries
-            shared: dict = {}
+            memo = {}
+            seen: set = set()
             for _ in range(tries):
                 stats["candidates"] += 1
-                frame = _propose_frame(rng, n, agents, wanted, shared)
-                if frame in seen:
+                key = _propose_masks(rng, n, n_groups, wanted, memo)
+                if key in seen:
                     continue
+                seen.add(key)
+                leq, *group_rels = [kept(memo, m, Rel.from_mask, n, m) for m in key]
+                frame = Frame(agents, n, leq, tuple(group_rels)).share(memo)
                 if all(has_class(frame, c) for c in classes):
-                    seen.add(frame)
                     stats["emitted"] += 1
                     yield frame
 
@@ -305,21 +315,19 @@ def random_formula(rng: random.Random, atoms: Sequence[str],
                    groups: Sequence[Group], depth: int) -> Formula:
     if depth == 0 or rng.random() < 0.2:
         roll = rng.random()
-        if roll < 0.7:
-            return Atom(rng.choice(list(atoms)))
-        return TOP if roll < 0.85 else BOT
-    kind = rng.choice("iioabd" if groups else "iioa")
-    if kind == "b":
-        return Box(rng.choice(list(groups)), random_formula(rng, atoms, groups, depth - 1))
-    if kind == "d":
-        return Dia(rng.choice(list(groups)), random_formula(rng, atoms, groups, depth - 1))
-    left = random_formula(rng, atoms, groups, depth - 1)
-    right = random_formula(rng, atoms, groups, depth - 1)
-    if kind == "i":
-        return Implies(left, right)
-    if kind == "o":
-        return Or(left, right)
-    return And(left, right)
+        f = Atom(rng.choice(list(atoms))) if roll < 0.7 else \
+            TOP if roll < 0.85 else BOT
+    elif (kind := rng.choice("iioabd" if groups else "iioa")) in "bd":
+        f = (Box if kind == "b" else Dia)(
+            rng.choice(list(groups)), random_formula(rng, atoms, groups, depth - 1))
+    else:
+        left = random_formula(rng, atoms, groups, depth - 1)
+        right = random_formula(rng, atoms, groups, depth - 1)
+        f = {"i": Implies, "o": Or, "a": And}[kind](left, right)
+    # each node hashed as it is built, from its children's kept hashes, so
+    # no later hash (``sample_formulas``' dedup) takes the node-array pass
+    hash(f)
+    return f
 
 
 def sample_formulas(rng: random.Random, atoms: Sequence[str],

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import BudgetError, PreconditionError
 from .syntax import (
@@ -385,20 +385,31 @@ class Frame:
     def geq(self) -> Rel:
         return self.leq.converse()
 
-    def ud_composites(self) -> Iterator[tuple[Rel, Rel]]:
-        """``(leq;R;leq, geq;R;geq)`` for each relation, in ``rels`` order,
-        for the up-and-down classes and ``rs_collapse``.  Each pair is
-        computed on first demand and kept with the frame, so a caller that
-        stops early leaves the rest uncomputed."""
-        memo = self.__dict__.setdefault("_ud_composites", {})
-        leq = self.leq
-        for i, r in enumerate(self.rels):
-            pair = memo.get(i)
-            if pair is None:
-                geq = self.geq()
-                pair = memo.setdefault(i, (leq.compose(r).compose(leq),
-                                           geq.compose(r).compose(geq)))
-            yield pair
+    def memo(self) -> dict:
+        """Facts about the frame's pairs ``(leq, R)`` (``ud_pair``, class
+        verdicts), keyed ``(what, id(leq), id(R))``: no lookup hashes rows."""
+        return self.__dict__.setdefault("_memo", {})
+
+    def share(self, memo: dict) -> "Frame":
+        """Use (and return the frame with) a stream's memo, which must hold
+        every relation whose id it keys."""
+        self.__dict__["_memo"] = memo
+        return self
+
+    def ud_pair(self, r: Rel) -> tuple[Rel, Rel]:
+        """``(leq;R;leq, geq;R;geq)`` for a relation of the frame, for the
+        up-and-down classes and ``rs_collapse``, computed once per memo."""
+        leq, geq = self.leq, self.geq()
+        return kept(self.memo(), ("ud", id(leq), id(r)), lambda: (
+            leq.compose(r).compose(leq), geq.compose(r).compose(geq)))
+
+
+def kept(memo: dict, key, compute: Callable, *args):
+    """``memo[key]``, set to ``compute(*args)`` on first demand."""
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = compute(*args)
+    return out
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,38 @@ class Formula:
             h = kept["_hash"] = hash((type(self), *parts))
         return h
 
+    def __eq__(self, other) -> bool:
+        # the generated one recurses once per level: walk pairs on a stack
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            for k in a.__match_args__:
+                x, y = a.__dict__[k], b.__dict__[k]
+                if type(x) in _OPS and type(y) is type(x):
+                    if x is not y:
+                        stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __repr__(self) -> str:
+        # the generated text (``Box(group=..., body=...)``), written from a
+        # stack of nodes and strings, so no depth recurses
+        out, stack = [], [self]
+        while stack:
+            x = stack.pop()
+            if type(x) is str:
+                out.append(x)
+                continue
+            out.append(type(x).__name__ + "(")
+            stack.append(")")
+            for i, k in reversed(list(enumerate(x.__match_args__))):
+                v = x.__dict__[k]
+                stack += [v if type(v) in _OPS else repr(v), (", " if i else "") + k + "="]
+        return "".join(out)
+
     def __reduce__(self):  # rebuild on unpickling: string hashes vary per process
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
@@ -139,10 +171,9 @@ class Formula:
 
 
 def _node(cls: type) -> type:
-    """A frozen dataclass formula node that keeps ``Formula``'s hash."""
-    cls = dataclass(frozen=True)(cls)
-    cls.__hash__ = Formula.__hash__
-    return cls
+    """A frozen dataclass formula node with ``Formula``'s hash, ``==`` and
+    ``repr``."""
+    return dataclass(frozen=True, eq=False, repr=False)(cls)
 
 
 @_node
@@ -394,8 +425,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # arrows may be open at once.  The parser spends up to five stack frames on
 # each open parenthesis, so it stays well under the interpreter's default
 # limit of 1000.  Formulas built through the API have no bound: hashing,
-# printing, ``tau`` and the walks below are passes over a node array, and
-# only matching, equality and pickling still recurse once per level.
+# printing, ``repr``, ``==``, ``tau`` and the walks below do not recurse;
+# only matching and pickling still recurse once per level.
 MAX_DEPTH = 150
 
 

@@ -3,8 +3,10 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ieml.cli import build_parser, run
+from ieml.proofs import LogicId
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "ieml" / "data" / "derivations"
 
@@ -322,3 +324,73 @@ def test_python_dash_m_runs_the_cli(module, capsys):
     bad = python_m("parse", "p ->")
     assert bad.returncode == 2 and bad.stdout == ""
     assert bad.stderr.startswith("error: ") and "Traceback" not in bad.stderr
+
+
+# ---------- fuzzing: every input exits 0, 1 or 2, never with a traceback ----------
+
+def _run_quietly(argv) -> tuple[int, str]:
+    """``run(argv)`` with stdout and stderr captured: (exit code, output)."""
+    import contextlib
+    import io
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+        code = run(argv)
+    return code, buf.getvalue()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.text("pqa[]<>,->T F", max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["formula", "just", "kind", "id", "i", "j",
+                                       "group", "map", "p"]), inner, max_size=3),
+    max_leaves=6)
+_DERIVATIONS = sorted(DATA.glob("*.json"))
+
+
+@st.composite
+def _mutated_derivation(draw):
+    """A shipped derivation with one place replaced by any JSON value or
+    deleted: the whole document, a line, a line's field or a field of its
+    justification."""
+    doc = json.loads(draw(st.sampled_from(_DERIVATIONS)).read_text())
+    value = draw(_JSON)
+    k = draw(st.integers(0, len(doc) - 1))
+    where = draw(st.sampled_from(["doc", "line", "formula", "just"] + ["field"] * 4))
+    if where == "doc":
+        return value
+    if where == "line":
+        doc[k] = value
+        return doc
+    target, key = (doc[k], where) if where != "field" else \
+        (doc[k]["just"], draw(st.sampled_from(sorted(doc[k]["just"]) + ["map"])))
+    if draw(st.booleans()):
+        target.pop(key, None)
+    else:
+        target[key] = value
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_derivation(), st.sampled_from([logic.value for logic in LogicId]))
+def test_prove_fuzzed_derivations_exit_cleanly(doc, logic):
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "derivation.json"
+        path.write_text(json.dumps(doc))
+        code, out = _run_quietly(["prove", "--logic", logic, "--derivation", str(path)])
+    assert code in (0, 1, 2) and "Traceback" not in out
+
+
+_TOKENS = ["p", "q", "a", "b", "T", "F", "->", "<->", "\\/", "/\\", "~", "[",
+           "]", "<", ">", ",", "(", ")", " ", "[a]", "<a,b>", "[]", "1", "@"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join)
+       | st.text(max_size=12),
+       st.sampled_from([["parse"], ["parse", "--json"],
+                        ["countermodel", "--max-states", "1",
+                         "--max-candidates", "4"]]))
+def test_fuzzed_formula_strings_exit_cleanly(text, command):
+    code, out = _run_quietly([*command, "--", text])
+    assert code in (0, 1, 2) and "Traceback" not in out

@@ -13,7 +13,7 @@ from ieml.search import (
     random_model, sample_formulas,
 )
 
-from helpers import naive_satisfies
+from helpers import naive_classes, naive_satisfies
 
 AG = AgentSet.of("a")
 
@@ -124,6 +124,37 @@ def test_enumerate_sampled_stream_golden():
                 doc.append([cls.value, seed, k, frames, stats])
     assert _digest(doc) == \
         "8f9009e94b6cdac9cb32b91d0e19e475704340b35facae38951c3bfe685fd93f"
+    # every class, one two-class request, and the exhaustive streams of two
+    # states and one agent, which take the other branch
+    doc = []
+    requests = [(c,) for c in FrameClass] + [(FrameClass.UD, FrameClass.STANDARD)]
+    for classes in requests:
+        for budget in [SizeBudget(max_states=3, max_agents=k, max_candidates=300,
+                                  seed=seed) for seed in (0, 7) for k in (1, 2)] \
+                + [SizeBudget(max_states=2, max_agents=1, max_candidates=300)]:
+            stats = {}
+            frames = [[f.n, list(f.leq.rows), [list(r.rows) for r in f.rels]]
+                      for f in enumerate_frames(budget, classes, stats=stats)]
+            doc.append([[c.value for c in classes], budget.seed,
+                        budget.max_agents, budget.max_states, frames, stats])
+    assert doc[-1][-1]["exhaustive"]
+    assert _digest(doc) == \
+        "58b367d1fc6951d91c66a6d13d82bfb9bf79353bc5833fbeb9d2c568ac7f9626"
+
+
+@pytest.mark.parametrize("states, agents", [(2, 1), (1, 2)])
+def test_exhaustive_streams_match_the_naive_classes(states, agents):
+    """Over a complete candidate space, each class's stream emits exactly
+    the frames the independent oracle puts in the class, in order: what the
+    stream rejects is checked too, not only what it emits."""
+    budget = SizeBudget(max_states=states, max_agents=agents, max_candidates=100)
+    space = list(enumerate_frames(budget, FrameClass.ALL))
+    names = [naive_classes(f) for f in space]
+    for c in FrameClass:
+        stats = {}
+        got = list(enumerate_frames(budget, c, stats=stats))
+        assert stats["exhaustive"] and stats["candidates"] == len(space)
+        assert got == [f for f, tags in zip(space, names) if c.value in tags], c
 
 
 # ---------- models and formulas ----------

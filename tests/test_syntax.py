@@ -360,8 +360,8 @@ CHAINS = {
 }
 
 
-def _chain(step):
-    f = Atom("p")
+def _chain(step, leaf=Atom("p")):
+    f = leaf
     for _ in range(3000):
         f = step(f)
     return f
@@ -371,7 +371,17 @@ def _chain(step):
 def test_syntax_walks_take_api_built_formulas_of_any_depth(kind):
     step, text = CHAINS[kind]
     f = _chain(step)
+    # == and repr before and after the chains keep their hashes
+    other, leaf = _chain(step), _chain(step, Atom("r"))
+    assert f == other and not f != other and f != leaf and f != step(f)
+    assert repr(f) == repr(other) != repr(leaf)
+    assert repr(f).count(f"{kind}(") == 3000 and "Atom(name='p')" in repr(f)
+    one = step(Atom("p"))  # the dataclass text, which evaluates back
+    names = {"Atom": Atom, "And": And, "Implies": Implies, "Box": Box,
+             "Dia": Dia, "MonoBox": MonoBox}
+    assert eval(repr(one), names) == one
     assert hash(f) == hash(_chain(step)) != hash(step(f))
+    assert f == other and f != leaf and (f == Atom("p")) is False
     assert render(f) == str(f) == text
     assert atoms_of(f) == ({"p", "q"} if "q" in text else {"p"})
     groups = {"Box": {A}, "Dia": {B}}.get(kind, set())
