@@ -458,8 +458,8 @@ def mono_equivalence_mismatches(multi: Model, mono: Model,
     ``Program``, which is then not compiled again."""
     program = _program(formulas)
     lefts = evaluator(multi.frame).run(program, multi.val_map())
-    # the images are compiled once per program and run once per mono model
-    rights = mono_truth_mask(mono, program.image(tau))
+    # the images share the node array, so they are neither built nor compiled
+    rights = mono_truth_mask(mono, tau(program))
     return [{"formula": str(f), "multi_mask": lefts[i], "mono_mask": right}
             for f, i, right in zip(program, program.roots, rights)
             if lefts[i] != right]

@@ -749,7 +749,7 @@ class Evaluator:
                 out = 0
             else:  # a MonoBox on a frame, a Box or Dia on a mono structure
                 raise TypeError(
-                    f"not a formula over a {self._kind}: {program._nodes[i]!r}")
+                    f"not a formula over a {self._kind}: {program._formulas()[i]!r}")
             if bad is not None:  # the classes whose row misses every bad state
                 out = full if bad == 0 else full & ~meets(leq_classes, bad)
             masks.append(out)

@@ -16,8 +16,8 @@ and ``(A -> B) /\ (B -> A)``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Mapping, Optional
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 # A group is a nonempty set of agent names.
 Group = frozenset
@@ -104,16 +104,16 @@ class Formula:
         # Dia over one body, or Top and Bot, the same hash) and computed
         # once, on first use, from the children's kept hashes.  Only the
         # declared fields (the dataclass's __match_args__) count: the dict
-        # also keeps the tau image.  A child without a kept hash sends the
-        # whole tree through one pass in node order, children first, so no
-        # call recurses.
+        # also keeps the hash.  A child without a kept hash sends the whole
+        # tree through one pass in node order, children first, so no call
+        # recurses.
         kept = self.__dict__
         h = kept.get("_hash")
         if h is None:  # the dataclass is frozen, so write the dict itself
             parts = [kept[k] for k in self.__match_args__]
             for c in parts:
                 if type(c) in _OPS and "_hash" not in c.__dict__:
-                    for g in Program((self,))._nodes[:-1]:
+                    for g in Program((self,))._formulas()[:-1]:
                         hash(g)
                     break
             h = kept["_hash"] = hash((type(self), *parts))
@@ -151,8 +151,11 @@ class Formula:
                 stack += [v if type(v) in _OPS else repr(v), (", " if i else "") + k + "="]
         return "".join(out)
 
-    def __reduce__(self):  # rebuild on unpickling: string hashes vary per process
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+    def __reduce__(self):
+        # the node array, rebuilt on unpickling in one pass: no call
+        # recurses, and no hash travels (string hashes vary per process)
+        p = _compiled(self)
+        return _unpickle, (bytes(p.ops), p.left, p.right, p.consts)
 
     def __invert__(self) -> "Formula":                # ~A  is  A -> F
         return Implies(self, BOT)
@@ -236,8 +239,8 @@ BOT = Bot()
 
 # Node operations of a ``Program``.
 _ATOM, _TOP, _BOT, _AND, _OR, _IMPLIES, _BOX, _DIA, _MONOBOX = range(9)
-_OPS = {Atom: _ATOM, Top: _TOP, Bot: _BOT, And: _AND, Or: _OR,
-        Implies: _IMPLIES, Box: _BOX, Dia: _DIA, MonoBox: _MONOBOX}
+_KINDS = (Atom, Top, Bot, And, Or, Implies, Box, Dia, MonoBox)  # by op code
+_OPS = {kind: op for op, kind in enumerate(_KINDS)}
 _BINARY = (_AND, _OR, _IMPLIES)
 
 
@@ -256,7 +259,7 @@ class Program:
     """
 
     __slots__ = ("ops", "left", "right", "consts", "roots",
-                 "_nodes", "_const_index", "_images")
+                 "_nodes", "_const_index")
 
     def __init__(self, formulas: Iterable[Formula] = ()):
         self.ops = bytearray()
@@ -264,9 +267,8 @@ class Program:
         self.right: list[int] = []
         self.consts: list = []  # atom names and groups
         self.roots: list[int] = []
-        self._nodes: list = []  # node -> formula; keeps every id in index alive
+        self._nodes: Optional[list] = []  # node -> formula; keeps ids in index alive
         self._const_index: dict = {}
-        self._images: dict = {}  # function -> image Program
         index: dict = {}  # id(formula) -> node, while compiling
         for f in formulas:
             self.roots.append(self._node(f, index))
@@ -275,7 +277,14 @@ class Program:
         return len(self.roots)
 
     def __iter__(self) -> Iterator[Formula]:
-        return map(self._nodes.__getitem__, self.roots)
+        return map(self._formulas().__getitem__, self.roots)
+
+    def _formulas(self) -> list:
+        """The formula of each node; an image (``tau``) builds them on first
+        read."""
+        if self._nodes is None:
+            self._nodes = _build(self.ops, self.left, self.right, self.consts)
+        return self._nodes
 
     def atoms(self) -> frozenset:
         """The atom names occurring in the compiled formulas."""
@@ -284,14 +293,6 @@ class Program:
     def groups(self) -> frozenset:
         """The groups of the boxes and diamonds in the compiled formulas."""
         return frozenset(c for c in self.consts if not isinstance(c, str))
-
-    def image(self, fn) -> "Program":
-        """The ``Program`` of ``fn(f)`` for each formula, in order, compiled
-        on first use and kept."""
-        out = self._images.get(fn)
-        if out is None:
-            out = self._images[fn] = Program(map(fn, self))
-        return out
 
     def _node(self, f: Formula, index: dict) -> int:
         """The node of ``f``, compiling the subformulas not yet in ``index``.
@@ -425,8 +426,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # arrows may be open at once.  The parser spends up to five stack frames on
 # each open parenthesis, so it stays well under the interpreter's default
 # limit of 1000.  Formulas built through the API have no bound: hashing,
-# printing, ``repr``, ``==``, ``tau`` and the walks below do not recurse;
-# only matching and pickling still recurse once per level.
+# printing, ``repr``, ``==``, pickling, ``tau`` and the walks below do not
+# recurse, and matching recurses once per level of the schema only.
 MAX_DEPTH = 150
 
 
@@ -596,102 +597,99 @@ def render(f: Formula, agents: Optional[AgentSet] = None) -> str:
 
 # ---------- Diamond-free fragment, sf and tau ----------
 
-_LEAVES = (Atom, Top, Bot)
+_CONFLICT = -1  # no group index: a diamond, a MonoBox or two box groups
 
 
-def _translate(f: Formula) -> Optional[tuple]:
-    """``(tau image, box group or None)`` of a diamond-free node, or None.
-
-    Kept in the node's ``__dict__`` like its hash, so each node is walked
-    once and shared subterms share one image.  The walk keeps its own
-    stack, so formula depth meets no recursion limit."""
-    if isinstance(f, _LEAVES):
-        return f, None
-    if "_tau" in f.__dict__:
-        return f.__dict__["_tau"]
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        kept = g.__dict__
-        if "_tau" in kept:  # pushed twice before it was walked
-            stack.pop()
-            continue
-        out = None  # for a diamond, a MonoBox or two box groups
-        if isinstance(g, Box):
-            body = g.body
-            image = (body, None) if isinstance(body, _LEAVES) \
-                else body.__dict__.get("_tau", stack)  # stack: not walked yet
-            if image is stack:
-                stack.append(body)
-                continue
-            if image is not None and image[1] in (None, g.group):
-                out = MonoBox(image[0]), g.group
-        elif isinstance(g, (Implies, Or, And)):
-            a, b = g.left, g.right
-            left = (a, None) if isinstance(a, _LEAVES) else a.__dict__.get("_tau", stack)
-            right = (b, None) if isinstance(b, _LEAVES) else b.__dict__.get("_tau", stack)
-            if left is stack or right is stack:
-                if right is stack:
-                    stack.append(b)
-                if left is stack:
-                    stack.append(a)
-                continue
-            if left is not None and right is not None and (
-                    left[1] is None or right[1] is None or left[1] == right[1]):
-                out = (type(g)(left[0], right[0]),
-                       right[1] if left[1] is None else left[1])
-        kept["_tau"] = out
-        stack.pop()
-    return f.__dict__["_tau"]
+def _box_groups(p: Program) -> list:
+    """Per node, the ``consts`` index of the one group its boxes carry, None
+    when it has no box, or ``_CONFLICT``."""
+    out: list = []
+    for op, a, b in zip(p.ops, p.left, p.right):
+        if op in _BINARY:
+            x, y = out[a], out[b]
+            g = y if x is None else x if y is None or y == x else _CONFLICT
+        elif op == _BOX:
+            g = b if out[a] is None or out[a] == b else _CONFLICT
+        else:
+            g = _CONFLICT if op == _DIA or op == _MONOBOX else None
+        out.append(g)
+    return out
 
 
 def is_diamond_free(f: Formula) -> bool:
     """No diamond occurs and all boxes carry one and the same group."""
-    return _translate(f) is not None
+    return _box_groups(_compiled(f))[-1] != _CONFLICT
 
 
-def _require_diamond_free(f: Formula, op: str) -> tuple:
-    """``_translate(f)``, or ``ValueError`` naming ``op`` when it is None."""
-    image = _translate(f)
-    if image is None:
-        raise ValueError(f"{op} is defined on diamond-free formulas only: {render(f)}")
-    return image
+def _require_diamond_free(p: Program, op: str) -> None:
+    """``ValueError`` naming ``op`` unless every formula of ``p`` is
+    diamond-free."""
+    groups = _box_groups(p)
+    for i in p.roots:
+        if groups[i] == _CONFLICT:
+            raise ValueError(f"{op} is defined on diamond-free formulas only: "
+                             f"{render(p._formulas()[i])}")
 
 
 def sf(f: Formula) -> frozenset:
     """Subformula closure of a diamond-free formula."""
-    _require_diamond_free(f, "sf")
-    return frozenset(_compiled(f)._nodes)
+    p = _compiled(f)
+    _require_diamond_free(p, "sf")
+    return frozenset(p._formulas())
 
 
-def tau(f: Formula) -> Formula:
-    """Forget the group label: homomorphic map into single-box formulas."""
-    return _require_diamond_free(f, "tau")[0]
+_TAU_OPS = bytes(_MONOBOX if op == _BOX else op for op in range(256))
+
+
+def tau(f: Union[Formula, Program]) -> Union[Formula, Program]:
+    """Forget the group label: homomorphic map into single-box formulas.  On
+    a ``Program``, the program of each formula's image: the same node array
+    with ``MonoBox`` for ``Box``, whose formulas are built only when read."""
+    p = f if isinstance(f, Program) else _compiled(f)
+    _require_diamond_free(p, "tau")
+    image = Program()
+    image.ops, image._nodes = p.ops.translate(_TAU_OPS), None
+    image.left, image.right, image.consts, image.roots, image._const_index = \
+        p.left, p.right, p.consts, p.roots, p._const_index
+    return image if p is f else image._formulas()[-1]
 
 
 # ---------- Substitution ----------
 
-def _rebuild(f: Formula, atom, group) -> Formula:
-    """``f`` rebuilt with ``atom(g)`` for each atom ``g`` and ``group(G)``
-    for each box or diamond group ``G``; a shared subformula stays shared."""
-    p = _compiled(f)
+def _build(ops, left, right, consts, atom=Atom, group=None) -> list:
+    """The formula of each node of a node array, in node order, with
+    ``atom(name)`` for each atom and ``group(G)`` for each box or diamond
+    group ``G`` (``G`` itself when ``group`` is None).  Each node is built
+    once, so a shared subformula stays shared, and no call recurses."""
     out: list[Formula] = []
-    for g, op, a, b in zip(p._nodes, p.ops, p.left, p.right):
-        if op == _ATOM:
-            g = atom(g)
-        elif op in _BINARY:
-            g = type(g)(out[a], out[b])
+    for op, a, b in zip(ops, left, right):
+        if op in _BINARY:
+            g = _KINDS[op](out[a], out[b])
+        elif op == _ATOM:
+            g = atom(consts[a])
         elif op == _MONOBOX:
             g = MonoBox(out[a])
         elif op == _BOX or op == _DIA:
-            g = type(g)(group(g.group), out[a])
+            g = _KINDS[op](consts[b] if group is None else group(consts[b]), out[a])
+        else:
+            g = TOP if op == _TOP else BOT
         out.append(g)
-    return out[-1]
+    return out
+
+
+def _unpickle(*arrays) -> Formula:  # the node array of Formula.__reduce__
+    return _build(*arrays)[-1]
+
+
+def _rebuild(f: Formula, atom, group) -> Formula:
+    """``f`` rebuilt through ``_build``."""
+    p = _compiled(f)
+    return _build(p.ops, p.left, p.right, p.consts, atom, group)[-1]
 
 
 def substitute(f: Formula, sigma: Mapping[str, Formula]) -> Formula:
     """Simultaneous replacement of atoms; atoms outside ``sigma`` are fixed."""
-    return _rebuild(f, lambda g: sigma.get(g.name, g), lambda group: group)
+    return _rebuild(f, lambda name: sigma[name] if name in sigma else Atom(name), None)
 
 
 # ---------- Schemata and matching ----------
@@ -814,10 +812,10 @@ def instantiate(schema: Schema, atom_map: Mapping[str, Formula],
                 group_map: Mapping[str, Group]) -> Formula:
     """Plug concrete formulas and groups into a schema."""
 
-    def atom(g: Atom) -> Formula:
-        if g.name not in atom_map:
-            raise KeyError(f"no binding for metavariable {g.name!r}")
-        return atom_map[g.name]
+    def atom(name: str) -> Formula:
+        if name not in atom_map:
+            raise KeyError(f"no binding for metavariable {name!r}")
+        return atom_map[name]
 
     def group(slot: Group) -> Group:
         members: frozenset = frozenset()

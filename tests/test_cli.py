@@ -394,3 +394,94 @@ _TOKENS = ["p", "q", "a", "b", "T", "F", "->", "<->", "\\/", "/\\", "~", "[",
 def test_fuzzed_formula_strings_exit_cleanly(text, command):
     code, out = _run_quietly([*command, "--", text])
     assert code in (0, 1, 2) and "Traceback" not in out
+
+
+def _docs(structures) -> list:
+    """The ``model_to_doc`` documents of ``structures``, each with one
+    up-set for ``p``."""
+    from ieml.modelio import model_to_doc
+    from ieml.semantics import Model, up_sets
+    docs = []
+    for k, structure in enumerate(structures):
+        closed = up_sets(structure)
+        docs.append(model_to_doc(Model.make(structure, {"p": closed[k % len(closed)]})))
+    return docs
+
+
+def _small_structures():
+    from itertools import islice
+
+    from ieml.search import SizeBudget, enumerate_frames, mono_structures
+    frames = islice(enumerate_frames(SizeBudget(max_states=2, max_candidates=60,
+                                                seed=5)), 0, None, 9)
+    return list(frames), [*mono_structures(1, "minus"), *mono_structures(2, "minus")]
+
+
+_FRAMES, _MONOS = _small_structures()
+_MODEL_DOCS, _MONO_DOCS = _docs(_FRAMES), _docs(_MONOS)
+_MODEL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4)
+    | st.sampled_from(["w0", "w1", "w2", "a", "b", "a,b", "p", "", "1f", "x"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["worlds", "leq", "r", "rel", "agents",
+                                       "valuation", "index", "rows", "a", "p"]),
+                      inner, max_size=3),
+    max_leaves=6)
+
+
+def _places(value, path=()):
+    """The path of every value in a JSON document, the document's own first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _places(child, path + (key,))
+
+
+@st.composite
+def _mutated(draw, docs):
+    """One of ``docs`` with one place replaced by any JSON value or deleted."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(docs))))
+    path = draw(st.sampled_from(list(_places(doc))))
+    value = draw(_MODEL_JSON)
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _run_on_document(doc, command) -> tuple[int, str]:
+    """``command`` with ``{in}`` naming a file that holds ``doc`` and
+    ``{out}`` a file beside it: (exit code, output)."""
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "in.json", Path(tmp) / "out.json"
+        src.write_text(json.dumps(doc))
+        return _run_quietly([arg.format(**{"in": src, "out": out}) for arg in command])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated(_MODEL_DOCS), st.sampled_from([
+    ["classify", "--frame", "{in}"],
+    ["eval", "--model", "{in}", "--state", "w0", "[a]p -> p"],
+    ["valid", "--frame", "{in}", "p \\/ ~p"],
+    ["construct", "--kind", "collapsemono", "--group", "a", "--in", "{in}",
+     "--out", "{out}"]]))
+def test_fuzzed_model_documents_exit_cleanly(doc, command):
+    code, out = _run_on_document(doc, command)
+    assert code in (0, 1, 2) and "Traceback" not in out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated(_MONO_DOCS), st.sampled_from(["minus", "full"]))
+def test_fuzzed_mono_documents_exit_cleanly(doc, kind):
+    code, out = _run_on_document(doc, [
+        "construct", "--kind", "expandmono", "--agents", "a,b", "--mono-kind",
+        kind, "--in", "{in}", "--out", "{out}"])
+    assert code in (0, 1, 2) and "Traceback" not in out

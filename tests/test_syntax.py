@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ieml import (
-    AgentSet, And, Atom, BOT, Box, Dia, Implies, Or, ParseError, Schema, TOP,
-    agents_of, atoms_of, depth_of, groups_of, instantiate, is_diamond_free,
-    match_instance, parse, render, sf, substitute, tau,
+    AgentSet, And, Atom, BOT, Box, Dia, Implies, Or, ParseError, Program,
+    Schema, TOP, agents_of, atoms_of, depth_of, groups_of, instantiate,
+    is_diamond_free, match_instance, parse, render, sf, substitute, tau,
 )
+from ieml.proofs import schema_catalog
 from ieml.semantics import Evaluator, Model, MonoStructure, Rel, mono_truth_mask
 from ieml.syntax import MAX_DEPTH, MonoBox
 
@@ -247,17 +248,27 @@ def test_tau_keeps_hashes_and_shares_images():
     tau(hashed_first)
     assert hash(translated_first) == hash(hashed_first) == before
     assert translated_first in {parse(text)}
-    # a subterm common to two formulas is translated once
+    # images are equal across calls, and a shared subterm stays shared
     shared = Box(A, Implies(Atom("p"), Atom("q")))
     left, right = And(shared, Atom("r")), Or(Atom("p"), shared)
-    assert tau(left).left is tau(right).right is tau(shared)
-    assert tau(left) is tau(left)
-    # a failed translation is kept too, and still refused on every call
+    assert tau(left).left == tau(right).right == tau(shared)
+    assert tau(left) == tau(left)
+    both = tau(And(shared, Or(Atom("p"), shared)))
+    assert both.left is both.right.right
+    # the image of a program shares its source's node array
+    program = Program([left, right, shared])
+    image = tau(program)
+    assert image.left is program.left and image.right is program.right
+    assert image.consts is program.consts and image.roots is program.roots
+    assert list(image) == [tau(left), tau(right), tau(shared)]
+    # a failed translation is refused on every call
     mixed = And(shared, Box(B, Atom("p")))
     for _ in range(2):
         assert is_diamond_free(shared) and not is_diamond_free(mixed)
         with pytest.raises(ValueError, match="tau is defined on diamond-free"):
             tau(mixed)
+    with pytest.raises(ValueError, match=r"diamond-free formulas only: \[a\]"):
+        tau(Program([shared, mixed]))
 
 
 # ---------- substitution ----------
@@ -382,6 +393,14 @@ def test_syntax_walks_take_api_built_formulas_of_any_depth(kind):
     assert eval(repr(one), names) == one
     assert hash(f) == hash(_chain(step)) != hash(step(f))
     assert f == other and f != leaf and (f == Atom("p")) is False
+    assert pickle.loads(pickle.dumps(f)) == f
+    # matching recurses along the schema only; bound atoms compare by ==
+    catalog = schema_catalog()
+    ipl1 = match_instance(catalog["IPL1"], Implies(f, Implies(leaf, other)))
+    assert ipl1.atom_map() == {"p": f, "q": leaf}
+    a8 = match_instance(catalog["A8"], Implies(Box(AB, f), other))
+    assert a8.atom_map() == {"p": f} and a8.group_map() == {"alpha": AB}
+    assert match_instance(catalog["A8"], Implies(Box(AB, f), leaf)) is None
     assert render(f) == str(f) == text
     assert atoms_of(f) == ({"p", "q"} if "q" in text else {"p"})
     groups = {"Box": {A}, "Dia": {B}}.get(kind, set())
