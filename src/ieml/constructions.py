@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from math import prod
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BudgetError, PreconditionError
 from .frame_classes import FrameClass, has_class, is_iel_structure
 from .modelio import default_names
 from .semantics import (
-    Frame, Model, MonoStructure, Rel, _table_of, bits, evaluator,
+    Frame, Model, MonoStructure, Rel, _repeat, _table_of, bits, evaluator,
     mono_truth_mask,
 )
 from .syntax import AgentSet, Formula, Group, Program, tau
@@ -47,6 +48,27 @@ def _icoords(agents: AgentSet) -> list[tuple[int, int]]:
     return [(gmask, a) for gmask in range(1, 1 << k) for a in range(k)]
 
 
+def _digit_masks(radices: Sequence[int]) -> Callable[[int, int], int]:
+    """``digit(c, v)``: the bitmask of the tables whose coordinate c is v,
+    bit i standing for the i-th table in ``itertools.product`` order over
+    ``range(r)`` for each radix r.  Coordinate c's digit is constant over
+    runs of ``stride`` tables (the product of the later radices), so the mask
+    is one run repeated every ``radices[c] * stride`` bits; kept per call."""
+    strides = [prod(radices[c + 1:]) for c in range(len(radices))]
+    size = prod(radices)
+    masks: dict = {}
+
+    def digit(c: int, v: int) -> int:
+        mask = masks.get((c, v))
+        if mask is None:
+            stride = strides[c]
+            period = radices[c] * stride
+            run = ((1 << stride) - 1) << (v * stride)
+            mask = masks[(c, v)] = run * _repeat(size // period, period)
+        return mask
+    return digit
+
+
 def _pi_table(m: Model, variant: str) -> dict:
     """pi[gmask][t][u]: the mismatch set attached to moving from t to u."""
     frame = m.frame
@@ -61,6 +83,12 @@ def _pi_table(m: Model, variant: str) -> dict:
             rows = [[0 if r.has(t, u) else full for u in range(n)] for t in range(n)]
         pi[gmask] = rows
     return pi
+
+
+def _check_size(n_out: int, max_states: int) -> None:
+    if n_out > max_states:
+        raise BudgetError(f"output would have {n_out} states (cap {max_states}; "
+                          "raise max_states, CLI construct --max-states)")
 
 
 def _names(m: Model, src_names: Optional[Sequence[str]]) -> tuple:
@@ -84,7 +112,10 @@ def _block_lift(m: Model, w: int, tag: str, rel: dict,
         return acc
 
     heads, t_index = _table_of(map(lift, frame.leq.rows))
-    leq = Rel._from_table(n * w, heads, [c for c in t_index for _ in range(w)])
+    states = [0] * len(heads)
+    for t, c in enumerate(t_index):
+        states[c] |= block << (t * w)
+    leq = Rel._from_table(n * w, heads, [c for c in t_index for _ in range(w)], states)
     out_frame = Frame.make(frame.agents, n * w, leq, rel)
     val = {atom: lift(mask) for atom, mask in m.val}
     src = _names(m, src_names)
@@ -118,73 +149,85 @@ def standardize(m: Model, variant: str = "default",
     nvals = 1 << n
     n_i = nvals ** len(coords)
     n_out = n * n_i
-    if n_out > max_states:
-        raise BudgetError(f"output would have {n_out} states (cap {max_states})")
+    _check_size(n_out, max_states)
 
-    tables = list(itertools.product(range(nvals), repeat=len(coords)))
-    index_of = {t: i for i, t in enumerate(tables)}
     pi = _pi_table(m, variant)
-    k = len(agents)
+    k, low = len(agents), nvals - 1
     gmasks = list(range(1, 1 << k))
-    loose = [cpos[(gm, a)] for gm in gmasks for a in range(k) if not gm >> a & 1]
+    digit = _digit_masks([nvals] * len(coords))
+
+    def xor_mask(free: list[int], need: int) -> int:
+        # the tables whose digits at the coordinates ``free`` xor to ``need``
+        # (more than one free coordinate needs three agents or more)
+        c, *rest = free
+        if not rest:
+            return digit(c, need)
+        # the masks for distinct digits at c are disjoint: their sum is their OR
+        return sum(digit(c, v) & xor_mask(rest, need ^ v) for v in range(nvals))
 
     rel = {}
     for amask in gmasks:
-        closed_groups = [gm for gm in gmasks if not (gm & ~amask)]
-        # h keeps g on the coordinates of agents in amask (all of a closed
-        # group's, a split group's fixed ones); a split group's free
-        # coordinates range over the tables whose xor meets the need
-        kept = [cpos[(gm, a)] for gm in gmasks for a in range(k)
-                if gm >> a & 1 and amask >> a & 1]
-        split = []  # (gm, free coords minus one, determined coord, free coords)
+        closed = [pi[gm] for gm in gmasks if not gm & ~amask]
+        # (t,g) relates to (u,h) when h keeps g on the coordinates of agents
+        # in amask (all of a closed group's, a split group's fixed ones), the
+        # xor of each split group's free coordinates of h is that of g's
+        # moved by pi, and no closed group's pi is set; the other (loose)
+        # coordinates are free.  So the row of (t, g) depends on g only
+        # through a key: each kept digit and each split group's xor in an
+        # n-bit field of its own, the xor of g's digits shifted to theirs.
+        shift: list = [None] * len(coords)  # None: a loose coordinate
+        kept, split = [], []  # (shift, masks by digit); (shift, pi, masks by xor)
         for gm in gmasks:
-            if gm & ~amask:
-                free = [cpos[(gm, a)] for a in range(k)
-                        if gm >> a & 1 and not amask >> a & 1]
-                split.append((gm, free[:-1], free[-1], free))
-        open_coords = [c for _, rest, _, _ in split for c in rest] + loose
+            free = []
+            for a in range(k):
+                c = cpos[(gm, a)]
+                if gm >> a & 1 and amask >> a & 1:
+                    shift[c] = n * (len(kept) + len(split))
+                    kept.append((shift[c], [digit(c, v) for v in range(nvals)]))
+                elif gm >> a & 1:
+                    free.append(c)
+            if free:
+                for c in free:
+                    shift[c] = n * (len(kept) + len(split))
+                split.append((shift[free[0]], pi[gm],
+                              [xor_mask(free, v) for v in range(nvals)]))
+        keys = [0]  # the key of each table, in table order
+        for s in shift:
+            keys = [x for x in keys for _ in range(nvals)] if s is None \
+                else [x ^ v << s for x in keys for v in range(nvals)]
+        # distinct key, in order of first occurrence -> the h its kept
+        # coordinates allow, and the tables with that key
+        blocks = {}
+        for key in keys:
+            if key not in blocks:
+                block = (1 << n_i) - 1
+                for s, masks in kept:
+                    block &= masks[key >> s & low]
+                tables = block
+                for s, _, masks in split:
+                    tables &= masks[key >> s & low]
+                blocks[key] = block, tables
 
-        def lifted_row(t: int, g: tuple, free_xors: list[int]) -> int:
-            row = 0
-            template = list(g)
-            for u in range(n):
-                if any(pi[gm][t][u] for gm in closed_groups):
-                    continue
-                base = u * n_i
-                needs = [(last, rest, fx ^ pi[gm][t][u])
-                         for (gm, rest, last, _), fx in zip(split, free_xors)]
-                for assignment in itertools.product(range(nvals),
-                                                    repeat=len(open_coords)):
-                    for c, v in zip(open_coords, assignment):
-                        template[c] = v
-                    for last, rest, need in needs:
-                        hv = need
-                        for c in rest:
-                            hv ^= template[c]
-                        template[last] = hv
-                    row |= 1 << (base + index_of[tuple(template)])
-            return row
-
-        # the row of (t, g) depends on g only through its kept coordinates
-        # and the xor of each split group's free ones: one row per such key
-        classes: dict = {}  # key -> position of its row among the heads
         heads: dict = {}  # distinct row -> position
-        index = []
+        index, states = [], []  # states: those of each row, as row_classes keeps them
         for t in range(n):
-            for g in tables:
-                free_xors = []
-                for _, _, _, free in split:
-                    fx = 0
-                    for c in free:
-                        fx ^= g[c]
-                    free_xors.append(fx)
-                key = (t, tuple([g[c] for c in kept]), tuple(free_xors))
-                c = classes.get(key)
-                if c is None:
-                    row = lifted_row(t, g, free_xors)
-                    c = classes[key] = heads.setdefault(row, len(heads))
-                index.append(c)
-        rel[agents.group_of_mask(amask)] = Rel._from_table(n_out, list(heads), index)
+            moves = [(u * n_i, [(s, p[t][u], masks) for s, p, masks in split])
+                     for u in range(n) if not any(p[t][u] for p in closed)]
+            pos = {}  # key -> position of its row among the heads
+            for key, (block, tables) in blocks.items():
+                row = 0
+                for base, needs in moves:
+                    h_mask = block
+                    for s, moved, masks in needs:
+                        h_mask &= masks[(key >> s & low) ^ moved]
+                    row |= h_mask << base
+                c = pos[key] = heads.setdefault(row, len(heads))
+                if c == len(states):
+                    states.append(0)
+                states[c] |= tables << (t * n_i)
+            index += map(pos.__getitem__, keys)
+        rel[agents.group_of_mask(amask)] = Rel._from_table(n_out, list(heads), index,
+                                                           states)
 
     return _block_lift(m, n_i, "g", rel, src_names)
 
@@ -283,35 +326,12 @@ def partition_lift(m: Model, variant: str = "plain",
     coords = _jcoords(n, n_groups)
     cpos = {c: i for i, c in enumerate(coords)}
     succ_lists = [sorted(bits(frame.r_mask(gm).rows[t])) for t, gm in coords]
-    n_j = 1
-    for lst in succ_lists:
-        n_j *= len(lst)
+    radices = [len(lst) for lst in succ_lists]
+    n_j = prod(radices)
     n_out = n * n_j
-    if n_out > max_states:
-        raise BudgetError(f"output would have {n_out} states (cap {max_states})")
+    _check_size(n_out, max_states)
     tables = list(itertools.product(*succ_lists))
-
-    strides = [0] * len(coords)
-    acc = 1
-    for c in range(len(coords) - 1, -1, -1):
-        strides[c] = acc
-        acc *= len(succ_lists[c])
-
-    patterns: dict = {}
-
-    def pattern(c: int, pos: int) -> int:
-        key = (c, pos)
-        pat = patterns.get(key)
-        if pat is None:
-            stride = strides[c]
-            deg = len(succ_lists[c])
-            block = ((1 << stride) - 1) << (pos * stride)
-            period = deg * stride
-            pat = 0
-            for i in range(n_j // period):
-                pat |= block << (i * period)
-            patterns[key] = pat
-        return pat
+    digit = _digit_masks(radices)
 
     def allowed_mask(t: int, u: int, gm: int, gv: int) -> int:
         # positions of x in the (u, gm) successor list with {t, gv} == {u, x}
@@ -320,7 +340,7 @@ def partition_lift(m: Model, variant: str = "plain",
         out = 0
         for pos, x in enumerate(lst):
             if {u, x} == want:
-                out |= pattern(cpos[(u, gm)], pos)
+                out |= digit(cpos[(u, gm)], pos)
         return out
 
     full_j = (1 << n_j) - 1

@@ -34,7 +34,23 @@ DEFAULT_ASSIGNMENT_CAP = 1 << 20
 VARIANTS = ("prenosil", "fischer_servi", "wijesekera")
 
 
+# ``bits`` scans the binary text of an int wider than WIDE_BITS with more
+# than WIDE_MIN_COUNT bits set: on a wide int each step of the lowest-bit
+# loop costs a pass over all of it, about 1 us per bit at 8192 bits against
+# about 0.25 us plus a fixed 10 us for ``bin`` (Python 3.11).
+WIDE_BITS, WIDE_MIN_COUNT = 1024, 16
+
+
 def bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits, ascending."""
+    if mask.bit_length() > WIDE_BITS and mask.bit_count() > WIDE_MIN_COUNT:
+        text = bin(mask)
+        top = len(text) - 1
+        i = text.rfind("1")
+        while i >= 0:
+            yield top - i
+            i = text.rfind("1", 0, i)
+        return
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -126,11 +142,12 @@ class Rel:
                 for i, r in enumerate(self.rows):
                     classes[r] = classes.get(r, 0) | 1 << i
             else:
-                heads, index = table
-                states = [0] * len(heads)
-                for i, c in enumerate(index):
-                    states[c] |= 1 << i
-                for r, members in zip(heads, states):  # equal heads merge
+                states = self.__dict__.get("_head_states")
+                if states is None:
+                    states = self.__dict__["_head_states"] = [0] * len(table[0])
+                    for i, c in enumerate(table[1]):
+                        states[c] |= 1 << i
+                for r, members in zip(table[0], states):  # equal heads merge
                     classes[r] = classes.get(r, 0) | members
             # the dataclass is frozen, so write the dict itself
             memo = self.__dict__["_row_classes"] = tuple(classes.items())
@@ -163,21 +180,36 @@ class Rel:
         return memo
 
     @classmethod
-    def _from_table(cls, n: int, heads: list[int], index: list[int]) -> "Rel":
+    def _from_table(cls, n: int, heads: list[int], index: list[int],
+                    states: Optional[list[int]] = None) -> "Rel":
         """The relation whose state i has row ``heads[index[i]]``: states of
-        one class share one int object, and the table is kept with it."""
-        out = cls(n, tuple(map(heads.__getitem__, index)))
-        out.__dict__["_table"] = (heads, index)
+        one class share one int object, and the table is kept with it, with
+        ``states[c]``, the states whose index is c, when the caller knows
+        them (``row_classes`` then makes no pass over the states).  Only the
+        heads are checked against the carrier, not each state's row."""
+        if len(index) != n:
+            raise ValueError("row count must equal carrier size")
+        if any(h >> n for h in heads):
+            raise ValueError("row refers to states outside the carrier")
+        out = object.__new__(cls)  # the fields in the dict: no __post_init__
+        out.__dict__.update(n=n, rows=tuple(map(heads.__getitem__, index)),
+                            _table=(heads, index))
+        if states is not None:
+            out.__dict__["_head_states"] = states
         return out
 
     def converse(self) -> "Rel":
         """The transpose, computed once per instance and kept with it.
 
-        Each row class's state set is ORed into the converse rows of its
-        row's bits, so the work is the sum of popcounts over distinct rows.
-        When that sum outweighs a bit-matrix transpose of all n*n cells
-        (``_bit_transpose``), the transpose runs instead; no constructed frame
-        comes near that point, only dense relations with mostly distinct rows.
+        Each row class is visited once per bit of its row, so the work is
+        the sum of popcounts over distinct rows.  Below
+        ``CLASS_PASS_MIN_STATES`` states the class's states are ORed into the
+        converse row of each bit; from there on the bit goes into that row's
+        signature, the set of classes whose row holds it, and the states of
+        one signature share one converse row.  When the work outweighs a
+        bit-matrix transpose of all n*n cells (``_bit_transpose``), the
+        transpose runs instead; no constructed frame comes near that point,
+        only dense relations with mostly distinct rows.
         """
         memo = self.__dict__.get("_converse")
         if memo is None:
@@ -186,26 +218,45 @@ class Rel:
 
     def _transpose(self) -> "Rel":
         n = self.n
-        # _bit_transpose moves all n*n cells at once; the row-class pass does
-        # `work` big-int ORs.  Break-even work/n, measured (Python 3.11, all
-        # rows distinct): 3 at n=16, 1.5-2.2 at 64-256, 10-14 at 1024-2048,
-        # 23 at 4096, 35 at 8192; the floor of 4 keeps frames of four states
-        # or fewer off the transpose.  The work is read off the row table, so
-        # the transpose side never builds n state sets (heads that compose
-        # handed over may repeat, which can only overcount).
+        heads = self._row_table()[0]
+        # _bit_transpose moves all n*n cells at once; the class passes take
+        # `work` steps, one per bit of a distinct row.  Break-even work/n,
+        # measured (Python 3.11): with all rows distinct, 3 at n=16 (the
+        # per-state pass below 64 states), then (the signature pass, whose
+        # steps cost more with more classes) under 1 at 64-256, 2-3 at
+        # 1024, 7-8 at 2048-8192; with 32-256 classes, 5 or more at 1024
+        # and 25 or more at 8192.  The floor of 4 keeps frames of four
+        # states or fewer off the transpose.  The work is read off the row
+        # table, so the transpose side never builds n state sets (heads that
+        # compose handed over may repeat, which can only overcount).
         limit, work = n * max(4, isqrt(n) // 3), 0
-        for r in self._row_table()[0]:
+        if n >= CLASS_PASS_MIN_STATES:
+            limit = limit * n // (n + 4 * len(heads))
+        for r in heads:
             work += r.bit_count()
             if work > limit:
-                break
-        if work > limit:
-            rows = _bit_transpose(n, self.rows)
-        else:
+                return Rel._from_table(n, *_table_of(_bit_transpose(n, self.rows)))
+        classes = self.row_classes()
+        if n < CLASS_PASS_MIN_STATES:  # each class's states into its row's bits
             rows = [0] * n
-            for r, states in self.row_classes():
+            for r, states in classes:
                 for j in bits(r):
                     rows[j] |= states
-        return Rel._from_table(n, *_table_of(rows))
+            return Rel._from_table(n, *_table_of(rows))
+        # bit c of sig[j] is set when class c's row holds j, so the ints
+        # built per state are as wide as the class count, not as n; the
+        # converse row of a signature is the OR (sum: the classes' states are
+        # disjoint) of its classes' states, so distinct signatures give
+        # distinct rows
+        sig = [0] * n
+        for c, (r, _) in enumerate(classes):
+            bit = 1 << c
+            for j in bits(r):
+                sig[j] |= bit
+        heads, index = _table_of(sig)
+        states = [s for _, s in classes]
+        return Rel._from_table(
+            n, [sum(states[c] for c in bits(h)) for h in heads], index)
 
     def compose(self, other: "Rel") -> "Rel":
         """Left-to-right: i (self;other) k iff some j with i self j and j other k.
@@ -246,7 +297,9 @@ class Rel:
                 for j in bits(r):
                     acc |= orows[j]
                 images.append(acc)
-        return Rel._from_table(self.n, images, index)
+        # the same index list: the same states per position
+        return Rel._from_table(self.n, images, index,
+                               self.__dict__.get("_head_states"))
 
     def is_reflexive(self) -> bool:
         if self.n >= CLASS_PASS_MIN_STATES and "_table" in self.__dict__:
@@ -432,7 +485,12 @@ def check_frame(f: Frame) -> FrameReport:
 
 
 def is_closed(leq: Rel, mask: int) -> bool:
-    """Is the state set an up-set of the preorder?"""
+    """Is the state set an up-set of the preorder?  From
+    ``CLASS_PASS_MIN_STATES`` states on, a preorder that keeps a row table is
+    checked per row class: each class meeting the set has its row inside."""
+    if leq.n >= CLASS_PASS_MIN_STATES and "_table" in leq.__dict__:
+        return all(row & ~mask == 0 for row, states in leq.row_classes()
+                   if states & mask)
     return all(leq.rows[s] & ~mask == 0 for s in bits(mask))
 
 

@@ -729,36 +729,40 @@ def _subset_masks(mask: int) -> Iterator[int]:
             yield m
 
 
-def _match(sf_: Formula, f: Formula, at: dict, gr: dict,
+def _match(schema: Formula, f: Formula,
            agents: AgentSet) -> Iterator[tuple[dict, dict]]:
-    if isinstance(sf_, Atom):
-        bound = at.get(sf_.name)
-        if bound is None:
-            yield {**at, sf_.name: f}, gr
-        elif bound == f:
+    """Every (atom, group) binding making ``schema`` into ``f``, depth first
+    and left to right.  A search state is the (schema node, formula) pairs
+    left to match, a linked list ``(pair, rest)``, and the bindings so far;
+    the stack holds the states still to try, the next one on top, so no
+    depth of schema or formula recurses."""
+    stack: list = [(((schema, f), None), {}, {})]
+    while stack:
+        todo, at, gr = stack.pop()
+        if todo is None:
             yield at, gr
-        return
-    if isinstance(sf_, Top):
-        if isinstance(f, Top):
-            yield at, gr
-        return
-    if isinstance(sf_, Bot):
-        if isinstance(f, Bot):
-            yield at, gr
-        return
-    if isinstance(sf_, (Implies, Or, And)):
-        if type(f) is not type(sf_):
-            return
-        for at1, gr1 in _match(sf_.left, f.left, at, gr, agents):
-            yield from _match(sf_.right, f.right, at1, gr1, agents)
-        return
-    if isinstance(sf_, (Box, Dia)):
-        if type(f) is not type(sf_):
-            return
-        for gr1 in _bind_groups(sf_.group, f.group, gr, agents):
-            yield from _match(sf_.body, f.body, at, gr1, agents)
-        return
-    raise TypeError(f"not a schema node: {sf_!r}")
+            continue
+        (node, g), rest = todo
+        if isinstance(node, Atom):
+            bound = at.get(node.name)
+            if bound is None:
+                stack.append((rest, {**at, node.name: g}, gr))
+            elif bound == g:
+                stack.append((rest, at, gr))
+        elif isinstance(node, (Top, Bot)):
+            if isinstance(g, type(node)):
+                stack.append((rest, at, gr))
+        elif isinstance(node, (Implies, Or, And)):
+            if type(g) is type(node):
+                pairs = ((node.left, g.left), ((node.right, g.right), rest))
+                stack.append((pairs, at, gr))
+        elif isinstance(node, (Box, Dia)):
+            if type(g) is type(node):
+                todo = ((node.body, g.body), rest)
+                options = list(_bind_groups(node.group, g.group, gr, agents))
+                stack.extend((todo, at, gr1) for gr1 in reversed(options))
+        else:
+            raise TypeError(f"not a schema node: {node!r}")
 
 
 def _bind_groups(slot: Group, target: Group, gr: dict,
@@ -803,7 +807,7 @@ def match_instance(schema: Schema, f: Formula,
     if agents is None:
         names = sorted(agents_of(f))
         agents = AgentSet(tuple(names)) if names else AgentSet.of("a")
-    for at, gr in _match(schema.formula, f, {}, {}, agents):
+    for at, gr in _match(schema.formula, f, agents):
         return Match(tuple(sorted(at.items())), tuple(sorted(gr.items())))
     return None
 

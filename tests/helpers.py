@@ -131,6 +131,29 @@ def naive_compose(p: Rel, q: Rel) -> set:
     return {(i, k) for i, j1 in p.pairs() for j2, k in q.pairs() if j1 == j2}
 
 
+def naive_set_bits(mask: int) -> list:
+    """The positions of the 1 digits of ``mask``, read off its binary text
+    one digit at a time."""
+    return [j for j, digit in enumerate(reversed(format(mask, "b"))) if digit == "1"]
+
+
+def _row_digits(r: Rel) -> list:
+    """``naive_set_bits`` of each row, read once per distinct row, so wide
+    relations with few distinct rows stay quick."""
+    digits = {row: set(naive_set_bits(row)) for row in set(r.rows)}
+    return [digits[row] for row in r.rows]
+
+
+def naive_converse(r: Rel) -> set:
+    return {(j, i) for i, row in enumerate(_row_digits(r)) for j in row}
+
+
+def naive_is_closed(leq: Rel, mask: int) -> bool:
+    """Every state of the set has all its ``leq`` successors in the set."""
+    inside, rows = set(naive_set_bits(mask)), _row_digits(leq)
+    return all(rows[s] <= inside for s in inside)
+
+
 def naive_classes(frame: Frame) -> set:
     """Names of the frame classes ``frame`` belongs to, each decided from its
     definition on successor sets read off ``rel_pairs``; no converse,

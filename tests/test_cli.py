@@ -306,6 +306,33 @@ def test_construct_output_pinned(capsys, tmp_path, kind, doc, states, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+_ONE_STATE_THREE_AGENTS = {
+    "agents": ["a", "b", "c"], "worlds": ["w0"], "leq": [["w0", "w0"]],
+    "rel": {g: [["w0", "w0"]] for g in ("a", "b", "c", "a,b", "a,c", "b,c", "a,b,c")}}
+_TWO_STATE_RS = {
+    "agents": ["a"], "worlds": ["s", "t"], "leq": [["s", "s"], ["t", "t"]],
+    "rel": {"a": [[x, y] for x in "st" for y in "st"]}}
+
+
+@pytest.mark.parametrize("argv,doc,message", [
+    # at three agents even one state standardizes past the default cap
+    pytest.param(["standardize"], _ONE_STATE_THREE_AGENTS,
+                 "output would have 2097152 states (cap 8192; raise max_states, "
+                 "CLI construct --max-states)", id="standardize"),
+    pytest.param(["partlift", "--max-states", "7"], _TWO_STATE_RS,
+                 "output would have 8 states (cap 7; raise max_states, "
+                 "CLI construct --max-states)", id="partlift"),
+])
+def test_construct_over_the_cap_names_the_budget(capsys, tmp_path, argv, doc,
+                                                  message):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(doc))
+    assert run(["construct", "--kind", *argv, "--in", str(src),
+                "--out", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("module", ["ieml", "ieml.cli"])
 def test_python_dash_m_runs_the_cli(module, capsys):
     import os

@@ -97,13 +97,16 @@ def test_standardize_matches_brute_force(agents, nstates, variant):
             want = brute_standard_rel(model, gm, tables, variant)
             got = result.model.frame.r_mask(gm)
             assert got == want, (frame, gm)
-        # every output relation keeps a row table of distinct rows, so
-        # states with equal rows share one int object
+        # every output relation keeps a row table of distinct rows in order
+        # of first occurrence, so states with equal rows share one int
+        # object, and the row classes the build hands over are the rows' own
         out = result.model.frame
         for r in (out.leq, *out.rels):
             heads, index = r.__dict__["_table"]
-            assert len(set(heads)) == len(heads)
+            assert heads == list(dict.fromkeys(r.rows))
+            assert index == [heads.index(row) for row in r.rows]
             assert all(row is heads[c] for row, c in zip(r.rows, index))
+            assert r.row_classes() == Rel(r.n, r.rows).row_classes()
 
 
 def test_standardize_one_point_example():

@@ -19,8 +19,9 @@ from ieml.semantics import VARIANTS, Program, bits, mono_truth_mask
 from ieml.syntax import MonoBox
 
 from helpers import (
-    blow_up, naive_compose, naive_falsify, naive_mono_satisfies,
-    naive_satisfies, naive_valid_in_frame, random_ast, two_chain_frame,
+    blow_up, naive_compose, naive_converse, naive_falsify, naive_is_closed,
+    naive_mono_satisfies, naive_satisfies, naive_set_bits, naive_valid_in_frame,
+    random_ast, two_chain_frame,
 )
 
 AG = AgentSet.of("a")
@@ -59,6 +60,13 @@ def test_rel_rejects_rows_outside_the_carrier():
             Rel(2, rows)
     with pytest.raises(ValueError, match="row count"):
         Rel(2, (1,))
+    # a relation built from a row table checks its heads the same way
+    assert Rel._from_table(2, [0b11, 0], [1, 0]) == Rel(2, (0, 3))
+    for heads in ([0b100], [-1], [1 << 70]):
+        with pytest.raises(ValueError, match="outside the carrier"):
+            Rel._from_table(2, heads, [0, 0])
+    with pytest.raises(ValueError, match="row count"):
+        Rel._from_table(2, [1], [0])
 
 
 def test_rel_converse_and_closure():
@@ -113,6 +121,89 @@ def test_bit_transpose_against_pairwise():
         assert semantics._bit_transpose(n, tuple(rows)) == want
 
 
+def test_bits_on_narrow_and_wide_ints():
+    # the lowest-bit loop up to WIDE_BITS bits, the scan of the binary text
+    # above: the same positions in the same (ascending) order
+    rng = random.Random(18)
+    wide = semantics.WIDE_BITS
+    for width in (1, 2, 63, 64, 65, wide - 1, wide, wide + 1, 8192):
+        top = 1 << (width - 1)
+        for m in (top, top | 1, rng.getrandbits(width) | top,
+                  rng.getrandbits(width) & rng.getrandbits(width) | top,
+                  (1 << width) - 1):
+            assert list(bits(m)) == naive_set_bits(m)
+    assert list(bits(0)) == []
+
+
+def test_converse_from_64_states_matches_the_pairwise_transpose(monkeypatch):
+    # from CLASS_PASS_MIN_STATES states on, a sparse relation takes the
+    # signature pass over its row table and a dense one with distinct rows
+    # the bit-matrix transpose; both give the pairwise transpose and a row
+    # table of distinct heads, each state's row being its head's int object
+    transposes = []
+    bit_transpose = semantics._bit_transpose
+    monkeypatch.setattr(semantics, "_bit_transpose",
+                        lambda *a: transposes.append(a) or bit_transpose(*a))
+    rng = random.Random(19)
+
+    def sparse_row(n):
+        return sum(1 << rng.randrange(n) for _ in range(rng.randrange(4)))
+
+    for n in (semantics.CLASS_PASS_MIN_STATES, 70, 300, semantics.WIDE_BITS + 52):
+        base = [sparse_row(n) for _ in range(5)] + [0, (1 << n) - 1 >> n // 2]
+        index = [rng.randrange(len(base)) for _ in range(n)]
+        rels = [  # (relation, whether the bit-matrix transpose serves it, or
+            # None where the class count decides)
+            (Rel(n, tuple(base[c] for c in index)), False),
+            # heads that repeat, as compose hands them over
+            (Rel._from_table(n, base + base,
+                             [c + len(base) * rng.randrange(2) for c in index]), False),
+            # one or two bits a row, nearly every row distinct
+            (Rel(n, tuple(1 << rng.randrange(n) | 1 << rng.randrange(n)
+                          for _ in range(n))), None)]
+        if n <= 300:  # dense, every row distinct
+            rels.append((Rel(n, tuple(rng.getrandbits(n) | 1 << i for i in range(n))), True))
+        for r, via_transpose in rels:
+            transposes.clear()
+            c = r.converse()
+            assert via_transpose in (None, bool(transposes))
+            assert set(c.pairs()) == naive_converse(r)
+            heads, index_ = c.__dict__["_table"]
+            assert len(set(heads)) == len(heads)
+            assert all(row is heads[k] for row, k in zip(c.rows, index_))
+            assert c.converse().rows == r.rows
+
+
+def test_is_closed_per_class_matches_the_per_state_check():
+    # from CLASS_PASS_MIN_STATES states on, a preorder that keeps a row table
+    # is checked per row class; the verdicts equal a per-state check, on
+    # up-sets and on sets that miss a successor of one of their states
+    rng = random.Random(20)
+    for n in (semantics.CLASS_PASS_MIN_STATES, 70, 300, semantics.WIDE_BITS + 52):
+        if n <= 300:  # the closure of a random functional graph
+            leq = Rel(n, tuple(1 << rng.randrange(n) for _ in range(n))).rt_closure()
+        else:  # blocks under a chain: a block's row is it and the later ones
+            index = [rng.randrange(5) for _ in range(n)]
+            blocks = [sum(1 << i for i, c in enumerate(index) if c == b) for b in range(5)]
+            leq = Rel._from_table(n, [sum(blocks[b:]) for b in range(5)], index)
+        assert "_table" in leq.__dict__
+        untabled = Rel(n, leq.rows)
+        verdicts = set()
+        for _ in range(12 if n <= 300 else 2):  # the oracle reads n-digit rows
+            up = 0
+            for s in rng.sample(range(n), 3):
+                up |= leq.rows[s]
+            sets = [up, rng.getrandbits(n), 0, (1 << n) - 1]
+            s = next((s for s in naive_set_bits(up) if leq.rows[s] != 1 << s), None)
+            if s is not None:  # drop a successor of s other than s itself
+                sets.append(up & ~(1 << naive_set_bits(leq.rows[s] & ~(1 << s))[0]))
+            for mask in sets:
+                want = naive_is_closed(leq, mask)
+                assert is_closed(leq, mask) == want == is_closed(untabled, mask)
+                verdicts.add(want)
+        assert verdicts == {True, False}
+
+
 def test_runs_without_numpy():
     # numpy blocked from import: the dense converse and the classification
     # of a dense 128-state frame take the bit-matrix transpose and give what
@@ -164,6 +255,7 @@ def test_rel_row_classes():
     base = [rng.getrandbits(40) for _ in range(4)]
     p = Rel(40, tuple(rng.choice(base) for _ in range(40)))
     q = Rel(40, tuple(rng.choice(base[:2]) for _ in range(40)))
+    p.row_classes(), q.row_classes()  # compose then hands their states over
     made = [p.converse(), p.compose(q), q.compose(p.converse())]
     assert [set(r.pairs()) for r in made] == [
         {(j, i) for i, j in p.pairs()}, naive_compose(p, q),

@@ -401,6 +401,16 @@ def test_syntax_walks_take_api_built_formulas_of_any_depth(kind):
     a8 = match_instance(catalog["A8"], Implies(Box(AB, f), other))
     assert a8.atom_map() == {"p": f} and a8.group_map() == {"alpha": AB}
     assert match_instance(catalog["A8"], Implies(Box(AB, f), leaf)) is None
+    # a schema as deep as the formula: matching walks it with a stack
+    if kind == "MonoBox":
+        with pytest.raises(TypeError, match="not a schema node"):
+            match_instance(Schema("S", f), f)
+    else:
+        itself = match_instance(Schema("S", f), f)
+        assert itself.atom_map() == {a: Atom(a) for a in atoms_of(f)}
+        assert itself.group_map() == {
+            a: frozenset({a}) for g in groups_of(f) for a in g}
+        assert match_instance(Schema("S", step(f)), f) is None
     assert render(f) == str(f) == text
     assert atoms_of(f) == ({"p", "q"} if "q" in text else {"p"})
     groups = {"Box": {A}, "Dia": {B}}.get(kind, set())
