@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from math import prod
+from operator import and_
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BudgetError, PreconditionError
@@ -49,11 +51,9 @@ def _icoords(agents: AgentSet) -> list[tuple[int, int]]:
 
 
 def _digit_masks(radices: Sequence[int]) -> Callable[[int, int], int]:
-    """``digit(c, v)``: the bitmask of the tables whose coordinate c is v,
-    bit i standing for the i-th table in ``itertools.product`` order over
-    ``range(r)`` for each radix r.  Coordinate c's digit is constant over
-    runs of ``stride`` tables (the product of the later radices), so the mask
-    is one run repeated every ``radices[c] * stride`` bits; kept per call."""
+    """``digit(c, v)``: the tables, numbered in ``itertools.product`` order
+    over a range per radix, whose coordinate c is v: a run of ``stride`` (the
+    later radices' product) bits, every ``radices[c] * stride``; kept."""
     strides = [prod(radices[c + 1:]) for c in range(len(radices))]
     size = prod(radices)
     masks: dict = {}
@@ -112,9 +112,8 @@ def _block_lift(m: Model, w: int, tag: str, rel: dict,
         return acc
 
     heads, t_index = _table_of(map(lift, frame.leq.rows))
-    states = [0] * len(heads)
-    for t, c in enumerate(t_index):
-        states[c] |= block << (t * w)
+    states = [lift(sum(1 << t for t, x in enumerate(t_index) if x == c))
+              for c in range(len(heads))]
     leq = Rel._from_table(n * w, heads, [c for c in t_index for _ in range(w)], states)
     out_frame = Frame.make(frame.agents, n * w, leq, rel)
     val = {atom: lift(mask) for atom, mask in m.val}
@@ -157,77 +156,56 @@ def standardize(m: Model, variant: str = "default",
     digit = _digit_masks([nvals] * len(coords))
 
     def xor_mask(free: list[int], need: int) -> int:
-        # the tables whose digits at the coordinates ``free`` xor to ``need``
-        # (more than one free coordinate needs three agents or more)
+        # the tables whose digits at ``free`` xor to ``need``, a sum of
+        # disjoint masks (more than one free coordinate needs three agents)
         c, *rest = free
-        if not rest:
-            return digit(c, need)
-        # the masks for distinct digits at c are disjoint: their sum is their OR
-        return sum(digit(c, v) & xor_mask(rest, need ^ v) for v in range(nvals))
+        return sum(digit(c, v) & xor_mask(rest, need ^ v)
+                   for v in range(nvals)) if rest else digit(c, need)
 
     rel = {}
     for amask in gmasks:
+        # (t,g) relates to (u,h) when no closed group's pi(t,u) is set, h
+        # keeps g's digits of agents in amask, and each split group's other
+        # (free) digits xor in h to their xor in g moved by pi(t,u).  So a
+        # row depends on g through a key: an n-bit field per kept digit and
+        # per split group's xor, the xor of g's digits shifted there.
         closed = [pi[gm] for gm in gmasks if not gm & ~amask]
-        # (t,g) relates to (u,h) when h keeps g on the coordinates of agents
-        # in amask (all of a closed group's, a split group's fixed ones), the
-        # xor of each split group's free coordinates of h is that of g's
-        # moved by pi, and no closed group's pi is set; the other (loose)
-        # coordinates are free.  So the row of (t, g) depends on g only
-        # through a key: each kept digit and each split group's xor in an
-        # n-bit field of its own, the xor of g's digits shifted to theirs.
         shift: list = [None] * len(coords)  # None: a loose coordinate
-        kept, split = [], []  # (shift, masks by digit); (shift, pi, masks by xor)
+        kept, split = [], []  # (shift, mask by digit); (shift, pi, mask by xor)
         for gm in gmasks:
-            free = []
-            for a in range(k):
-                c = cpos[(gm, a)]
-                if gm >> a & 1 and amask >> a & 1:
-                    shift[c] = n * (len(kept) + len(split))
-                    kept.append((shift[c], [digit(c, v) for v in range(nvals)]))
-                elif gm >> a & 1:
-                    free.append(c)
+            for c in [cpos[(gm, a)] for a in range(k) if gm >> a & amask >> a & 1]:
+                shift[c] = n * (len(kept) + len(split))
+                kept.append((shift[c], [digit(c, v) for v in range(nvals)]))
+            free = [cpos[(gm, a)] for a in range(k) if gm >> a & ~amask >> a & 1]
             if free:
+                s = n * (len(kept) + len(split))
                 for c in free:
-                    shift[c] = n * (len(kept) + len(split))
-                split.append((shift[free[0]], pi[gm],
-                              [xor_mask(free, v) for v in range(nvals)]))
+                    shift[c] = s
+                split.append((s, pi[gm], [xor_mask(free, v) for v in range(nvals)]))
         keys = [0]  # the key of each table, in table order
         for s in shift:
             keys = [x for x in keys for _ in range(nvals)] if s is None \
                 else [x ^ v << s for x in keys for v in range(nvals)]
-        # distinct key, in order of first occurrence -> the h its kept
-        # coordinates allow, and the tables with that key
-        blocks = {}
-        for key in keys:
-            if key not in blocks:
-                block = (1 << n_i) - 1
-                for s, masks in kept:
-                    block &= masks[key >> s & low]
-                tables = block
-                for s, _, masks in split:
-                    tables &= masks[key >> s & low]
-                blocks[key] = block, tables
+        blocks = {}  # distinct key -> (the h its kept digits allow, its tables)
+        for key in dict.fromkeys(keys):
+            block = reduce(and_, [ms[key >> s & low] for s, ms in kept], (1 << n_i) - 1)
+            blocks[key] = block, reduce(and_, [ms[key >> s & low] for s, _, ms in split], block)
 
         heads: dict = {}  # distinct row -> position
-        index, states = [], []  # states: those of each row, as row_classes keeps them
+        index, states = [], {}  # states: position -> the states with that row
         for t in range(n):
-            moves = [(u * n_i, [(s, p[t][u], masks) for s, p, masks in split])
+            moves = [(u * n_i, [(s, p[t][u], ms) for s, p, ms in split])
                      for u in range(n) if not any(p[t][u] for p in closed)]
-            pos = {}  # key -> position of its row among the heads
+            pos = {}  # key -> position of its row
             for key, (block, tables) in blocks.items():
-                row = 0
-                for base, needs in moves:
-                    h_mask = block
-                    for s, moved, masks in needs:
-                        h_mask &= masks[(key >> s & low) ^ moved]
-                    row |= h_mask << base
+                # the targets' blocks are disjoint: their sum is their OR
+                row = sum(reduce(and_, [ms[(key >> s & low) ^ mv] for s, mv, ms in needs],
+                                 block) << base for base, needs in moves)
                 c = pos[key] = heads.setdefault(row, len(heads))
-                if c == len(states):
-                    states.append(0)
-                states[c] |= tables << (t * n_i)
+                states[c] = states.get(c, 0) | tables << (t * n_i)
             index += map(pos.__getitem__, keys)
-        rel[agents.group_of_mask(amask)] = Rel._from_table(n_out, list(heads), index,
-                                                           states)
+        rel[agents.group_of_mask(amask)] = Rel._from_table(
+            n_out, list(heads), index, list(states.values()))
 
     return _block_lift(m, n_i, "g", rel, src_names)
 

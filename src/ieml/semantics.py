@@ -32,23 +32,18 @@ from .syntax import (
 DEFAULT_ASSIGNMENT_CAP = 1 << 20
 
 VARIANTS = ("prenosil", "fischer_servi", "wijesekera")
-
-
-# ``bits`` scans the binary text of an int wider than WIDE_BITS with more
-# than WIDE_MIN_COUNT bits set: on a wide int each step of the lowest-bit
-# loop costs a pass over all of it, about 1 us per bit at 8192 bits against
-# about 0.25 us plus a fixed 10 us for ``bin`` (Python 3.11).
-WIDE_BITS, WIDE_MIN_COUNT = 1024, 16
+# ``bits`` scans the binary text of an int wider than this with more than 16
+# bits set: a lowest-bit step costs a pass over the int, about 1 us at 8192
+# bits, the scan 10 us plus 0.25 us per set bit (Python 3.11).
+WIDE_BITS = 1024
 
 
 def bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits, ascending."""
-    if mask.bit_length() > WIDE_BITS and mask.bit_count() > WIDE_MIN_COUNT:
-        text = bin(mask)
-        top = len(text) - 1
+    if mask.bit_length() > WIDE_BITS and mask.bit_count() > 16:
+        text = bin(mask)  # bit j is the character len(text) - 1 - j
         i = text.rfind("1")
         while i >= 0:
-            yield top - i
+            yield len(text) - 1 - i
             i = text.rfind("1", 0, i)
         return
     while mask:
@@ -183,34 +178,23 @@ class Rel:
     def _from_table(cls, n: int, heads: list[int], index: list[int],
                     states: Optional[list[int]] = None) -> "Rel":
         """The relation whose state i has row ``heads[index[i]]``: states of
-        one class share one int object, and the table is kept with it, with
-        ``states[c]``, the states whose index is c, when the caller knows
-        them (``row_classes`` then makes no pass over the states).  Only the
-        heads are checked against the carrier, not each state's row."""
-        if len(index) != n:
-            raise ValueError("row count must equal carrier size")
-        if any(h >> n for h in heads):
-            raise ValueError("row refers to states outside the carrier")
-        out = object.__new__(cls)  # the fields in the dict: no __post_init__
+        one class share one int object.  The table is kept with it, and
+        ``states[c]`` (index c's states) if known; only the heads are checked."""
+        if len(index) != n or any(h >> n for h in heads):
+            raise ValueError("row table does not fit the carrier")
+        out = object.__new__(cls)  # fields set in the dict: no __post_init__
         out.__dict__.update(n=n, rows=tuple(map(heads.__getitem__, index)),
-                            _table=(heads, index))
-        if states is not None:
-            out.__dict__["_head_states"] = states
+                            _table=(heads, index), _head_states=states)
         return out
 
     def converse(self) -> "Rel":
         """The transpose, computed once per instance and kept with it.
 
         Each row class is visited once per bit of its row, so the work is
-        the sum of popcounts over distinct rows.  Below
-        ``CLASS_PASS_MIN_STATES`` states the class's states are ORed into the
-        converse row of each bit; from there on the bit goes into that row's
-        signature, the set of classes whose row holds it, and the states of
-        one signature share one converse row.  When the work outweighs a
+        the sum of popcounts over distinct rows.  When that outweighs a
         bit-matrix transpose of all n*n cells (``_bit_transpose``), the
-        transpose runs instead; no constructed frame comes near that point,
-        only dense relations with mostly distinct rows.
-        """
+        transpose runs instead: only dense relations with mostly distinct
+        rows come near that point, no constructed frame."""
         memo = self.__dict__.get("_converse")
         if memo is None:
             memo = self.__dict__["_converse"] = self._transpose()
@@ -219,16 +203,13 @@ class Rel:
     def _transpose(self) -> "Rel":
         n = self.n
         heads = self._row_table()[0]
-        # _bit_transpose moves all n*n cells at once; the class passes take
-        # `work` steps, one per bit of a distinct row.  Break-even work/n,
-        # measured (Python 3.11): with all rows distinct, 3 at n=16 (the
-        # per-state pass below 64 states), then (the signature pass, whose
-        # steps cost more with more classes) under 1 at 64-256, 2-3 at
-        # 1024, 7-8 at 2048-8192; with 32-256 classes, 5 or more at 1024
-        # and 25 or more at 8192.  The floor of 4 keeps frames of four
-        # states or fewer off the transpose.  The work is read off the row
-        # table, so the transpose side never builds n state sets (heads that
-        # compose handed over may repeat, which can only overcount).
+        # _bit_transpose moves all n*n cells at once; the class pass takes
+        # `work` steps.  Break-even work/n (Python 3.11): 3 at n=16; from 64
+        # states on, where a step costs more with more classes, under 1 at
+        # 64-256 and 7-8 at 2048-8192 with all rows distinct, 5+ at 1024 and
+        # 25+ at 8192 with 32-256 classes.  The floor of 4 keeps frames of
+        # four states or fewer off it.  Heads that compose handed over may
+        # repeat, which can only overcount.
         limit, work = n * max(4, isqrt(n) // 3), 0
         if n >= CLASS_PASS_MIN_STATES:
             limit = limit * n // (n + 4 * len(heads))
@@ -236,27 +217,21 @@ class Rel:
             work += r.bit_count()
             if work > limit:
                 return Rel._from_table(n, *_table_of(_bit_transpose(n, self.rows)))
-        classes = self.row_classes()
-        if n < CLASS_PASS_MIN_STATES:  # each class's states into its row's bits
-            rows = [0] * n
-            for r, states in classes:
-                for j in bits(r):
-                    rows[j] |= states
-            return Rel._from_table(n, *_table_of(rows))
-        # bit c of sig[j] is set when class c's row holds j, so the ints
-        # built per state are as wide as the class count, not as n; the
-        # converse row of a signature is the OR (sum: the classes' states are
-        # disjoint) of its classes' states, so distinct signatures give
-        # distinct rows
-        sig = [0] * n
-        for c, (r, _) in enumerate(classes):
-            bit = 1 << c
+        # below CLASS_PASS_MIN_STATES, acc[j] is the converse row of j, the
+        # states of the classes whose row holds j; from there on the set of
+        # those classes (bit c: class c), a signature, so no n-bit int is
+        # built per state.  The states of one signature share one row, the
+        # sum of its classes' disjoint states, so the heads stay distinct.
+        classes, sign = self.row_classes(), n >= CLASS_PASS_MIN_STATES
+        acc = [0] * n
+        for c, (r, states) in enumerate(classes):
+            x = 1 << c if sign else states
             for j in bits(r):
-                sig[j] |= bit
-        heads, index = _table_of(sig)
-        states = [s for _, s in classes]
-        return Rel._from_table(
-            n, [sum(states[c] for c in bits(h)) for h in heads], index)
+                acc[j] |= x
+        heads, index = _table_of(acc)
+        if sign:
+            heads = [sum(classes[c][1] for c in bits(h)) for h in heads]
+        return Rel._from_table(n, heads, index)
 
     def compose(self, other: "Rel") -> "Rel":
         """Left-to-right: i (self;other) k iff some j with i self j and j other k.
@@ -298,8 +273,7 @@ class Rel:
                     acc |= orows[j]
                 images.append(acc)
         # the same index list: the same states per position
-        return Rel._from_table(self.n, images, index,
-                               self.__dict__.get("_head_states"))
+        return Rel._from_table(self.n, images, index, self.__dict__.get("_head_states"))
 
     def is_reflexive(self) -> bool:
         if self.n >= CLASS_PASS_MIN_STATES and "_table" in self.__dict__:
@@ -485,9 +459,8 @@ def check_frame(f: Frame) -> FrameReport:
 
 
 def is_closed(leq: Rel, mask: int) -> bool:
-    """Is the state set an up-set of the preorder?  From
-    ``CLASS_PASS_MIN_STATES`` states on, a preorder that keeps a row table is
-    checked per row class: each class meeting the set has its row inside."""
+    """Is the state set an up-set of the preorder?  Checked per row class
+    when the preorder keeps a table and spans ``CLASS_PASS_MIN_STATES``."""
     if leq.n >= CLASS_PASS_MIN_STATES and "_table" in leq.__dict__:
         return all(row & ~mask == 0 for row, states in leq.row_classes()
                    if states & mask)

@@ -731,11 +731,9 @@ def _subset_masks(mask: int) -> Iterator[int]:
 
 def _match(schema: Formula, f: Formula,
            agents: AgentSet) -> Iterator[tuple[dict, dict]]:
-    """Every (atom, group) binding making ``schema`` into ``f``, depth first
-    and left to right.  A search state is the (schema node, formula) pairs
-    left to match, a linked list ``(pair, rest)``, and the bindings so far;
-    the stack holds the states still to try, the next one on top, so no
-    depth of schema or formula recurses."""
+    """Every (atom, group) binding making ``schema`` into ``f``, depth first:
+    a stack of states still to try, each the (schema node, formula) pairs
+    left as a linked list ``(pair, rest)`` and the bindings so far."""
     stack: list = [(((schema, f), None), {}, {})]
     while stack:
         todo, at, gr = stack.pop()

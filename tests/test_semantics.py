@@ -60,13 +60,12 @@ def test_rel_rejects_rows_outside_the_carrier():
             Rel(2, rows)
     with pytest.raises(ValueError, match="row count"):
         Rel(2, (1,))
-    # a relation built from a row table checks its heads the same way
+    # a relation built from a row table checks its heads and index
     assert Rel._from_table(2, [0b11, 0], [1, 0]) == Rel(2, (0, 3))
-    for heads in ([0b100], [-1], [1 << 70]):
-        with pytest.raises(ValueError, match="outside the carrier"):
-            Rel._from_table(2, heads, [0, 0])
-    with pytest.raises(ValueError, match="row count"):
-        Rel._from_table(2, [1], [0])
+    for heads, index in (([0b100], [0, 0]), ([-1], [0, 0]), ([1 << 70], [0, 0]),
+                         ([1], [0])):
+        with pytest.raises(ValueError, match="does not fit the carrier"):
+            Rel._from_table(2, heads, index)
 
 
 def test_rel_converse_and_closure():
