@@ -189,7 +189,8 @@ def standardize(m: Model, variant: str = "default",
         blocks = {}  # distinct key -> (the h its kept digits allow, its tables)
         for key in dict.fromkeys(keys):
             block = reduce(and_, [ms[key >> s & low] for s, ms in kept], (1 << n_i) - 1)
-            blocks[key] = block, reduce(and_, [ms[key >> s & low] for s, _, ms in split], block)
+            tables = reduce(and_, [ms[key >> s & low] for s, _, ms in split], block)
+            blocks[key] = block, tables
 
         heads: dict = {}  # distinct row -> position
         index, states = [], {}  # states: position -> the states with that row

@@ -40,10 +40,11 @@ WIDE_BITS = 1024
 
 def bits(mask: int) -> Iterator[int]:
     if mask.bit_length() > WIDE_BITS and mask.bit_count() > 16:
-        text = bin(mask)  # bit j is the character len(text) - 1 - j
+        text = bin(mask)
+        top = len(text) - 1  # bit j is the character top - j
         i = text.rfind("1")
         while i >= 0:
-            yield len(text) - 1 - i
+            yield top - i
             i = text.rfind("1", 0, i)
         return
     while mask:
@@ -238,11 +239,11 @@ class Rel:
 
         One image per class of ``self``'s row table; the result keeps those
         classes, so its table comes without hashing its rows.  An image is
-        the OR of ``other``'s rows at the head's bits, or, when ``other``
-        already keeps a row table, the relations span
-        ``CLASS_PASS_MIN_STATES`` states or more and that costs fewer steps,
-        the OR of the rows of ``other``'s classes whose states meet the
-        head."""
+        the OR of ``other``'s rows at the head's bits (one per class of
+        ``other``'s when it keeps a row table), or, when ``other`` already
+        keeps a row table, the relations span ``CLASS_PASS_MIN_STATES``
+        states or more and that costs fewer steps, the OR of the rows of
+        ``other``'s classes whose states meet the head."""
         # other's table is read before self's is built: they may be one
         table = other.__dict__.get("_table") \
             if self.n >= CLASS_PASS_MIN_STATES else None
@@ -266,10 +267,12 @@ class Rel:
                         acc |= row
                 images.append(acc)
         else:
-            orows = other.rows
+            orows, oindex = other.rows, table[1] if table else None
             for r in heads:
+                # with other's table, one bit per class of other's that r meets
+                cols = bits(r) if oindex is None else {oindex[j]: j for j in bits(r)}.values()
                 acc = 0
-                for j in bits(r):
+                for j in cols:
                     acc |= orows[j]
                 images.append(acc)
         # the same index list: the same states per position

@@ -355,6 +355,13 @@ def test_rel_compose_class_path(monkeypatch):
         partner = Rel._from_table(n, base + base, [rng.randrange(6) for _ in range(n)])
         assert set(dense.compose(partner).pairs()) == naive_compose(dense, partner)
         assert seen == ([partner] if n >= semantics.CLASS_PASS_MIN_STATES else [])
+        # a sparse one stays on the per-bit pass, which from
+        # CLASS_PASS_MIN_STATES states on ORs one row per class of the partner
+        seen.clear()
+        sparse = Rel(n, tuple(1 << rng.randrange(n) | 1 << rng.randrange(n)
+                              for _ in range(n)))
+        assert set(sparse.compose(partner).pairs()) == naive_compose(sparse, partner)
+        assert seen == []
     # raw relations of at most 3 states stay on the per-bit loop, also when
     # composed with themselves
     for n in range(4):
