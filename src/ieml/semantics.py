@@ -223,14 +223,14 @@ class Rel:
         # those classes (bit c: class c), a signature, so no n-bit int is
         # built per state.  The states of one signature share one row, the
         # sum of its classes' disjoint states, so the heads stay distinct.
-        classes, sign = self.row_classes(), n >= CLASS_PASS_MIN_STATES
+        classes, signed = self.row_classes(), n >= CLASS_PASS_MIN_STATES
         acc = [0] * n
         for c, (r, states) in enumerate(classes):
-            x = 1 << c if sign else states
+            x = 1 << c if signed else states
             for j in bits(r):
                 acc[j] |= x
         heads, index = _table_of(acc)
-        if sign:
+        if signed:
             heads = [sum(classes[c][1] for c in bits(h)) for h in heads]
         return Rel._from_table(n, heads, index)
 
