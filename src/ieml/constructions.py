@@ -51,9 +51,10 @@ def _icoords(agents: AgentSet) -> list[tuple[int, int]]:
 
 
 def _digit_masks(radices: Sequence[int]) -> Callable[[int, int], int]:
-    """``digit(c, v)``: the tables, numbered in ``itertools.product`` order
-    over a range per radix, whose coordinate c is v: a run of ``stride`` (the
-    later radices' product) bits, every ``radices[c] * stride``; kept."""
+    """``digit(c, v)``: the bitmask of the tables whose coordinate c is v,
+    bit i standing for the i-th table in ``itertools.product`` order over
+    ``range(r)`` per radix r: runs of ``stride`` bits (the later radices'
+    product), one every ``radices[c] * stride``.  Each mask is built once."""
     strides = [prod(radices[c + 1:]) for c in range(len(radices))]
     size = prod(radices)
     masks: dict = {}

@@ -71,6 +71,17 @@ def brute_standard_rel(m, alpha_mask, tables, variant="default"):
     return Rel.from_pairs(n * n_i, pairs)
 
 
+def test_digit_masks_follow_the_product_order():
+    # the masks standardize and partition_lift build rows from: bit i is the
+    # i-th table of itertools.product over the radices' ranges
+    for radices in ([2], [3, 2, 4], [4, 4, 4], [1, 3]):
+        digit = constructions._digit_masks(radices)
+        tables = list(itertools.product(*map(range, radices)))
+        for c, r in enumerate(radices):
+            for v in range(r):
+                assert digit(c, v) == sum(1 << i for i, t in enumerate(tables) if t[c] == v)
+
+
 @pytest.mark.parametrize("agents,nstates,variant", [
     pytest.param(AG, 1, "default", id="agents0-1"),
     pytest.param(AG, 2, "default", id="agents1-2"),
