@@ -38,7 +38,9 @@ _TESTS = {
     "ud_symmetric": lambda f, r: all(r.converse().le(x) for x in f.ud_pair(r)),
     "forward_confluent": lambda f, r: f.geq().compose(r).le(r.compose(f.geq())),
 }
-_PER_RELATION = {
+# each test as (position in _TESTS, test): a verdict is kept under one int
+_PER_RELATION = {c: tuple((list(_TESTS).index(t), _TESTS[t]) for t in names)
+                 for c, names in {
     FrameClass.ALL: (),
     FrameClass.EPISTEMIC: ("doxastic", "serial"),
     FrameClass.RS: ("reflexive", "symmetric"),
@@ -46,7 +48,7 @@ _PER_RELATION = {
     FrameClass.UD: ("ud_reflexive", "ud_symmetric"),
     # each other class is the test of its name
     **{FrameClass(t): (t,) for t in _TESTS if t != "serial"},
-}
+}.items()}
 
 
 def _prestandard(f: Frame, exact: bool) -> bool:
@@ -67,16 +69,19 @@ def _prestandard(f: Frame, exact: bool) -> bool:
 
 def has_class(f: Frame, c: FrameClass) -> bool:
     """Does the frame belong to the class?  Each test's verdict on a pair
-    ``(leq, R)`` is kept in the frame's memo (``Frame.memo``): the frames of
-    one ``enumerate_frames`` stream share the memo and their relations, so
-    the stream judges each pair once per test, however many frames hold it."""
+    ``(leq, R)`` is kept in the frame's memo (``Frame.memo``).  Up to 3
+    states every ``enumerate_frames`` stream shares one, the process's frame
+    table, which keeps alive every relation whose id it keys: the process
+    judges each pair once per test, however many frames and streams hold it."""
     if not isinstance(c, FrameClass):
         c = FrameClass(c)
     if c is FrameClass.PRESTANDARD or c is FrameClass.STANDARD:
         return _prestandard(f, exact=c is FrameClass.STANDARD)
     memo, leq = f.memo(), f.leq
-    return all(kept(memo, (t, id(leq), id(r)), _TESTS[t], f, r)
-               for r in f.rels for t in _PER_RELATION[c])
+    # the key: the ids of leq and R, each under 2^64, and the test's position
+    base = id(leq) << 64
+    return all(kept(memo, (base | id(r)) * len(_TESTS) + i, test, f, r)
+               for r in f.rels for i, test in _PER_RELATION[c])
 
 
 def classify(f: Frame) -> list[FrameClass]:

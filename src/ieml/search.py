@@ -77,12 +77,17 @@ def default_agents(k: int) -> AgentSet:
 # ---------- frame enumeration ----------
 
 _preorder_cache: dict = {}
+# Up to 3 states (2^9 masks a relation: a fixed size limit), one frame table
+# per state count for the process, which every ``enumerate_frames`` stream
+# shares; from 4 states on, each stream keeps its own.
+_frame_tables: dict = {}
 
 
 def preorders(n: int) -> list[Rel]:
     """All preorders on n states, ascending by encoded bitmask (n <= 4)."""
     if n > 4:
-        raise BudgetError("preorder enumeration supports at most 4 states")
+        raise BudgetError(f"preorder enumeration supports at most 4 states, "
+                          f"not {n} (lower max_states, IEML_BUDGET_MAX_STATES)")
     got = _preorder_cache.get(n)
     if got is None:
         seen = {Rel.from_mask(n, m).rt_closure() for m in range(1 << (n * n))}
@@ -195,8 +200,10 @@ def enumerate_frames(budget: SizeBudget, classes=FrameClass.ALL,
 
     Per state count the frames share one memo (``Frame.share``): one ``Rel``
     per mask, so what a ``Rel`` keeps is computed once, each class test's
-    verdict and composite pair per ``(leq, R)`` (``has_class``), and the
-    sampler's closures and proposal masks.  Samples dedupe on their masks."""
+    verdict per ``(leq, R)`` (``has_class``), and the sampler's closures and
+    proposal masks.  Up to 3 states the memo is the process's frame table,
+    which every stream shares; only the rng, the dedup set, ``stats`` and the
+    frame order are the stream's own.  Samples dedupe on their masks."""
     classes = _normalize_classes(classes)
     # class names, not members: an Enum member hashes in Python code
     wanted = {c.value for c in classes}
@@ -213,10 +220,11 @@ def enumerate_frames(budget: SizeBudget, classes=FrameClass.ALL,
     remaining = budget.max_candidates
     for n in range(1, budget.max_states + 1):
         raw = _raw_space(n, n_groups)
+        memo = _frame_tables.setdefault(n, {}) if n <= 3 else {}
         if raw is not None and raw <= remaining:
-            memo = {m: Rel.from_mask(n, m) for m in range(1 << (n * n))}
-            rels = list(memo.values())
-            for leq in preorders(n):
+            rels = [kept(memo, m, Rel.from_mask, n, m) for m in range(1 << (n * n))]
+            for p in preorders(n):
+                leq = rels[p.mask()]
                 for group_rels in itertools.product(rels, repeat=n_groups):
                     stats["candidates"] += 1
                     frame = Frame(agents, n, leq, group_rels).share(memo)
@@ -229,7 +237,6 @@ def enumerate_frames(budget: SizeBudget, classes=FrameClass.ALL,
             levels_left = budget.max_states - n + 1
             tries = remaining // levels_left
             remaining -= tries
-            memo = {}
             seen: set = set()
             for _ in range(tries):
                 stats["candidates"] += 1

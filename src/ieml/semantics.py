@@ -30,6 +30,7 @@ from .syntax import (
 )
 
 DEFAULT_ASSIGNMENT_CAP = 1 << 20
+_CAP_HINT = "raise cap, default DEFAULT_ASSIGNMENT_CAP; CLI valid --max-assignments"
 
 VARIANTS = ("prenosil", "fischer_servi", "wijesekera")
 # ``bits`` scans the binary text of an int wider than this with more than 16
@@ -153,18 +154,13 @@ class Rel:
         """``row_classes`` with each row repeated into every lane of the
         lane-repeat constant ``rep`` (``row * rep``; ``falsify_on_frame``),
         or with ``swap`` each class as ``(states * rep, row)``, the pairs of
-        the converse's pre-images (a preorder's up-closure).  Kept per
-        ``(rep, swap)``, like the classes, so the frames of a stream that
-        share a relation share them."""
+        the converse's pre-images (a preorder's up-closure).  Not kept with
+        the relation, which frame streams share for the whole process: the
+        ``Evaluator`` that reads them keeps them per lane count."""
         if rep == 1 and not swap:
             return self.row_classes()
-        memo = self.__dict__.setdefault("_spread", {})
-        out = memo.get((rep, swap))
-        if out is None:
-            out = memo[(rep, swap)] = tuple(
-                (s * rep, r) if swap else (r * rep, s)
-                for r, s in self.row_classes())
-        return out
+        return tuple((s * rep, r) if swap else (r * rep, s)
+                     for r, s in self.row_classes())
 
     def _row_table(self) -> tuple[list[int], list[int]]:
         """``(heads, index)``: state i has row ``heads[index[i]]``.  Built once
@@ -416,29 +412,32 @@ class Frame:
         return self.leq.converse()
 
     def memo(self) -> dict:
-        """Facts about the frame's pairs ``(leq, R)`` (``ud_pair``, class
-        verdicts), keyed ``(what, id(leq), id(R))``: no lookup hashes rows."""
+        """Class verdicts on the frame's pairs ``(leq, R)`` (``has_class``),
+        each keyed by one int from the relations' ids: no lookup hashes rows."""
         return self.__dict__.setdefault("_memo", {})
 
     def share(self, memo: dict) -> "Frame":
-        """Use (and return the frame with) a stream's memo, which must hold
-        every relation whose id it keys."""
+        """Use (and return the frame with) a shared memo, which must hold
+        every relation whose id it keys: up to 3 states, the frame table of
+        ``enumerate_frames``, which outlives the stream and keeps them alive."""
         self.__dict__["_memo"] = memo
         return self
 
     def ud_pair(self, r: Rel) -> tuple[Rel, Rel]:
         """``(leq;R;leq, geq;R;geq)`` for a relation of the frame, for the
-        up-and-down classes and ``rs_collapse``, computed once per memo."""
+        up-and-down classes and ``rs_collapse``, computed once per frame
+        (not in a shared memo, which would keep them for good)."""
         leq, geq = self.leq, self.geq()
-        return kept(self.memo(), ("ud", id(leq), id(r)), lambda: (
+        return kept(self.__dict__.setdefault("_ud", {}), id(r), lambda: (
             leq.compose(r).compose(leq), geq.compose(r).compose(geq)))
 
 
 def kept(memo: dict, key, compute: Callable, *args):
-    """``memo[key]``, set to ``compute(*args)`` on first demand."""
+    """``memo[key]``, set to ``compute(*args)`` on first demand.  Of two
+    callers racing on a key, both get the value set first."""
     out = memo.get(key)
     if out is None:
-        out = memo[key] = compute(*args)
+        out = memo.setdefault(key, compute(*args))
     return out
 
 
@@ -474,9 +473,10 @@ def up_sets(f: Union[Frame, MonoStructure],
             cap: int = DEFAULT_ASSIGNMENT_CAP) -> list[int]:
     """All closed state sets as bitmasks, ascending.  The list is computed
     once per preorder and kept with ``f.leq``, like its row classes, so the
-    frames of a stream that share a preorder share it: do not modify it."""
+    frames that share a preorder share it: do not modify it."""
     if 1 << f.n > cap:
-        raise BudgetError(f"2^{f.n} candidate sets exceed the cap {cap}")
+        raise BudgetError(f"2^{f.n} candidate sets exceed the cap {cap} "
+                          f"({_CAP_HINT})")
     leq = f.leq
     memo = leq.__dict__.get("_up_sets")
     if memo is None:
@@ -691,7 +691,7 @@ class Evaluator:
         direct = sum(map(len, classes)) / len(classes) \
             * (1 + self._full.bit_length() / 2048)  # per relation and pass
         # geq's pre-images are leq's images: no transpose is needed
-        relations = classes + [self._leq.spread_classes(1, swap=True)]
+        relations = classes + [self._classes_in(1)["up"]]
         blocks = [self._full]
         for m in val.values():
             blocks = [x for b in blocks for x in (b & m, b & ~m) if x]
@@ -814,8 +814,8 @@ def _assignment_space(f: Frame, a: Formula, cap: int) -> tuple[list[str], list[i
     names = sorted(atoms_of(a))
     sets = up_sets(f, cap)
     if names and len(sets) ** len(names) > cap:
-        raise BudgetError(
-            f"{len(sets)}^{len(names)} valuation assignments exceed the cap {cap}")
+        raise BudgetError(f"{len(sets)}^{len(names)} valuation assignments "
+                          f"exceed the cap {cap} ({_CAP_HINT})")
     return names, sets
 
 def valid_in_frame(f: Frame, a: Formula,

@@ -333,6 +333,21 @@ def test_construct_over_the_cap_names_the_budget(capsys, tmp_path, argv, doc,
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("cap,formula,message", [
+    # the chain w0 <= w1 has 2^2 candidate sets, of which 3 are up-sets
+    pytest.param("2", "p", "2^2 candidate sets exceed the cap 2", id="up_sets"),
+    pytest.param("8", "p \\/ q", "3^2 valuation assignments exceed the cap 8",
+                 id="assignments"),
+])
+def test_valid_over_the_cap_names_the_budget(capsys, model_file, cap, formula,
+                                              message):
+    assert run(["valid", "--frame", model_file, "--max-assignments", cap,
+                formula]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {message} (raise cap, default DEFAULT_ASSIGNMENT_CAP; "
+        "CLI valid --max-assignments)\n")
+
+
 @pytest.mark.parametrize("module", ["ieml", "ieml.cli"])
 def test_python_dash_m_runs_the_cli(module, capsys):
     import os

@@ -7,6 +7,8 @@ from ieml import (
     AgentSet, FrameClass, Rel, check_frame, classify, has_class, parse,
     satisfies,
 )
+from ieml import search
+from ieml.errors import BudgetError
 from ieml.search import (
     SizeBudget, all_formulas, budget_from_env, countermodel,
     diamond_free_formulas, enumerate_frames, preorders, proposition_suite,
@@ -53,6 +55,10 @@ def test_budget_validation():
 
 def test_preorder_counts():
     assert [len(preorders(n)) for n in (1, 2, 3)] == [1, 4, 29]
+    with pytest.raises(BudgetError) as info:
+        preorders(5)
+    assert str(info.value) == ("preorder enumeration supports at most 4 states, "
+                               "not 5 (lower max_states, IEML_BUDGET_MAX_STATES)")
 
 
 def test_enumerate_one_point_one_agent():
@@ -155,6 +161,74 @@ def test_exhaustive_streams_match_the_naive_classes(states, agents):
         got = list(enumerate_frames(budget, c, stats=stats))
         assert stats["exhaustive"] and stats["candidates"] == len(space)
         assert got == [f for f, tags in zip(space, names) if c.value in tags], c
+
+
+# searches whose streams sample (3 states, two agents) or run exhaustively
+# (3 states, one agent), over classes whose tests compose and close relations
+_SEARCHES = [
+    ("[a]p -> [a]p", FrameClass.UD,
+     SizeBudget(max_states=3, max_agents=2, max_candidates=300, seed=1)),
+    ("[a,b]p -> [a]p", FrameClass.FORWARD_CONFLUENT,
+     SizeBudget(max_states=3, max_agents=2, max_candidates=300, seed=2)),
+    ("<a>p -> [a]<a>p", FrameClass.PARTITION,
+     SizeBudget(max_states=3, max_agents=1, max_candidates=16000)),
+    ("[a]p -> p", FrameClass.TRANSITIVE,
+     SizeBudget(max_states=3, max_agents=1, max_candidates=16000)),
+]
+
+
+def test_searches_in_one_process_match_a_fresh_frame_table(monkeypatch):
+    """The frame table outlives each search: run with the same arguments and
+    with different ones after each other, every search gives the result it
+    gives on a fresh table."""
+    fresh = []
+    for formula, cls, budget in _SEARCHES:
+        monkeypatch.setattr(search, "_frame_tables", {})
+        fresh.append(countermodel(parse(formula), cls, budget).to_json())
+    monkeypatch.setattr(search, "_frame_tables", {})
+    shared = [countermodel(parse(formula), cls, budget).to_json()
+              for _ in range(2) for formula, cls, budget in _SEARCHES]
+    assert shared == fresh + fresh
+    assert any(r["found"] for r in fresh) and not all(r["found"] for r in fresh)
+
+
+def test_a_repeated_search_composes_and_closes_nothing(monkeypatch):
+    monkeypatch.setattr(search, "_frame_tables", {})
+    calls = []
+    for name in ("compose", "rt_closure"):
+        def counted(*args, _real=getattr(Rel, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(Rel, name, counted)
+    for formula, cls, budget in _SEARCHES:
+        countermodel(parse(formula), cls, budget)
+    assert {"compose", "rt_closure"} <= set(calls)
+    calls.clear()
+    for formula, cls, budget in _SEARCHES:
+        countermodel(parse(formula), cls, budget)
+    assert calls == []
+
+
+def test_a_four_state_stream_leaves_the_frame_table_unchanged(monkeypatch):
+    monkeypatch.setattr(search, "_frame_tables", {})
+    budget = SizeBudget(max_states=4, max_agents=1, max_candidates=400, seed=3)
+    frames = list(enumerate_frames(budget, FrameClass.UD))
+    assert any(f.n == 4 for f in frames)
+    table = search._frame_tables
+
+    def contents():
+        return {n: list(memo.items()) for n, memo in table.items()}
+    before = contents()
+    assert sorted(before) == [1, 2, 3]
+    for n, memo in table.items():
+        assert all(r.n == n for r in memo.values() if isinstance(r, Rel))
+    assert list(enumerate_frames(budget, FrameClass.UD)) == frames
+    after = contents()
+    assert after.keys() == before.keys()
+    for n in before:
+        assert len(after[n]) == len(before[n])
+        assert all(k1 == k2 and v1 is v2
+                   for (k1, v1), (k2, v2) in zip(after[n], before[n]))
 
 
 # ---------- models and formulas ----------
@@ -276,9 +350,6 @@ def test_suite_wider_budget_golden():
 
 
 def test_suite_over_budget_construction(monkeypatch):
-    import ieml.search as search
-    from ieml.errors import BudgetError
-
     budget = SizeBudget(max_states=2, max_agents=1, max_candidates=200, seed=0)
     calls = {"plain": 0, "prestandard": 0}
 
