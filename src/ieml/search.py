@@ -29,7 +29,8 @@ from .semantics import (
 )
 from .syntax import (
     AgentSet, And, Atom, BOT, Box, Dia, Formula, Group, Implies, Or, Program,
-    TOP, agents_of, groups_of, instantiate, render,
+    TOP, _AND, _ATOM, _BOT, _BOX, _DIA, _IMPLIES, _OR, _TOP, agents_of,
+    groups_of, instantiate, render,
 )
 
 AGENT_POOL = ("a", "b", "c", "d", "e", "f", "g", "h")
@@ -287,35 +288,35 @@ def _random_model(rng: random.Random, frame: Union[Frame, MonoStructure],
 
 # ---------- formula spaces ----------
 
-def _levels(atoms: Sequence[str], depth: int,
-            modal: Callable[[list], list]) -> list[Formula]:
+def _levels(atoms: Sequence[str], depth: int, groups: Sequence[Group],
+            modal: tuple) -> Program:
     """The atoms, TOP and BOT, then ``depth`` rounds adding every new
-    formula among ``modal(level)`` and the binary combinations of the level."""
-    level: list[Formula] = [Atom(a) for a in atoms] + [TOP, BOT]
-    seen = set(level)
+    formula among the ``modal`` boxes or diamonds of each group over the
+    level and the binary combinations of the level, as one node array.  A
+    formula is new when its ``(op, left, right)`` triple is."""
+    consts: dict = {}  # atom name or group -> its index
+    level = dict.fromkeys([(_ATOM, consts.setdefault(a, len(consts)), 0) for a in atoms]
+                          + [(_TOP, 0, 0), (_BOT, 0, 0)])
     for _ in range(depth):
-        fresh: list[Formula] = modal(level)
-        for a in level:
-            for b in level:
-                fresh.extend((Implies(a, b), Or(a, b), And(a, b)))
-        for f in fresh:
-            if f not in seen:
-                seen.add(f)
-                level.append(f)
-    return level
+        n = len(level)
+        fresh = [(op, f, consts.setdefault(g, len(consts)))
+                 for g in groups for f in range(n) for op in modal]
+        fresh += [(op, a, b) for a in range(n) for b in range(n)
+                  for op in (_IMPLIES, _OR, _AND)]
+        level.update(dict.fromkeys(fresh))
+    return Program._of_nodes(level, consts, list(range(len(level))))
 
 
 def all_formulas(atoms: Sequence[str], groups: Sequence[Group],
                  depth: int) -> list[Formula]:
     """Every formula over the atoms and groups up to the given depth."""
-    return _levels(atoms, depth, lambda level: [
-        op(g, f) for g in groups for f in level for op in (Box, Dia)])
+    return _levels(atoms, depth, groups, (_BOX, _DIA))._formulas()
 
 
 def diamond_free_formulas(atoms: Sequence[str], group: Group,
                           depth: int) -> list[Formula]:
     """Every diamond-free formula (single box group) up to the given depth."""
-    return _levels(atoms, depth, lambda level: [Box(group, f) for f in level])
+    return _levels(atoms, depth, (group,), (_BOX,))._formulas()
 
 
 def random_formula(rng: random.Random, atoms: Sequence[str],
@@ -677,9 +678,9 @@ def _claim_entries(budget: SizeBudget, agents: AgentSet,
     rng = random.Random(f"{budget.seed}:claims")
     groups = agents.groups()
     depth = min(2, budget.max_formula_depth)
-    # each battery is compiled once and then evaluated once per model
-    small = Program(all_formulas(("p",), groups, depth))
-    free = {g: Program(diamond_free_formulas(("p",), g, depth)) for g in groups}
+    # each battery is born a node array and then evaluated once per model
+    small = _levels(("p",), depth, groups, (_BOX, _DIA))
+    free = {g: _levels(("p",), depth, (g,), (_BOX,)) for g in groups}
     entries = []
     for c in _CLAIMS:
         checked = skipped = 0

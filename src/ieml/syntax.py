@@ -157,18 +157,6 @@ class Formula:
         p = _compiled(self)
         return _unpickle, (bytes(p.ops), p.left, p.right, p.consts)
 
-    def __invert__(self) -> "Formula":                # ~A  is  A -> F
-        return Implies(self, BOT)
-
-    def __and__(self, other: "Formula") -> "Formula":
-        return And(self, other)
-
-    def __or__(self, other: "Formula") -> "Formula":
-        return Or(self, other)
-
-    def __rshift__(self, other: "Formula") -> "Formula":
-        return Implies(self, other)
-
     def __str__(self) -> str:
         return render(self)
 
@@ -258,20 +246,30 @@ class Program:
     compiled formulas in order, and ``roots`` their nodes.
     """
 
-    __slots__ = ("ops", "left", "right", "consts", "roots",
-                 "_nodes", "_const_index")
+    __slots__ = ("ops", "left", "right", "consts", "roots", "_nodes")
 
     def __init__(self, formulas: Iterable[Formula] = ()):
         self.ops = bytearray()
         self.left: list[int] = []
         self.right: list[int] = []
-        self.consts: list = []  # atom names and groups
         self.roots: list[int] = []
         self._nodes: Optional[list] = []  # node -> formula; keeps ids in index alive
-        self._const_index: dict = {}
         index: dict = {}  # id(formula) -> node, while compiling
+        consts: dict = {}  # atom name or group -> its index, while compiling
         for f in formulas:
-            self.roots.append(self._node(f, index))
+            self.roots.append(self._node(f, index, consts))
+        self.consts: list = list(consts)  # atom names and groups
+
+    @classmethod
+    def _of_nodes(cls, nodes: Iterable[tuple], consts: Iterable,
+                  roots: list[int]) -> "Program":
+        """The program of the ``(op, left, right)`` node triples, in node
+        order, over ``consts``."""
+        p = cls()
+        ops, left, right = zip(*nodes)
+        p.ops, p.left, p.right = bytearray(ops), list(left), list(right)
+        p.consts, p.roots, p._nodes = list(consts), roots, None
+        return p
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -280,8 +278,8 @@ class Program:
         return map(self._formulas().__getitem__, self.roots)
 
     def _formulas(self) -> list:
-        """The formula of each node; an image (``tau``) builds them on first
-        read."""
+        """The formula of each node; a program not compiled from formulas
+        builds them on first read."""
         if self._nodes is None:
             self._nodes = _build(self.ops, self.left, self.right, self.consts)
         return self._nodes
@@ -294,7 +292,7 @@ class Program:
         """The groups of the boxes and diamonds in the compiled formulas."""
         return frozenset(c for c in self.consts if not isinstance(c, str))
 
-    def _node(self, f: Formula, index: dict) -> int:
+    def _node(self, f: Formula, index: dict, consts: dict) -> int:
         """The node of ``f``, compiling the subformulas not yet in ``index``.
         The walk keeps its own stack, so formula depth meets no recursion
         limit."""
@@ -312,7 +310,7 @@ class Program:
                 raise TypeError(f"not a formula: {g!r}")
             a = b = 0
             if op == _ATOM:
-                a = self._const(g.name)
+                a = consts.setdefault(g.name, len(consts))
             elif op in _BINARY:
                 a, b = index.get(id(g.left)), index.get(id(g.right))
                 if a is None or b is None:
@@ -327,7 +325,7 @@ class Program:
                     stack.append(g.body)
                     continue
                 if op != _MONOBOX:
-                    b = self._const(g.group)
+                    b = consts.setdefault(g.group, len(consts))
             stack.pop()
             index[id(g)] = len(self.ops)
             self.ops.append(op)
@@ -335,13 +333,6 @@ class Program:
             self.right.append(b)
             self._nodes.append(g)
         return index[id(f)]
-
-    def _const(self, value) -> int:
-        c = self._const_index.get(value)
-        if c is None:
-            c = self._const_index[value] = len(self.consts)
-            self.consts.append(value)
-        return c
 
 
 # The last formula ``_compiled`` was given, and its Program.  The walks in
@@ -385,40 +376,28 @@ def depth_of(f: Formula) -> int:
 
 # ---------- Parser ----------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<iff><->)|(?P<arrow>->)|(?P<or>\\/)|(?P<and>/\\)"
-    r"|(?P<not>~)|(?P<lb>\[)|(?P<rb>\])|(?P<lt><)|(?P<gt>>)"
-    r"|(?P<comma>,)|(?P<lp>\()|(?P<rp>\))|(?P<word>[A-Za-z_][A-Za-z0-9_]*))"
-)
+# One token per match, at group 1: an operator, a word, or a character that
+# starts no token.  No rule of the parser takes such a character, nor a word
+# that is neither a name nor ``T`` or ``F``, so a text holding one fails,
+# and ``_token_starts`` reports that lexical error in place of the parser's.
+_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN_RE = re.compile(rf"\s*(<->|->|\\/|/\\|[~\[\]<>,()]|{_WORD_RE.pattern}|\S)")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            at = len(text) - len(rest)
-            raise ParseError(f"unexpected character {rest[0]!r}", at)
-        kind = m.lastgroup
-        word = m.group(m.lastgroup)
-        at = m.end() - len(word)
-        if kind == "word":
-            if word == "T":
-                kind = "top"
-            elif word == "F":
-                kind = "bot"
-            elif not _NAME_RE.fullmatch(word):
-                raise ParseError(f"bad identifier {word!r}", at)
-            else:
-                kind = "name"
-        tokens.append((kind, word, at))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _token_starts(text: str) -> list[int]:
+    """Where each token of ``text`` starts, then where the input ends.
+    Raises the ``ParseError`` of the first character or word that is no
+    token: a text with one gets that error before any other."""
+    starts = []
+    for m in _TOKEN_RE.finditer(text):
+        tok, at = m.group(1), m.start(1)
+        if _WORD_RE.fullmatch(tok):
+            if tok not in ("T", "F") and not _NAME_RE.fullmatch(tok):
+                raise ParseError(f"bad identifier {tok!r}", at)
+        elif len(tok) == 1 and tok not in "~[]<>,()":
+            raise ParseError(f"unexpected character {tok!r}", at)
+        starts.append(at)
+    return starts + [len(text)]
 
 
 # How deep a parsed formula may nest.  Its syntax tree may be at most this
@@ -432,131 +411,150 @@ MAX_DEPTH = 150
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], agents: Optional[AgentSet]):
-        self.tokens = tokens
+    """A recursive descent over the tokens of ``text`` that writes the
+    formula's node triples.  They are hash-consed by ``(op, left, right)``,
+    so equal subformulas are one node, and they come in the order in which
+    ``Program`` compiles the formula: children first, left to right."""
+
+    def __init__(self, text: str, agents: Optional[AgentSet]):
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text) + [""]  # "" ends the input
         self.i = 0
         self.agents = agents
         self.open = 0  # parentheses, prefix operators and arrows now open
-        self.depths: dict[int, int] = {}  # id of a built node -> its depth
+        self.nodes: dict = {}  # (op, left, right) -> node, in node order
+        self.depths: list[int] = []  # per node, the depth of its tree
+        self.consts: dict = {}  # atom name or group -> its index
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
+    def fail(self, message: str, i: int):
+        raise ParseError(message, _token_starts(self.text)[i])
 
-    _SHOW = {"rp": "')'", "rb": "']'", "gt": "'>'", "name": "a name"}
+    def found(self) -> str:
+        return repr(self.tokens[self.i] or "end of input")
 
-    def take(self, kind: str) -> tuple[str, str, int]:
+    def take(self, closing: str) -> None:
+        if self.tokens[self.i] != closing:
+            self.fail(f"expected '{closing}', found {self.found()}", self.i)
+        self.i += 1
+
+    def name(self) -> str:
         tok = self.tokens[self.i]
-        if tok[0] != kind:
-            what = tok[1] if tok[1] else "end of input"
-            raise ParseError(
-                f"expected {self._SHOW.get(kind, kind)}, found {what!r}", tok[2])
+        if not ("a" <= tok < "{" and tok.islower()):  # a word of _NAME_RE
+            self.fail(f"expected a name, found {self.found()}", self.i)
         self.i += 1
         return tok
 
-    def match(self, kind: str) -> bool:
-        if self.tokens[self.i][0] == kind:
-            self.i += 1
-            return True
-        return False
-
-    def enter(self, at: int) -> None:
+    def enter(self) -> int:
+        """Take the token, which opens one more level; its index."""
+        at = self.i
         if self.open == MAX_DEPTH:
-            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", at)
+            self.fail(f"formula nested deeper than {MAX_DEPTH} levels", at)
         self.open += 1
+        self.i += 1
+        return at
 
-    def build(self, at: int, node: type, a, b) -> Formula:
-        """``node(a, b)``, refused when its tree gets too deep."""
-        depths = self.depths
-        depth = 1 + max(depths.get(id(a), 0), depths.get(id(b), 0))
-        if depth > MAX_DEPTH:
-            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", at)
-        f = node(a, b)
-        self.depths[id(f)] = depth  # f lives on in the result: ids stay unique
-        return f
+    def node(self, op: int, a: int = 0, b: int = 0, at: Optional[int] = None) -> int:
+        """The node ``(op, a, b)``; a new one made by the operator at token
+        ``at`` is refused when its tree gets too deep."""
+        n = self.nodes.get((op, a, b))
+        if n is None:
+            depths = self.depths
+            depth = 0 if at is None else \
+                1 + max(depths[a], depths[b] if op in _BINARY else 0)
+            if depth > MAX_DEPTH:
+                self.fail(f"formula nested deeper than {MAX_DEPTH} levels", at)
+            n = self.nodes[op, a, b] = len(depths)
+            depths.append(depth)
+        return n
 
-    def formula(self) -> Formula:
+    def formula(self) -> int:
         left = self.disj()
-        if self.match("arrow") or self.match("iff"):
-            kind, _, at = self.tokens[self.i - 1]
-            self.enter(at)
-            right = self.formula()
-            self.open -= 1
-            if kind == "arrow":
-                return self.build(at, Implies, left, right)
-            return self.build(at, And, self.build(at, Implies, left, right),
-                              self.build(at, Implies, right, left))
-        return left
+        tok = self.tokens[self.i]
+        if tok != "->" and tok != "<->":
+            return left
+        at = self.enter()
+        right = self.formula()
+        self.open -= 1
+        if tok == "->":
+            return self.node(_IMPLIES, left, right, at)
+        return self.node(_AND, self.node(_IMPLIES, left, right, at),
+                         self.node(_IMPLIES, right, left, at), at)
 
-    def disj(self) -> Formula:
+    def disj(self) -> int:
         f = self.conj()
-        while self.match("or"):
-            at = self.tokens[self.i - 1][2]
-            f = self.build(at, Or, f, self.conj())
+        while self.tokens[self.i] == "\\/":
+            at = self.i
+            self.i += 1
+            f = self.node(_OR, f, self.conj(), at)
         return f
 
-    def conj(self) -> Formula:
+    def conj(self) -> int:
         f = self.unary()
-        while self.match("and"):
-            at = self.tokens[self.i - 1][2]
-            f = self.build(at, And, f, self.unary())
+        while self.tokens[self.i] == "/\\":
+            at = self.i
+            self.i += 1
+            f = self.node(_AND, f, self.unary(), at)
         return f
 
     def group(self, closing: str) -> Group:
-        names = [self.take("name")[1]]
-        while self.match("comma"):
-            names.append(self.take("name")[1])
-        tok = self.take(closing)
+        names = [self.name()]
+        while self.tokens[self.i] == ",":
+            self.i += 1
+            names.append(self.name())
+        self.take(closing)
         if self.agents is not None:
             for nm in names:
                 if nm not in self.agents.names:
-                    raise ParseError(f"unknown agent name {nm!r}", tok[2])
+                    self.fail(f"unknown agent name {nm!r}", self.i - 1)
         return frozenset(names)
 
-    def unary(self) -> Formula:
-        kind, _, at = self.peek()
-        if kind not in ("not", "lb", "lt"):
+    def unary(self) -> int:
+        tok = self.tokens[self.i]
+        if tok != "~" and tok != "[" and tok != "<":
             return self.atomic()
-        self.i += 1
-        self.enter(at)
-        g = None if kind == "not" else self.group("rb" if kind == "lb" else "gt")
+        at = self.enter()
+        g = None if tok == "~" else self.group("]" if tok == "[" else ">")
         body = self.unary()
         self.open -= 1
-        if kind == "not":
-            return self.build(at, Implies, body, BOT)
-        return self.build(at, Box if kind == "lb" else Dia, g, body)
+        if tok == "~":
+            return self.node(_IMPLIES, body, self.node(_BOT), at)
+        c = self.consts.setdefault(g, len(self.consts))
+        return self.node(_BOX if tok == "[" else _DIA, body, c, at)
 
-    def atomic(self) -> Formula:
-        kind, word, at = self.peek()
-        if kind == "name":
-            self.i += 1
-            return Atom(word)
-        if kind == "top":
-            self.i += 1
-            return TOP
-        if kind == "bot":
-            self.i += 1
-            return BOT
-        if kind == "lp":
-            self.i += 1
-            self.enter(at)
+    def atomic(self) -> int:
+        tok = self.tokens[self.i]
+        if tok == "(":
+            self.enter()
             f = self.formula()
             self.open -= 1
-            self.take("rp")
+            self.take(")")
             return f
-        raise ParseError(f"expected a formula, found {word or 'end of input'!r}", at)
+        if "a" <= tok < "{" and tok.islower():  # a word of _NAME_RE
+            f = self.node(_ATOM, self.consts.setdefault(tok, len(self.consts)))
+        elif tok == "T" or tok == "F":
+            f = self.node(_TOP if tok == "T" else _BOT)
+        else:
+            self.fail(f"expected a formula, found {self.found()}", self.i)
+        self.i += 1
+        return f
 
 
 def parse(text: str, agents: Optional[AgentSet] = None) -> Formula:
     """Parse concrete syntax into a sugar-free AST.
 
     When ``agents`` is given, group members must belong to it; otherwise any
-    lowercase identifier is accepted as an agent name.
+    lowercase identifier is accepted as an agent name.  Equal subformulas
+    are one object, and the formula's ``Program`` is the parser's node
+    array, so evaluating or printing it next compiles nothing.
     """
-    p = _Parser(_tokenize(text), agents)
-    f = p.formula()
-    kind, word, at = p.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected {word!r} after formula", at)
+    global _last_compiled
+    p = _Parser(text, agents)
+    root = p.formula()
+    if p.tokens[p.i]:
+        p.fail(f"unexpected {p.tokens[p.i]!r} after formula", p.i)
+    program = Program._of_nodes(p.nodes, p.consts, [root])
+    f = program._formulas()[root]
+    _last_compiled = (f, program)
     return f
 
 
@@ -649,8 +647,8 @@ def tau(f: Union[Formula, Program]) -> Union[Formula, Program]:
     _require_diamond_free(p, "tau")
     image = Program()
     image.ops, image._nodes = p.ops.translate(_TAU_OPS), None
-    image.left, image.right, image.consts, image.roots, image._const_index = \
-        p.left, p.right, p.consts, p.roots, p._const_index
+    image.left, image.right, image.consts, image.roots = \
+        p.left, p.right, p.consts, p.roots
     return image if p is f else image._formulas()[-1]
 
 

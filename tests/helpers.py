@@ -15,6 +15,16 @@ from ieml import (
 )
 from ieml.semantics import Frame, Rel, bits
 
+# Pieces of formula text, well-formed or not, for fuzzing the parser.
+FORMULA_TOKENS = ["p", "q", "a", "b", "T", "F", "->", "<->", "\\/", "/\\", "~",
+                  "[", "]", "<", ">", ",", "(", ")", " ", "[a]", "<a,b>", "[]",
+                  "1", "@"]
+
+
+def program_arrays(p) -> tuple:
+    """What a ``Program`` holds: its node array, constants and roots."""
+    return bytes(p.ops), p.left, p.right, p.consts, p.roots
+
 
 def rel_pairs(r: Rel) -> set:
     return set(r.pairs())

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from ieml.cli import build_parser, run
 from ieml.proofs import LogicId
 
+from helpers import FORMULA_TOKENS
+
 DATA = Path(__file__).resolve().parent.parent / "src" / "ieml" / "data" / "derivations"
 
 
@@ -173,6 +175,30 @@ def test_prove_malformed_derivation_exit_2(capsys, tmp_path, lines, message):
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert "Traceback" not in err
+
+
+# Premises that miss their modal rule's shape, each an axiom instance so
+# that only the shape fails: (premise, its schema, the rule applied).
+_BAD_PREMISES = [
+    ("[a]T", "A3", "r1"),  # not an implication
+    ("[a]T", "A3", "r2"),
+    ("<a>p -> (q -> <a>p)", "IPL1", "r3"),  # the right side is not an Or
+    ("<a>p -> <a>p \\/ q", "IPL6", "r3"),  # ... whose right is not a box
+    ("<a>p -> <a>p \\/ [b](p -> q)", "IPL6", "r3"),  # a box of another group
+    ("<a>p -> <a>p \\/ [a]q", "IPL6", "r3"),  # a box body that is no implication
+]
+
+
+@pytest.mark.parametrize("premise,sid,kind", _BAD_PREMISES)
+def test_prove_rejects_rule_premise_shapes(capsys, tmp_path, premise, sid, kind):
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps([
+        {"formula": premise, "just": {"kind": "axiom", "id": sid}},
+        {"formula": "<a>p -> q", "just": {"kind": kind, "i": 1, "group": ["a"]}}]))
+    for logic in LogicId:  # every logic has R1, R2 and R3
+        assert run(["prove", "--logic", logic.value, "--derivation", str(path)]) == 1
+        assert capsys.readouterr().out == \
+            f"rejected at line 2: line 1 does not have the {kind.upper()} premise shape\n"
 
 
 def test_construct_missing_flag_is_usage_error(capsys, mono_file):
@@ -423,12 +449,8 @@ def test_prove_fuzzed_derivations_exit_cleanly(doc, logic):
     assert code in (0, 1, 2) and "Traceback" not in out
 
 
-_TOKENS = ["p", "q", "a", "b", "T", "F", "->", "<->", "\\/", "/\\", "~", "[",
-           "]", "<", ">", ",", "(", ")", " ", "[a]", "<a,b>", "[]", "1", "@"]
-
-
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join)
+@given(st.lists(st.sampled_from(FORMULA_TOKENS), max_size=12).map("".join)
        | st.text(max_size=12),
        st.sampled_from([["parse"], ["parse", "--json"],
                         ["countermodel", "--max-states", "1",

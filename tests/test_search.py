@@ -4,18 +4,19 @@ import json
 import pytest
 
 from ieml import (
-    AgentSet, FrameClass, Rel, check_frame, classify, has_class, parse,
-    satisfies,
+    AgentSet, And, Atom, BOT, Box, Dia, FrameClass, Implies, Or, Program, Rel,
+    TOP, check_frame, classify, has_class, parse, satisfies,
 )
 from ieml import search
 from ieml.errors import BudgetError
+from ieml.syntax import _BOX, _DIA
 from ieml.search import (
     SizeBudget, all_formulas, budget_from_env, countermodel,
     diamond_free_formulas, enumerate_frames, preorders, proposition_suite,
     random_model, sample_formulas,
 )
 
-from helpers import naive_classes, naive_satisfies
+from helpers import naive_classes, naive_satisfies, program_arrays
 
 AG = AgentSet.of("a")
 
@@ -257,6 +258,34 @@ def test_formula_spaces():
     import random as _r
     sampled = sample_formulas(_r.Random(0), ("p", "q"), groups, 3, 50)
     assert len(sampled) == 50 and len(set(sampled)) == 50
+
+
+def _formula_set_levels(atoms, depth, modal):
+    """The batteries built from formulas through a set, as a reference."""
+    level = [Atom(a) for a in atoms] + [TOP, BOT]
+    for _ in range(depth):
+        fresh = modal(level) + [op(a, b) for a in level for b in level
+                                for op in (Implies, Or, And)]
+        seen = set(level)
+        level += [f for f in dict.fromkeys(fresh) if f not in seen]
+    return level
+
+
+def test_formula_batteries_are_born_compiled():
+    groups = AgentSet.of("a", "b").groups()
+    for depth in (0, 1, 2):
+        battery = all_formulas(("p",), groups, depth)
+        assert battery == _formula_set_levels(("p",), depth, lambda level: [
+            op(g, f) for g in groups for f in level for op in (Box, Dia)])
+        program = search._levels(("p",), depth, groups, (_BOX, _DIA))
+        assert list(program) == battery
+        assert program_arrays(program) == program_arrays(Program(battery))
+        for g in groups:
+            battery = diamond_free_formulas(("p",), g, depth)
+            assert battery == _formula_set_levels(
+                ("p",), depth, lambda level: [Box(g, f) for f in level])
+            assert program_arrays(search._levels(("p",), depth, (g,), (_BOX,))) == \
+                program_arrays(Program(battery))
 
 
 # ---------- countermodels ----------

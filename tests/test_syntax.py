@@ -6,7 +6,7 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ieml import (
     AgentSet, And, Atom, BOT, Box, Dia, Implies, Or, ParseError, Program,
@@ -15,9 +15,10 @@ from ieml import (
 )
 from ieml.proofs import schema_catalog
 from ieml.semantics import Evaluator, Model, MonoStructure, Rel, mono_truth_mask
+from ieml import syntax
 from ieml.syntax import MAX_DEPTH, MonoBox
 
-from helpers import random_ast, two_chain_frame
+from helpers import FORMULA_TOKENS, program_arrays, random_ast, two_chain_frame
 
 A = frozenset({"a"})
 B = frozenset({"b"})
@@ -52,13 +53,45 @@ def test_parse_precedence():
     assert parse("<b,a>p") == Dia(AB, Atom("p"))
 
 
-@pytest.mark.parametrize("text,pos_ok", [
-    ("p ->", False), ("(p", False), ("[a p", False), ("p q", False),
-    ("[]p", False), ("p -> Q", False), ("", False),
-])
-def test_parse_errors(text, pos_ok):
-    with pytest.raises(ParseError):
-        parse(text)
+# One input per place the parser raises: its message and position.
+PARSE_ERRORS = {
+    "p @ q": ("unexpected character '@'", 2),
+    "p é": ("unexpected character 'é'", 2),
+    ") $": ("unexpected character '$'", 2),  # before any grammar error
+    "p -> Q": ("bad identifier 'Q'", 5),
+    "p -> _x": ("bad identifier '_x'", 5),
+    "(p": ("expected ')', found 'end of input'", 2),
+    "(p /\\ q r": ("expected ')', found 'r'", 8),
+    "[a p": ("expected ']', found 'p'", 3),
+    "[a,b p": ("expected ']', found 'p'", 5),
+    "<a p": ("expected '>', found 'p'", 3),
+    "[]p": ("expected a name, found ']'", 1),
+    "[T]p": ("expected a name, found 'T'", 1),
+    "<a,>p": ("expected a name, found '>'", 3),
+    "": ("expected a formula, found 'end of input'", 0),
+    "p ->": ("expected a formula, found 'end of input'", 4),
+    "~": ("expected a formula, found 'end of input'", 1),
+    "p \\/ -> q": ("expected a formula, found '->'", 5),
+    "p q": ("unexpected 'q' after formula", 2),
+    "p )": ("unexpected ')' after formula", 2),
+    "[a](p -> q) r": ("unexpected 'r' after formula", 12),
+}
+# The same, parsed against the agents a and b.
+AGENT_ERRORS = {
+    "[c]p": ("unknown agent name 'c'", 2),
+    "<a,c>p": ("unknown agent name 'c'", 4),
+    "[a, zz ] q": ("unknown agent name 'zz'", 7),
+}
+
+
+@pytest.mark.parametrize("text,with_agents", [(t, False) for t in PARSE_ERRORS]
+                         + [(t, True) for t in AGENT_ERRORS])
+def test_parse_errors(text, with_agents):
+    message, position = (AGENT_ERRORS if with_agents else PARSE_ERRORS)[text]
+    with pytest.raises(ParseError) as e:
+        parse(text, AgentSet.of("a", "b") if with_agents else None)
+    assert (str(e.value), e.value.position) == \
+        (f"{message} (at position {position})", position)
 
 
 # A text of each shape nested k deep, and where parsing it k > MAX_DEPTH
@@ -153,6 +186,54 @@ FORMULAS = st.recursive(
 @given(FORMULAS)
 def test_roundtrip_property(f):
     assert parse(render(f)) == f
+
+
+def test_parse_arrives_compiled(monkeypatch):
+    """A parsed formula comes with the node array ``Program`` compiles it
+    to, so printing and evaluating it next compile nothing, and its pickle
+    is the one a compiled copy gives."""
+    built = []
+    init = Program.__init__
+
+    def counted(self, formulas=()):
+        built.append(self)
+        init(self, formulas)
+
+    monkeypatch.setattr(Program, "__init__", counted)
+    evaluator = Evaluator(two_chain_frame(AgentSet.of("a", "b")))
+    for text in ("[a](<b>(p -> F) -> <a,b>p)", "p <-> p", "~~<a>p /\\ T",
+                 "((p \\/ q) /\\ ~[a,b]q) <-> <b>T", "[a][b]p -> [b][a]p"):
+        f = parse(text)
+        count = len(built)
+        evaluator.truth_mask(f, {"p": 0b10, "q": 0b11})
+        render(f)
+        assert len(built) == count
+        assert program_arrays(syntax._compiled(f)) == program_arrays(Program((f,)))
+        pickled = pickle.dumps(f)
+        monkeypatch.setattr(syntax, "_last_compiled", (None, None))
+        assert pickle.dumps(f) == pickled
+
+
+def test_parse_shares_equal_subformulas():
+    f = parse("(p -> q) /\\ (p -> q)")
+    assert f.left is f.right and f.left.left is not f.left.right
+    g = parse("p <-> p")
+    assert g.left is g.right and g.left.left is g.left.right
+    h = parse("[a,b]~p \\/ <b,a>~p")
+    assert h.left.body is h.right.body and h.left.group is h.right.group
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(FORMULA_TOKENS), max_size=12).map("".join))
+def test_parse_fuzzed_token_strings(text):
+    try:
+        f = parse(text)
+    except ParseError as e:
+        assert 0 <= e.position <= len(text)
+    else:
+        g = parse(render(f))
+        assert g == f
+        assert program_arrays(syntax._compiled(g)) == program_arrays(Program((g,)))
 
 
 def test_render_parse_idempotent_on_corpus():
