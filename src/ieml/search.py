@@ -604,7 +604,9 @@ def _rule_entries(budget: SizeBudget, agents: AgentSet,
 
 class _Claim(NamedTuple):
     """One construction claim: build an output from each input model, check
-    that it agrees with the input on a formula battery, check its classes."""
+    that it agrees with the input on a formula battery, check its classes.
+    An input whose output would exceed the size budget is skipped and
+    counted."""
     name: str
     build: Callable  # (input model, agents, group) -> ConstructionResult
     inputs: object  # frame classes, or the kind of mono-structure inputs
@@ -612,12 +614,6 @@ class _Claim(NamedTuple):
     max_states: Optional[int]  # input state cap
     out: object  # output frame classes, or the kind of a mono output
     kept: tuple = ()  # output classes wherever the input has them
-    # "full": the battery on every fiber; "sampled": the same, but 150 random
-    # formulas above 256 output states; "tau": B against tau(B) over every
-    # group's diamond-free battery; "tau_ends": one build for each end group
-    # (first and last), over that group's diamond-free battery
-    check: str = "full"
-    skip: bool = False  # over-budget inputs are skipped and counted
 
 
 _PRESERVED = (FrameClass.DOXASTIC, FrameClass.EPISTEMIC, FrameClass.UD,
@@ -628,35 +624,31 @@ _PRESERVED = (FrameClass.DOXASTIC, FrameClass.EPISTEMIC, FrameClass.UD,
 _CLAIMS = (
     _Claim("claim_standardize", lambda m, ag, g: standardize(m, "default"),
            (FrameClass.PRESTANDARD,), 12, 2, (FrameClass.STANDARD,),
-           _PRESERVED, "sampled"),
+           _PRESERVED),
     _Claim("claim_standardize_partition",
            lambda m, ag, g: standardize(m, "partition"),
            (FrameClass.PRESTANDARD, FrameClass.PARTITION), 12, 2,
-           (FrameClass.STANDARD,), _PRESERVED, "sampled"),
+           (FrameClass.STANDARD,), _PRESERVED),
     _Claim("claim_transitive_lift", lambda m, ag, g: transitive_lift(m),
            (FrameClass.ALL,), 1, None, (FrameClass.TRANSITIVE,),
            (FrameClass.PRESTANDARD, FrameClass.STANDARD)),
     _Claim("claim_rs_collapse", lambda m, ag, g: rs_collapse(m),
            (FrameClass.UD,), 1, None, (FrameClass.RS,)),
     _Claim("claim_partition_lift", lambda m, ag, g: partition_lift(m, "plain"),
-           (FrameClass.RS,), 3, None, (FrameClass.PARTITION,),
-           check="sampled", skip=True),
+           (FrameClass.RS,), 3, None, (FrameClass.PARTITION,)),
     _Claim("claim_partition_lift_prestandard",
            lambda m, ag, g: partition_lift(m, "prestandard"),
            (FrameClass.RS, FrameClass.PRESTANDARD), 3, None,
-           (FrameClass.PARTITION, FrameClass.PRESTANDARD),
-           check="sampled", skip=True),
+           (FrameClass.PARTITION, FrameClass.PRESTANDARD)),
     _Claim("claim_expand_mono", lambda m, ag, g: expand_mono(m, ag, "minus"),
-           "minus", 1, 3, (FrameClass.DOXASTIC, FrameClass.STANDARD),
-           check="tau"),
+           "minus", 1, 3, (FrameClass.DOXASTIC, FrameClass.STANDARD)),
     _Claim("claim_expand_mono_full", lambda m, ag, g: expand_mono(m, ag, "full"),
-           "full", 1, 3, (FrameClass.EPISTEMIC, FrameClass.STANDARD),
-           check="tau"),
+           "full", 1, 3, (FrameClass.EPISTEMIC, FrameClass.STANDARD)),
     _Claim("claim_collapse_mono", lambda m, ag, g: collapse_mono(m, g, "minus"),
-           (FrameClass.DOXASTIC,), 1, None, "minus", check="tau_ends"),
+           (FrameClass.DOXASTIC,), 1, None, "minus"),
     _Claim("claim_collapse_mono_epi",
            lambda m, ag, g: collapse_mono(m, g, "full"),
-           (FrameClass.EPISTEMIC,), 1, None, "full", check="tau_ends"),
+           (FrameClass.EPISTEMIC,), 1, None, "full"),
 )
 
 
@@ -686,7 +678,8 @@ def _claim_entries(budget: SizeBudget, agents: AgentSet,
         checked = skipped = 0
         mismatches: list = []
         failures: list = []
-        alphas = (groups[0], groups[-1]) if c.check == "tau_ends" else (None,)
+        # a mono output is built once for each end group, first and last
+        alphas = (groups[0], groups[-1]) if isinstance(c.out, str) else (None,)
         for source in _claim_inputs(c, budget, agents, frames_per_check, rng):
             mono_input = isinstance(source, MonoStructure)
             model = _random_model(rng, source, ("p",))
@@ -694,21 +687,18 @@ def _claim_entries(budget: SizeBudget, agents: AgentSet,
                 try:
                     result = c.build(model, agents, alpha)
                 except BudgetError:
-                    if not c.skip:
-                        raise
                     skipped += 1
                     continue
                 checked += 1
                 out = result.model
-                if c.check.startswith("tau"):
+                if mono_input or isinstance(c.out, str):
+                    # B against tau(B) over each group's diamond-free battery
                     multi, mono = (out, model) if mono_input else (model, out)
                     for g in (groups if alpha is None else (alpha,)):
                         mismatches.extend(
                             mono_equivalence_mismatches(multi, mono, free[g]))
                 else:
-                    formulas = small if c.check == "full" or out.frame.n <= 256 \
-                        else sample_formulas(rng, ("p",), groups, depth, 150)
-                    mismatches.extend(equivalence_mismatches(model, result, formulas))
+                    mismatches.extend(equivalence_mismatches(model, result, small))
                 if isinstance(c.out, str):
                     if not is_iel_structure(out.frame, c.out):
                         failures.append({"note": f"{c.name}: output fails "
@@ -721,7 +711,6 @@ def _claim_entries(budget: SizeBudget, agents: AgentSet,
                     for k in c.kept
                     if has_class(source, k) and not has_class(out.frame, k))
         witnesses = tuple(mismatches[:3]) + tuple(failures[:3])
-        entries.append(SuiteEntry(
-            c.name, checked, witnesses,
-            extra=(("skipped_over_budget", skipped),) if c.skip else ()))
+        entries.append(SuiteEntry(c.name, checked, witnesses,
+                                  extra=(("skipped_over_budget", skipped),)))
     return entries

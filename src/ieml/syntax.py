@@ -15,6 +15,7 @@ and ``(A -> B) /\ (B -> A)``.
 """
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Union
@@ -776,25 +777,13 @@ def _bind_groups(slot: Group, target: Group, gr: dict,
         raise ValueError(f"group slots may hold at most two metavariables: {sorted(slot)}")
     v1, v2 = gvars
     tmask = agents.mask(target)
-    b1, b2 = gr.get(v1), gr.get(v2)
-    if b1 is not None and b2 is not None:
-        if b1 | b2 == target:
-            yield gr
-        return
-    if b1 is not None or b2 is not None:
-        fixed_var, free_var = (v1, v2) if b1 is not None else (v2, v1)
-        fmask = agents.mask(gr[fixed_var])
-        if fmask | tmask != tmask:
-            return
-        for m in _subset_masks(tmask):
-            if fmask | m == tmask:
-                yield {**gr, free_var: agents.group_of_mask(m)}
-        return
-    # both unbound: ordered pairs, lexicographic on bitmasks, union == target
-    for m1 in _subset_masks(tmask):
-        for m2 in _subset_masks(tmask):
-            if m1 | m2 == tmask:
-                yield {**gr, v1: agents.group_of_mask(m1), v2: agents.group_of_mask(m2)}
+    # a bound metavariable offers its one group, an unbound one every
+    # subgroup of the target; ordered pairs, lexicographic on bitmasks
+    options = [[agents.mask(gr[v])] if v in gr else _subset_masks(tmask)
+               for v in gvars]
+    for m1, m2 in itertools.product(*options):
+        if m1 | m2 == tmask:
+            yield {**gr, v1: agents.group_of_mask(m1), v2: agents.group_of_mask(m2)}
 
 
 def match_instance(schema: Schema, f: Formula,

@@ -295,3 +295,19 @@ def two_chain_frame(agents: AgentSet, rel=None) -> Frame:
     rel = rel or {}
     full = {g: rel.get(g, Rel.empty(2)) for g in agents.groups()}
     return Frame.make(agents, 2, leq, full)
+
+
+def naive_group_bindings(slot, target, bound: dict, names) -> list:
+    """Every way to extend ``bound`` so the groups of the metavariables in
+    ``slot`` have union ``target``: each metavariable, in name order, ranges
+    over all nonempty groups of ``names`` by bitmask, and must keep a group
+    it is already bound to."""
+    groups = [frozenset(nm for i, nm in enumerate(names) if m >> i & 1)
+              for m in range(1, 1 << len(names))]
+    out = []
+    for choice in itertools.product(groups, repeat=len(slot)):
+        binding = dict(zip(sorted(slot), choice))
+        if all(bound.get(v, g) == g for v, g in binding.items()) and \
+                frozenset().union(*choice) == target:
+            out.append({**bound, **binding})
+    return out

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -317,6 +318,17 @@ def test_countermodel_none_on_partitions():
     assert r.frames_checked > 100
 
 
+def test_countermodel_skipped_frames_are_not_exhaustive():
+    # at cap 2 the frames with more than two valuations are skipped, so a
+    # miss proves nothing; the default cap sweeps every frame
+    budget = SizeBudget(max_states=2, max_agents=1, max_candidates=1000, seed=0)
+    r = countermodel(parse("p -> p"), FrameClass.ALL, budget, cap=2)
+    assert not r.found and not r.exhausted
+    full = countermodel(parse("p -> p"), FrameClass.ALL, budget)
+    assert not full.found and full.exhausted
+    assert full.frames_checked == r.frames_checked
+
+
 def test_countermodel_json():
     budget = SizeBudget(max_states=2, max_agents=1, max_candidates=100, seed=0)
     r = countermodel(parse("p \\/ ~p"), FrameClass.ALL, budget)
@@ -343,7 +355,7 @@ def test_suite_small_budget_passes_and_is_deterministic():
     assert "claim_partition_lift" in names
     assert json.dumps(rep1.to_json(), sort_keys=True)
     assert _digest(rep1.to_json()) == \
-        "5112fa3eadd5a5a1f2c0eefcaa85d385da6c0cf7994cb8c5c92eaacdcc293ebe"
+        "d0f1017aee0c01e0b82769c7629c672bca548d2e65a50070b397eb8d80b565ff"
 
 
 def test_suite_swapped_class_produces_witness():
@@ -355,7 +367,7 @@ def test_suite_swapped_class_produces_witness():
     assert entry.status == "fail"
     assert entry.witnesses
     assert _digest(rep.to_json()) == \
-        "8ed42001344cf47873ec93518694474f15d6fdabb9ae822072d8520697569522"
+        "c71fbfcbac90fe4c67f1970af55502f8466b3d1f80dc09ea601c2470626b5415"
 
 
 def test_suite_rule_entries_report_vacuity():
@@ -371,11 +383,12 @@ def test_suite_rule_entries_report_vacuity():
 
 def test_suite_wider_budget_golden():
     # 2-state inputs on every claim, an 8192-state standardization checked
-    # on sampled formulas, and the random-sampling branch of the mono inputs
+    # on the full depth-2 battery, and the random-sampling branch of the mono
+    # inputs
     budget = SizeBudget(max_states=3, max_agents=2, max_candidates=1500, seed=5)
     rep = proposition_suite(budget, frames_per_check=9)
     assert _digest(rep.to_json()) == \
-        "63e17d636adc1a98b9c193701b91ed1a4fb609f12e343f4241bba96439c19709"
+        "42a67c75d05f1fa1fb69104b1a7da5b3d48054b756433d62364819e074181ee7"
 
 
 def test_suite_over_budget_construction(monkeypatch):
@@ -395,13 +408,37 @@ def test_suite_over_budget_construction(monkeypatch):
         assert entry.checked == 0 and entry.status == "pass"
         assert dict(entry.extra)["skipped_over_budget"] == calls[variant]
 
-    # the other constructions do not skip: their budget errors propagate
+    # every claim skips and counts an over-budget input, standardize too
+    tries = []
+
     def raises(model, variant="default"):
+        tries.append(variant)
         raise BudgetError("output over budget")
 
     monkeypatch.setattr(search, "standardize", raises)
-    with pytest.raises(BudgetError):
-        proposition_suite(budget, frames_per_check=6)
+    rep = proposition_suite(budget, frames_per_check=6)
+    for name, variant in (("claim_standardize", "default"),
+                          ("claim_standardize_partition", "partition")):
+        entry = rep.entry(name)
+        assert entry.checked == 0 and entry.status == "pass"
+        assert dict(entry.extra)["skipped_over_budget"] == tries.count(variant) > 0
+
+
+def test_suite_heredity_and_rule_witnesses_fire(monkeypatch):
+    # no truth set is an up-set, and validity answers alternate, so each
+    # rule's premise is found valid and its conclusion falsified
+    answers = itertools.cycle((True, False))
+    monkeypatch.setattr(search, "is_closed", lambda leq, mask: False)
+    monkeypatch.setattr(search, "valid_in_frame", lambda frame, f: next(answers))
+    budget = SizeBudget(max_states=2, max_agents=1, max_candidates=200, seed=0)
+    rep = proposition_suite(budget, frames_per_check=6)
+    heredity = rep.entry("heredity")
+    assert heredity.status == "fail" and len(heredity.witnesses) == 3
+    assert all({"formula", "model"} == set(w) for w in heredity.witnesses)
+    for rule in ("R1", "R2", "R3"):
+        entry = rep.entry(f"{rule}_preserves_validity")
+        assert entry.status == "fail" and 0 < len(entry.witnesses) <= 3
+        assert all(w["note"] == "conclusion falsified" for w in entry.witnesses)
 
 
 def test_suite_claim_witnesses_golden(monkeypatch):
@@ -438,7 +475,7 @@ def test_suite_claim_witnesses_golden(monkeypatch):
     assert "claim_collapse_mono_epi: output fails the full conditions" in notes
     assert "claim_standardize_partition preserving rs: output not rs" in notes
     assert _digest(rep.to_json()) == \
-        "64cdb02d5337b28437f909fd87dad29488f571983051251a5cc7af8757570120"
+        "4a0a315dd4ab2d63be7e3a98d452051eefada87fee5c16cc8bde0be46a20c76d"
 
 
 # ---------- mono structures and the claim batteries ----------

@@ -1,3 +1,4 @@
+import itertools
 import os
 import pickle
 import random
@@ -18,7 +19,10 @@ from ieml.semantics import Evaluator, Model, MonoStructure, Rel, mono_truth_mask
 from ieml import syntax
 from ieml.syntax import MAX_DEPTH, MonoBox
 
-from helpers import FORMULA_TOKENS, program_arrays, random_ast, two_chain_frame
+from helpers import (
+    FORMULA_TOKENS, naive_group_bindings, program_arrays, random_ast,
+    two_chain_frame,
+)
 
 A = frozenset({"a"})
 B = frozenset({"b"})
@@ -403,6 +407,32 @@ def test_match_composite_alone_is_deterministic():
     # lexicographic on bitmasks: alpha={a} first, then beta must cover b
     assert m.group_map()["alpha"] == A
     assert m.group_map()["beta"] in (B, AB)
+
+
+def test_bind_groups_equals_the_brute_force_bindings():
+    # every slot of one or two metavariables, target group and binding
+    # (each metavariable unbound or bound to any group) over three agents
+    ag = AgentSet.of("a", "b", "c")
+    groups = ag.groups()
+    cases = 0
+    for slot in (("alpha",), ("alpha", "beta")):
+        for target in groups:
+            for binds in itertools.product([None, *groups], repeat=len(slot)):
+                bound = {v: g for v, g in zip(slot, binds) if g is not None}
+                got = list(syntax._bind_groups(frozenset(slot), target, bound, ag))
+                assert got == naive_group_bindings(slot, target, bound, ag.names), \
+                    (slot, target, bound)
+                cases += 1
+    assert cases == 504
+
+
+def test_match_binds_the_free_half_of_a_group_slot():
+    s = _schema("[alpha]p -> [alpha,beta]p")
+    assert match_instance(s, parse("[a]p -> [a,b]p")).group_map() == \
+        {"alpha": A, "beta": B}
+    assert match_instance(s, parse("[a]p -> [a]p")).group_map() == \
+        {"alpha": A, "beta": A}
+    assert match_instance(s, parse("[a,b]p -> [a]p")) is None
 
 
 def test_match_consistency():
