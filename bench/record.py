@@ -13,11 +13,15 @@ the file holds both sides' values, medians and quartiles, the ratio of the
 medians, the pairs the change wins, whether the median gain exceeds the
 parent's interquartile range, and the metric's bound.  One traced pass per side and workload
 (``--trace 1``, TRACE_SECONDS at seed TRACE_SEED) adds the per-layer self
-times.  Stdlib only.
+times (``self_s``) and the traced counts, every metric in another unit
+(``counts``).  Both trees' ``src`` are byte-compiled before the first pair,
+so neither side's set-up pays for compiling its modules, even where the
+environment keeps Python from writing bytecode.  Stdlib only.
 """
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import platform
@@ -61,6 +65,14 @@ def export_tree(rev: str, dest: Path, repo: Path = ROOT) -> str:
     return commit
 
 
+def compile_sources(*trees: Path) -> None:
+    """Byte-compile each tree's ``src`` for the interpreter that runs the
+    benchmark (``sys.executable``, this one)."""
+    for tree in trees:
+        if (tree / "src").is_dir():
+            compileall.compile_dir(tree / "src", quiet=1)
+
+
 def summary(values: list) -> dict:
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"values": values, "median": q2, "q1": q1, "q3": q3}
@@ -86,6 +98,7 @@ def compare(parent: list, change: list, better: str, bound) -> dict:
 def record(parent_tree: Path, change_tree: Path, seeds, spec: dict,
            runner=run_perfbench) -> dict:
     """Alternating pairs per workload, then one traced pass per side."""
+    compile_sources(parent_tree, change_tree)
     seconds = spec["run_seconds"]
     ends = {m["name"]: m for m in spec["end_to_end"]}
     trees = {"parent": parent_tree, "change": change_tree}
@@ -112,9 +125,10 @@ def record(parent_tree: Path, change_tree: Path, seeds, spec: dict,
         traced = {}
         for side, tree in trees.items():
             result = runner(tree, workload, TRACE_SEED, TRACE_SECONDS, 1)
+            layers = result["metrics"].items()
             traced[side] = {"correct": result["correct"],
-                            "self_s": {k: v["value"] for k, v in result["metrics"].items()
-                                       if v["unit"] == "s"}}
+                            "self_s": {k: v["value"] for k, v in layers if v["unit"] == "s"},
+                            "counts": {k: v["value"] for k, v in layers if v["unit"] != "s"}}
         out[workload] = {"runs": runs, "metrics": metrics, "traced": traced}
     return out
 

@@ -14,9 +14,10 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional, Union
 
+from .errors import BudgetError
 from .frame_classes import FrameClass
 from .modelio import model_to_doc
-from .semantics import falsify_on_frame, DEFAULT_ASSIGNMENT_CAP
+from .semantics import DEFAULT_ASSIGNMENT_CAP
 from .syntax import (
     AgentSet, Box, Dia, Formula, Group, Implies, Or, Program, Schema,
     match_instance, parse, render, substitute,
@@ -359,7 +360,7 @@ def soundness_probe(theorem: Formula, logic: LogicId, budget,
     By soundness an accepted derivation's last line admits no countermodel;
     any witness found is reported with its model and state.
     """
-    from .search import agents_for_formula, enumerate_frames
+    from .search import _falsified, agents_for_formula, enumerate_frames
 
     logic = LogicId(logic)
     classes = LOGIC_CLASSES[logic]
@@ -367,13 +368,18 @@ def soundness_probe(theorem: Formula, logic: LogicId, budget,
     checked = 0
     witnesses = []
     agents = agents_for_formula(theorem)
-    for frame in enumerate_frames(budget, classes, agents=agents, stats=stats):
+    frames = enumerate_frames(budget, classes, agents=agents, stats=stats)
+    for hit, exhaustive in _falsified(frames, theorem, cap, stats):
         checked += 1
-        hit = falsify_on_frame(frame, theorem, cap)
-        if hit is not None:
-            model, state = hit
-            witnesses.append({"model": model_to_doc(model), "state": f"w{state}"})
-            if len(witnesses) >= max_witnesses:
-                break
+        if hit is None:
+            continue
+        if isinstance(hit, BudgetError):
+            raise hit
+        model, state = hit
+        witnesses.append({"model": model_to_doc(model), "state": f"w{state}"})
+        if len(witnesses) >= max_witnesses:
+            break  # the stream as it stood at this frame
+    else:
+        exhaustive = stats.get("exhaustive", False)
     return ProbeReport(logic, render(theorem), checked, tuple(witnesses),
-                       bool(stats.get("exhaustive", False)))
+                       bool(exhaustive))

@@ -24,13 +24,14 @@ from .errors import BudgetError
 from .frame_classes import FrameClass, has_class, is_iel_structure
 from .modelio import model_to_doc
 from .semantics import (
-    DEFAULT_ASSIGNMENT_CAP, Evaluator, Frame, Model, MonoStructure, Rel,
-    bits, falsify_on_frame, is_closed, kept, satisfies, up_sets, valid_in_frame,
+    DEFAULT_ASSIGNMENT_CAP, LANE_CHUNK_BITS, Evaluator, Frame, Model,
+    MonoStructure, Rel, bits, falsified_blocks, falsify_on_frame, is_closed,
+    kept, satisfies, up_sets, valid_in_frame, whole_lanes,
 )
 from .syntax import (
     AgentSet, And, Atom, BOT, Box, Dia, Formula, Group, Implies, Or, Program,
     TOP, _AND, _ATOM, _BOT, _BOX, _DIA, _IMPLIES, _OR, _TOP, agents_of,
-    groups_of, instantiate, render,
+    atoms_of, groups_of, instantiate, render,
 )
 
 AGENT_POOL = ("a", "b", "c", "d", "e", "f", "g", "h")
@@ -137,6 +138,15 @@ def _composed(memo: dict, n: int, p: int, q: int, converse: bool) -> int:
     return rel.compose(kept(memo, q, Rel.from_mask, n, q)).mask()
 
 
+# The sampler's memo keys: negative ints, apart from the masks and the
+# verdict keys of ``has_class`` (both nonnegative) in the same frame table
+_CLOSURE, _SYM, _TRANS, _FC = range(4)
+
+
+def _key(kind: int, x: int) -> int:
+    return ~(x << 2 | kind)
+
+
 def _propose_group_mask(rng: random.Random, n: int, leq: int, wanted: set,
                         memo: dict) -> int:
     if "partition" in wanted:
@@ -150,16 +160,17 @@ def _propose_group_mask(rng: random.Random, n: int, leq: int, wanted: set,
         return mask
     if "rs" in wanted or ("ud" in wanted and rng.random() < 0.6):
         mask = _random_relation(rng, n)
-        return kept(memo, ("sym", mask), _symmetrize, n, mask) | _diag(n)
+        return kept(memo, _key(_SYM, mask), _symmetrize, n, mask) | _diag(n)
     mask = _random_relation(rng, n)
     if "reflexive" in wanted:
         mask |= _diag(n)
     if "symmetric" in wanted:
-        mask = kept(memo, ("sym", mask), _symmetrize, n, mask)
+        mask = kept(memo, _key(_SYM, mask), _symmetrize, n, mask)
     if "transitive" in wanted:
-        mask |= kept(memo, ("trans", mask), _composed, memo, n, mask, mask, False)
+        mask |= kept(memo, _key(_TRANS, mask), _composed, memo, n, mask, mask, False)
     if "forward_confluent" in wanted:
-        mask = kept(memo, ("fc", leq, mask), _composed, memo, n, leq, mask, True)
+        mask = kept(memo, _key(_FC, leq << n * n | mask), _composed, memo, n, leq,
+                    mask, True)
     return mask
 
 
@@ -168,7 +179,7 @@ def _propose_masks(rng: random.Random, n: int, n_groups: int, wanted: set,
     """The masks ``(leq, R(1), ..., R(n_groups))`` of a random frame biased
     toward ``wanted``, reusing the closures and proposals kept in ``memo``."""
     raw = _random_relation(rng, n)
-    leq = kept(memo, ("closure", raw),
+    leq = kept(memo, _key(_CLOSURE, raw),
                lambda: Rel.from_mask(n, raw).rt_closure().mask())
     masks: dict = {}
     if "standard" in wanted:
@@ -381,6 +392,57 @@ def agents_for_formula(a: Formula) -> AgentSet:
     return AgentSet(tuple(names))
 
 
+def _answer(frame: Frame, a: Formula, cap: int):
+    """``falsify_on_frame``'s answer on the frame, or the BudgetError it raised."""
+    try:
+        return falsify_on_frame(frame, a, cap)
+    except BudgetError as e:
+        return e
+
+
+def _falsified(frames: Iterator[Frame], a: Formula, cap: int, stats: dict):
+    """``_answer`` on each frame of an ``enumerate_frames`` stream, in order,
+    with ``stats["exhaustive"]`` as it stood when the frame was drawn (a
+    chunk draws frames ahead).  From the third frame on, runs of frames of
+    one state count whose valuations fit one sweep (``whole_lanes``) are
+    checked in one pass each (``falsified_blocks``): 4, 8, 16, ... frames of
+    at most ``LANE_CHUNK_BITS`` bits.  A falsified frame is checked again
+    alone for its witness; a frame that does not fit ends the chunk and runs
+    alone.  The first two frames, where most refutations fall, run alone: a
+    refutation in a chunk costs the pass and the re-run."""
+    m = len(atoms_of(a))
+    chunk: list = []  # (frame, layout, flag) drawn and not yet answered
+    size, width, leq, layout = 4, 0, None, None
+    for count, frame in enumerate(frames):
+        flag = stats["exhaustive"]
+        if count < 2:
+            yield _answer(frame, a, cap), flag
+            continue
+        if frame.leq is not leq:
+            leq, layout = frame.leq, whole_lanes(frame, m, cap)
+        if chunk and (layout is None or frame.n != chunk[0][0].n
+                      or width + layout[0] > LANE_CHUNK_BITS):
+            yield from _chunk_answers(chunk, a, cap)
+            chunk, width, size = [], 0, min(2 * size, LANE_CHUNK_BITS)
+        if layout is None:
+            yield _answer(frame, a, cap), flag
+            continue
+        chunk.append((frame, layout, flag))
+        width += layout[0]
+        if len(chunk) == size:
+            yield from _chunk_answers(chunk, a, cap)
+            chunk, width, size = [], 0, min(2 * size, LANE_CHUNK_BITS)
+    yield from _chunk_answers(chunk, a, cap)
+
+
+def _chunk_answers(chunk: list, a: Formula, cap: int):
+    # a frame alone skips the lane pass: falsify_on_frame answers it at once
+    hits = 1 if len(chunk) < 2 else falsified_blocks(
+        [frame for frame, _, _ in chunk], [layout for _, layout, _ in chunk], a)
+    for k, (frame, _, flag) in enumerate(chunk):
+        yield (_answer(frame, a, cap) if hits >> k & 1 else None), flag
+
+
 def countermodel(a: Formula, classes, budget: SizeBudget,
                  cap: int = DEFAULT_ASSIGNMENT_CAP) -> CountermodelResult:
     """First model of the class falsifying ``a`` at some state, if any.
@@ -391,20 +453,20 @@ def countermodel(a: Formula, classes, budget: SizeBudget,
     checked = 0
     skipped = False
     agents = agents_for_formula(a)
-    for frame in enumerate_frames(budget, classes, agents=agents, stats=stats):
+    frames = enumerate_frames(budget, classes, agents=agents, stats=stats)
+    for hit, _ in _falsified(frames, a, cap, stats):
         checked += 1
-        try:
-            hit = falsify_on_frame(frame, a, cap)
-        except BudgetError:
+        if hit is None:
+            continue
+        if isinstance(hit, BudgetError):
             skipped = True
             continue
-        if hit is not None:
-            model, state = hit
-            if satisfies(model, state, a):  # pragma: no cover
-                raise RuntimeError("countermodel witness failed re-verification")
-            if not all(has_class(model.frame, c) for c in classes):  # pragma: no cover
-                raise RuntimeError("countermodel witness left the frame class")
-            return CountermodelResult(True, model, state, checked, False)
+        model, state = hit
+        if satisfies(model, state, a):  # pragma: no cover
+            raise RuntimeError("countermodel witness failed re-verification")
+        if not all(has_class(model.frame, c) for c in classes):  # pragma: no cover
+            raise RuntimeError("countermodel witness left the frame class")
+        return CountermodelResult(True, model, state, checked, False)
     return CountermodelResult(False, None, None, checked,
                               stats.get("exhaustive", False) and not skipped)
 

@@ -13,12 +13,14 @@ with the set of states that have it), so its cost follows the number of
 distinct rows, not of states.  It evaluates a ``Program``, a formula list
 compiled once into a node array, in one loop per valuation, or, for
 ``falsify_on_frame``, in one loop for all of a frame's valuations, each in a
-lane of the same ints.  The satisfaction and validity functions below wrap
+lane of the same ints (for ``falsified_blocks``, of a run of frames').  The satisfaction and validity functions below wrap
 it, through the evaluator each structure keeps (``evaluator``).
 """
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 from dataclasses import dataclass
 from math import isqrt
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
@@ -619,8 +621,9 @@ class Evaluator:
     one test, "the states of the classes whose row meets x".  A large
     structure runs on its bisimulation quotient under the valuation when
     that pays (``_quotient``).  ``falsify_on_frame`` runs ``_run`` on many
-    valuations at once, one per lane; there the meets test reads a carry
-    into each lane's guard bit instead of branching per class.
+    valuations at once, one per lane, and ``falsified_blocks`` on many
+    frames' valuations; there the meets test reads a carry into each lane's
+    guard bit instead of branching per class.
 
     An evaluator keeps no reference to its structure, so the structure can
     keep it (``evaluator``) without a reference cycle.
@@ -723,12 +726,14 @@ class Evaluator:
         return classes
 
     def _run(self, program: Program, val: Mapping[str, int],
-             rep: int = 1) -> list[int]:
+             rep: int = 1, spread: Optional[dict] = None) -> list[int]:
         """The masks of ``program``'s nodes, on this structure itself.  With
         a lane-repeat constant ``rep`` (bit 0 of each lane, see
         ``falsify_on_frame``), each value of ``val`` and each mask holds one
         truth set per lane, and only the "which classes meet x" test differs:
-        a carry into each lane's guard bit replaces the branch."""
+        a carry into each lane's guard bit replaces the branch.  ``spread``
+        replaces the structure's own classes (``_classes_in``) with tables
+        that give each lane its own relations (``falsified_blocks``)."""
         ops, left, right, consts = \
             program.ops, program.left, program.right, program.consts
         full, mono = self._full * rep, self._mono
@@ -745,7 +750,8 @@ class Evaluator:
                     # bit exactly when x meets the row there
                     out |= ((((x & row) + full) & guards) >> n) * states
                 return out
-        spread = self._classes_in(rep)
+        if spread is None:
+            spread = self._classes_in(rep)
         leq_classes = spread["leq"]
         masks: list[int] = []
         for i in range(len(ops)):
@@ -892,6 +898,70 @@ def falsify_on_frame(f: Frame, a: Formula,
             tail = [sets[lane // k ** (inner - 1 - p) % k] for p in range(inner)]
             return Model.make(f, dict(zip(names, head + tuple(tail)))), state
     return None
+
+
+def whole_lanes(f: Frame, m: int, cap: int) -> Optional[tuple[int, int, list[int]]]:
+    """``(bits, rep, masks)`` when all of ``f``'s valuations of ``m`` atoms
+    fit one lane sweep (``_lanes`` packs every atom): the bits they take, the
+    lane-repeat constant and each atom's mask.  None when they do not fit
+    ``LANE_CHUNK_BITS``, or when ``falsify_on_frame`` would refuse ``cap``."""
+    if 1 << f.n > cap:
+        return None
+    sets = up_sets(f, cap)
+    lanes = len(sets) ** m
+    if lanes > cap and m:
+        return None
+    inner, rep, masks = _lanes(f.leq, sets, m)
+    return (lanes * (f.n + 1), rep, masks) if inner == m else None
+
+
+def falsified_blocks(frames: list[Frame], layouts: list[tuple], a: Formula) -> int:
+    """The frames on which ``a`` fails (bit k: ``frames[k]``, of one state
+    count and agent set, laid out by ``layouts[k] = whole_lanes(...)``), from
+    one ``_run`` pass over all of them.  Block k of each int holds frame k's
+    valuation lanes, laid out as ``falsify_on_frame`` lays out one frame.
+    Every lane is n+1 bits wide, so the guards span the chunk; only the
+    relations differ per block, so each relation is read per state i as the
+    class ``(ROW_i, 1 << i)``, ``ROW_i`` holding frame k's row i in every
+    lane of block k (Lamport's word-parallel test, see ``falsify_on_frame``)."""
+    program = _compiled(a)
+    offsets, blocks, packed, end = [], [], [], 0
+    for bits, rep, masks in layouts:
+        offsets.append(end)
+        blocks.append(rep << end)
+        packed.append([x << end for x in masks])
+        end += bits
+    offsets.append(end)
+
+    def spread(rels: Iterable[Rel]) -> list[tuple[int, int]]:
+        out, state = [], 1
+        for col in zip(*[r.rows for r in rels]):  # each state's rows
+            row = sum(map(operator.mul, col, blocks))
+            if row:
+                out.append((row, state))
+            state <<= 1
+        return out
+
+    leq, rep = frames[0].leq, sum(blocks)  # the lanes run on unbroken
+    if all(f.leq is leq for f in frames):  # exhaustive streams vary R fastest
+        tables = {"leq": leq.spread_classes(rep),
+                  "up": leq.spread_classes(rep, swap=True)}
+    else:
+        leqs = [f.leq for f in frames]
+        tables = {"leq": spread(leqs), "up": spread(map(Rel.converse, leqs))}
+    agents = frames[0].agents
+    for group in program.groups():
+        g = agents.mask(group) - 1
+        tables[group] = spread([f.rels[g] for f in frames])
+    val = dict(zip(sorted(program.atoms()), map(sum, zip(*packed))))
+    ev = evaluator(frames[0])
+    missing = ev._full * rep & ~ev._run(program, val, rep, tables)[-1]
+    out = 0
+    while missing:  # the lowest missing bit names a block; skip to its end
+        k = bisect.bisect_right(offsets, (missing & -missing).bit_length() - 1)
+        out |= 1 << k - 1
+        missing &= -1 << offsets[k]
+    return out
 
 
 # ---------- Mono-modal truth sets ----------

@@ -114,7 +114,10 @@ class Formula:
             parts = [kept[k] for k in self.__match_args__]
             for c in parts:
                 if type(c) in _OPS and "_hash" not in c.__dict__:
-                    for g in Program((self,))._formulas()[:-1]:
+                    # a fresh parse's node array is its Program already
+                    last = _last_compiled
+                    program = last[1] if last[0] is self else Program((self,))
+                    for g in program._formulas()[:-1]:
                         hash(g)
                     break
             h = kept["_hash"] = hash((type(self), *parts))

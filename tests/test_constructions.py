@@ -206,8 +206,23 @@ def test_witness_h_four_cases():
 
 def test_witness_h_preconditions():
     model = one_point_model(AG, reflexive=False)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="t related to u"):
         witness_h(model, A, 0, 0, (0,))
+    # R(a,b) outside R(a) & R(b): not prestandard
+    frame = Frame.make(AG2, 1, Rel.identity(1),
+                       {A: Rel.empty(1), B: Rel.empty(1), AB: Rel.identity(1)})
+    with pytest.raises(PreconditionError, match="prestandard"):
+        witness_h(Model.make(frame, {}), AB, 0, 0, (0,) * len(_icoords(AG2)))
+
+
+def test_partition_lift_witnesses_preconditions():
+    chain = Model.make(two_chain_frame(AG, {A: Rel.total(2)}), {})
+    with pytest.raises(PreconditionError, match="reflexive symmetric"):
+        partition_lift_witnesses(Model.make(two_chain_frame(AG), {}), A, 0, 1)
+    rs = Frame.make(AG, 2, chain.frame.leq, {A: Rel.identity(2)})
+    with pytest.raises(PreconditionError, match="u related to v"):
+        partition_lift_witnesses(Model.make(rs, {}), A, 0, 1)
+    assert partition_lift_witnesses(chain, A, 0, 1) == ((1, 1), (0, 0))
 
 
 # ---------- transitive lift ----------

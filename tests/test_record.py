@@ -63,6 +63,25 @@ def test_record_alternates_pairs_and_summarizes(tmp_path):
         "seed": 102, "first": True, "correct": True, "attempted": 5, "failed": 0,
         "metrics": {"wall_s": 1.0, "refute_p50_ms": 6.0}}
     assert res["traced"]["change"]["self_s"] == {"semantics.eval.truth_mask_s": 0.05}
+    assert res["traced"]["change"]["counts"] == {"semantics.eval.truth_mask_calls": 7}
+
+
+def test_record_byte_compiles_both_trees_first(tmp_path):
+    """A tree's modules are compiled before its first measured run, so its
+    set-up does not pay for it, even where Python writes no bytecode."""
+    trees = [tmp_path / side for side in ("parent", "change")]
+    for tree in trees:
+        (tree / "src" / "pkg").mkdir(parents=True)
+        (tree / "src" / "pkg" / "mod.py").write_text("X = 1\n")
+    seen = []
+
+    def runner(tree, workload, seed, seconds, trace):
+        seen.append(sorted(p.name for p in (tree / "src" / "pkg" / "__pycache__").iterdir()))
+        return _stub([])(tree, workload, seed, seconds, trace)
+
+    record.record(*trees, [101, 102], SPEC, runner=runner)
+    assert seen and all(len(names) == 1 and names[0].startswith("mod.")
+                        and names[0].endswith(".pyc") for names in seen)
 
 
 def test_compare_flags_a_metric_worse_beyond_its_bound():
