@@ -4,8 +4,6 @@ loop of the naive oracle gives on the same stream: the same first witness
 and state, frame count, exhaustive flag and probe witnesses."""
 import random
 
-import pytest
-
 from ieml import AgentSet, FrameClass, Model, parse, render
 from ieml import search, semantics
 from ieml.errors import BudgetError
