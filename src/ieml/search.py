@@ -406,11 +406,11 @@ def _falsified(frames: Iterator[Frame], a: Formula, cap: int, stats: dict):
     chunk draws frames ahead).  From the third frame on, runs of frames of
     one state count whose valuations fit one sweep (``whole_lanes``) are
     checked in one pass each (``falsified_blocks``): 4, 8, 16, ... frames of
-    at most ``LANE_CHUNK_BITS`` bits.  A falsified frame is checked again
-    alone for its witness; a frame that does not fit ends the chunk and runs
-    alone.  The first two frames, where most refutations fall, run alone: a
-    refutation in a chunk costs the pass and the re-run."""
-    m = len(atoms_of(a))
+    at most ``LANE_CHUNK_BITS`` bits.  A frame that does not fit ends the
+    chunk and runs alone.  The first two frames, where most refutations
+    fall, run alone, so that a refutation there draws no frame ahead."""
+    names = sorted(atoms_of(a))
+    m = len(names)
     chunk: list = []  # (frame, layout, flag) drawn and not yet answered
     size, width, leq, layout = 4, 0, None, None
     for count, frame in enumerate(frames):
@@ -422,25 +422,25 @@ def _falsified(frames: Iterator[Frame], a: Formula, cap: int, stats: dict):
             leq, layout = frame.leq, whole_lanes(frame, m, cap)
         if chunk and (layout is None or frame.n != chunk[0][0].n
                       or width + layout[0] > LANE_CHUNK_BITS):
-            yield from _chunk_answers(chunk, a, cap)
-            chunk, width, size = [], 0, min(2 * size, LANE_CHUNK_BITS)
+            yield from _chunk_answers(chunk, a, names)
+            chunk, width, size = [], 0, size * 2
         if layout is None:
             yield _answer(frame, a, cap), flag
             continue
         chunk.append((frame, layout, flag))
         width += layout[0]
         if len(chunk) == size:
-            yield from _chunk_answers(chunk, a, cap)
-            chunk, width, size = [], 0, min(2 * size, LANE_CHUNK_BITS)
-    yield from _chunk_answers(chunk, a, cap)
+            yield from _chunk_answers(chunk, a, names)
+            chunk, width, size = [], 0, size * 2
+    if chunk:
+        yield from _chunk_answers(chunk, a, names)
 
 
-def _chunk_answers(chunk: list, a: Formula, cap: int):
-    # a frame alone skips the lane pass: falsify_on_frame answers it at once
-    hits = 1 if len(chunk) < 2 else falsified_blocks(
-        [frame for frame, _, _ in chunk], [layout for _, layout, _ in chunk], a)
-    for k, (frame, _, flag) in enumerate(chunk):
-        yield (_answer(frame, a, cap) if hits >> k & 1 else None), flag
+def _chunk_answers(chunk: list, a: Formula, names: list[str]):
+    hits = falsified_blocks([frame for frame, _, _ in chunk],
+                            [layout for _, layout, _ in chunk], a, names)
+    for k, (_, _, flag) in enumerate(chunk):
+        yield hits.get(k), flag
 
 
 def countermodel(a: Formula, classes, budget: SizeBudget,

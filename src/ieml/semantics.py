@@ -152,18 +152,6 @@ class Rel:
             memo = self.__dict__["_row_classes"] = tuple(classes.items())
         return memo
 
-    def spread_classes(self, rep: int = 1, swap: bool = False) -> tuple:
-        """``row_classes`` with each row repeated into every lane of the
-        lane-repeat constant ``rep`` (``row * rep``; ``falsify_on_frame``),
-        or with ``swap`` each class as ``(states * rep, row)``, the pairs of
-        the converse's pre-images (a preorder's up-closure).  Not kept with
-        the relation, which frame streams share for the whole process: the
-        ``Evaluator`` that reads them keeps them per lane count."""
-        if rep == 1 and not swap:
-            return self.row_classes()
-        return tuple((s * rep, r) if swap else (r * rep, s)
-                     for r, s in self.row_classes())
-
     def _row_table(self) -> tuple[list[int], list[int]]:
         """``(heads, index)``: state i has row ``heads[index[i]]``.  Built once
         per instance from the rows (then the heads are distinct), or handed
@@ -620,10 +608,9 @@ class Evaluator:
     hold when its row misses every bad state.  So every clause is built from
     one test, "the states of the classes whose row meets x".  A large
     structure runs on its bisimulation quotient under the valuation when
-    that pays (``_quotient``).  ``falsify_on_frame`` runs ``_run`` on many
-    valuations at once, one per lane, and ``falsified_blocks`` on many
-    frames' valuations; there the meets test reads a carry into each lane's
-    guard bit instead of branching per class.
+    that pays (``_quotient``).  ``falsified_blocks`` runs ``_run`` on many
+    valuations of many frames at once, one per lane; there the meets test
+    reads a carry into each lane's guard bit instead of branching per class.
 
     An evaluator keeps no reference to its structure, so the structure can
     keep it (``evaluator``) without a reference cycle.
@@ -648,7 +635,7 @@ class Evaluator:
         self._rels, self._agents = ((frame.r,), None) if self._mono \
             else (frame.rels, frame.agents)
         self._kind = type(frame).__name__
-        self._classes: dict = {}  # lane-repeat constant -> _classes_in
+        self._classes: Optional[dict] = None  # _own_classes
         self._last_quotient: tuple = (None, None)  # valuation, quotient
 
     def truth_mask(self, f: Formula, val: Mapping[str, int]) -> int:
@@ -694,7 +681,7 @@ class Evaluator:
         direct = sum(map(len, classes)) / len(classes) \
             * (1 + self._full.bit_length() / 2048)  # per relation and pass
         # geq's pre-images are leq's images: no transpose is needed
-        relations = classes + [self._classes_in(1)["up"]]
+        relations = classes + [self._own_classes()["up"]]
         blocks = [self._full]
         for m in val.values():
             blocks = [x for b in blocks for x in (b & m, b & ~m) if x]
@@ -713,16 +700,16 @@ class Evaluator:
         self._last_quotient = (key[0], q)
         return q
 
-    def _classes_in(self, rep: int) -> dict:
-        """The classes the clauses test, each row spread into the lanes of
-        ``rep``, kept per lane count: ``"leq"`` the preorder's, ``"up"`` the
-        preorder's swapped, and each group's relation's (None for a mono
-        structure's) once a clause reads it."""
-        classes = self._classes.get(rep)
+    def _own_classes(self) -> dict:
+        """The classes the clauses test: ``"leq"`` the preorder's row
+        classes, ``"up"`` the same swapped to ``(states, row)``, the pairs of
+        the converse's pre-images (a preorder's up-closure), and each group's
+        relation's (None for a mono structure's) once a clause reads it."""
+        classes = self._classes
         if classes is None:
-            classes = self._classes[rep] = {
-                "leq": self._leq.spread_classes(rep),
-                "up": self._leq.spread_classes(rep, swap=True)}
+            leq = self._leq.row_classes()
+            classes = self._classes = {
+                "leq": leq, "up": tuple((s, r) for r, s in leq)}
         return classes
 
     def _run(self, program: Program, val: Mapping[str, int],
@@ -731,9 +718,10 @@ class Evaluator:
         a lane-repeat constant ``rep`` (bit 0 of each lane, see
         ``falsify_on_frame``), each value of ``val`` and each mask holds one
         truth set per lane, and only the "which classes meet x" test differs:
-        a carry into each lane's guard bit replaces the branch.  ``spread``
-        replaces the structure's own classes (``_classes_in``) with tables
-        that give each lane its own relations (``falsified_blocks``)."""
+        a carry into each lane's guard bit replaces the branch.  Lanes read
+        the class tables ``spread`` (``falsified_blocks``), which give each
+        lane its relations and every group the program reads; without them
+        (``rep`` 1) the structure's own classes serve (``_own_classes``)."""
         ops, left, right, consts = \
             program.ops, program.left, program.right, program.consts
         full, mono = self._full * rep, self._mono
@@ -751,7 +739,7 @@ class Evaluator:
                     out |= ((((x & row) + full) & guards) >> n) * states
                 return out
         if spread is None:
-            spread = self._classes_in(rep)
+            spread = self._own_classes()
         leq_classes = spread["leq"]
         masks: list[int] = []
         for i in range(len(ops)):
@@ -772,7 +760,7 @@ class Evaluator:
                 if classes is None:
                     classes = spread[group] = self._rels[
                         0 if mono else self._agents.mask(group) - 1
-                    ].spread_classes(rep)
+                    ].row_classes()
                 if op == box:  # image inside the body: it misses ~body
                     bad = meets(classes, ~body)
                     if mono:  # the mono box reads r directly, no interior
@@ -847,9 +835,10 @@ def _repeat(count: int, stride: int) -> int:
     return ((1 << count * stride) - 1) // ((1 << stride) - 1)
 
 
-def _lanes(leq: Rel, sets: list[int], m: int) -> tuple[int, int, list[int]]:
+def _lanes(leq: Rel, sets: list[int], m: int) -> tuple:
     """How a lane sweep over ``m`` atoms packs valuations by the up-sets
-    ``sets`` of ``leq``: how many of the last atoms are packed, the
+    ``sets`` of ``leq``: ``(bits, sets, inner, rep, masks)``, the bits one
+    pass takes, the up-sets, how many of the last atoms are packed, the
     lane-repeat constant, and each packed atom's mask.  Kept with ``leq``,
     like its up-sets."""
     memo = leq.__dict__.setdefault("_lanes", {})
@@ -866,7 +855,7 @@ def _lanes(leq: Rel, sets: list[int], m: int) -> tuple[int, int, list[int]]:
             cycle = sum(u << s * block * w for s, u in enumerate(sets)) \
                 * _repeat(block, w)
             masks.append(cycle * _repeat(lanes // (block * k), block * k * w))
-        got = memo[m] = (inner, _repeat(lanes, w), masks)
+        got = memo[m] = (lanes * w, sets, inner, _repeat(lanes, w), masks)
     return got
 
 
@@ -882,86 +871,84 @@ def falsify_on_frame(f: Frame, a: Formula,
     state bits plus a guard bit, and one ``Evaluator`` pass serves every
     lane.  As many of the fastest-varying atoms as fit ``LANE_CHUNK_BITS``
     are packed, each atom's mask its up-sets repeated across the lanes by
-    multiplication; each choice of the other atoms is one chunk, in order.
-    So the lowest missing bit of the first chunk with one is the answer."""
+    multiplication; each choice of the other atoms is one pass, in order.
+    So the lowest missing bit of the first pass with one is the answer.
+    This is ``falsified_blocks`` on one frame."""
     names, sets = _assignment_space(f, a, cap)
-    inner, rep, masks = _lanes(f.leq, sets, len(names))
-    w, k, outer = f.n + 1, len(sets), len(names) - inner
-    packed = dict(zip(names[outer:], masks))
-    ev, program = evaluator(f), _compiled(a)
-    full = ev._full * rep
-    for head in itertools.product(sets, repeat=outer):
-        packed.update(zip(names, [u * rep for u in head]))
-        missing = full & ~ev._run(program, packed, rep)[-1]
-        if missing:
-            lane, state = divmod((missing & -missing).bit_length() - 1, w)
-            tail = [sets[lane // k ** (inner - 1 - p) % k] for p in range(inner)]
-            return Model.make(f, dict(zip(names, head + tuple(tail)))), state
-    return None
+    return falsified_blocks([f], [_lanes(f.leq, sets, len(names))], a,
+                            names).get(0)
 
 
-def whole_lanes(f: Frame, m: int, cap: int) -> Optional[tuple[int, int, list[int]]]:
-    """``(bits, rep, masks)`` when all of ``f``'s valuations of ``m`` atoms
-    fit one lane sweep (``_lanes`` packs every atom): the bits they take, the
-    lane-repeat constant and each atom's mask.  None when they do not fit
-    ``LANE_CHUNK_BITS``, or when ``falsify_on_frame`` would refuse ``cap``."""
+def whole_lanes(f: Frame, m: int, cap: int) -> Optional[tuple]:
+    """``f``'s lane layout (``_lanes``) when all its valuations of ``m``
+    atoms fit one pass.  None when they do not fit ``LANE_CHUNK_BITS``, or
+    when ``falsify_on_frame`` would refuse ``cap``."""
     if 1 << f.n > cap:
         return None
     sets = up_sets(f, cap)
-    lanes = len(sets) ** m
-    if lanes > cap and m:
+    if len(sets) ** m > cap and m:
         return None
-    inner, rep, masks = _lanes(f.leq, sets, m)
-    return (lanes * (f.n + 1), rep, masks) if inner == m else None
+    layout = _lanes(f.leq, sets, m)
+    return layout if layout[2] == m else None
 
 
-def falsified_blocks(frames: list[Frame], layouts: list[tuple], a: Formula) -> int:
-    """The frames on which ``a`` fails (bit k: ``frames[k]``, of one state
-    count and agent set, laid out by ``layouts[k] = whole_lanes(...)``), from
-    one ``_run`` pass over all of them.  Block k of each int holds frame k's
-    valuation lanes, laid out as ``falsify_on_frame`` lays out one frame.
-    Every lane is n+1 bits wide, so the guards span the chunk; only the
-    relations differ per block, so each relation is read per state i as the
-    class ``(ROW_i, 1 << i)``, ``ROW_i`` holding frame k's row i in every
-    lane of block k (Lamport's word-parallel test, see ``falsify_on_frame``)."""
-    program = _compiled(a)
-    offsets, blocks, packed, end = [], [], [], 0
-    for bits, rep, masks in layouts:
+def _spread(rels: list[Rel], blocks: list[int]) -> list:
+    """The classes ``_run`` reads for a relation that is ``rels[k]`` in the
+    lanes of ``blocks[k]`` (a lane-repeat constant shifted to its block):
+    ``(ROW_i, 1 << i)`` per state i, ``ROW_i`` holding each frame's row i
+    in every lane of its block."""
+    rows = (sum(map(operator.mul, col, blocks))
+            for col in zip(*[r.rows for r in rels]))  # each state's rows
+    return [(row, 1 << i) for i, row in enumerate(rows) if row]
+
+
+def falsified_blocks(frames: list[Frame], layouts: list[tuple], a: Formula,
+                     names: list[str]) -> dict[int, tuple[Model, int]]:
+    """``falsify_on_frame``'s answer on each frame on which ``a`` fails, by
+    position in ``frames``, from one ``_run`` pass over all of them.  The
+    frames have one state count and agent set, ``layouts[k]`` is frame k's
+    ``_lanes`` and ``names`` are ``a``'s atoms, sorted.
+
+    Block k of each int holds frame k's valuation lanes, laid out as for
+    one frame.  Every lane is n+1 bits wide, so the guards span the run;
+    only the relations differ per block, and ``_spread`` repeats each
+    frame's rows into its own block (Lamport's word-parallel test, see
+    ``falsify_on_frame``).  Only a lone frame may leave atoms unpacked:
+    each of their choices is one pass.  The lowest missing bit of a block
+    names its first falsifying lane and its lowest falsified state there."""
+    program, ev = _compiled(a), evaluator(frames[0])
+    blocks, offsets, end = [], [0], 0
+    for layout in layouts:
+        blocks.append(layout[3] << end)
+        end += layout[0]
         offsets.append(end)
-        blocks.append(rep << end)
-        packed.append([x << end for x in masks])
-        end += bits
-    offsets.append(end)
-
-    def spread(rels: Iterable[Rel]) -> list[tuple[int, int]]:
-        out, state = [], 1
-        for col in zip(*[r.rows for r in rels]):  # each state's rows
-            row = sum(map(operator.mul, col, blocks))
-            if row:
-                out.append((row, state))
-            state <<= 1
-        return out
-
-    leq, rep = frames[0].leq, sum(blocks)  # the lanes run on unbroken
-    if all(f.leq is leq for f in frames):  # exhaustive streams vary R fastest
-        tables = {"leq": leq.spread_classes(rep),
-                  "up": leq.spread_classes(rep, swap=True)}
-    else:
-        leqs = [f.leq for f in frames]
-        tables = {"leq": spread(leqs), "up": spread(map(Rel.converse, leqs))}
-    agents = frames[0].agents
+    leqs = [f.leq for f in frames]
+    tables = {"leq": _spread(leqs, blocks)}
+    if _DIA in program.ops:  # only a diamond reads the up-closure
+        tables["up"] = _spread([r.converse() for r in leqs], blocks)
     for group in program.groups():
-        g = agents.mask(group) - 1
-        tables[group] = spread([f.rels[g] for f in frames])
-    val = dict(zip(sorted(program.atoms()), map(sum, zip(*packed))))
-    ev = evaluator(frames[0])
-    missing = ev._full * rep & ~ev._run(program, val, rep, tables)[-1]
-    out = 0
-    while missing:  # the lowest missing bit names a block; skip to its end
-        k = bisect.bisect_right(offsets, (missing & -missing).bit_length() - 1)
-        out |= 1 << k - 1
-        missing &= -1 << offsets[k]
-    return out
+        g = frames[0].agents.mask(group) - 1
+        tables[group] = _spread([f.rels[g] for f in frames], blocks)
+    _, sets, inner, _, _ = layouts[0]
+    outer, rep, w, found = len(names) - inner, sum(blocks), frames[0].n + 1, {}
+    val = dict(zip(names[outer:], map(sum, zip(
+        *[[x << o for x in layout[4]] for layout, o in zip(layouts, offsets)]))))
+    for head in itertools.product(sets, repeat=outer):
+        val.update(zip(names, [u * rep for u in head]))
+        missing = ev._full * rep & ~ev._run(program, val, rep, tables)[-1]
+        while missing:  # the lowest missing bit names a block; skip to its end
+            low = (missing & -missing).bit_length() - 1
+            k = bisect.bisect_right(offsets, low) - 1
+            lane, state = divmod(low - offsets[k], w)
+            ups = layouts[k][1]
+            tail = [ups[lane // len(ups) ** (inner - 1 - p) % len(ups)]
+                    for p in range(inner)]
+            found[k] = Model.make(
+                frames[k], dict(zip(names, head + tuple(tail)))), state
+            missing &= -1 << offsets[k + 1]
+        if found:
+            break
+    return found
 
 
 # ---------- Mono-modal truth sets ----------

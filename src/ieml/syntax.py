@@ -73,7 +73,13 @@ class AgentSet:
         return g
 
     def mask(self, group: Group) -> int:
-        return sum(1 << self.index(nm) for nm in group)
+        """The group's bitmask in the agent order, kept per group: every
+        modal clause of a frame check reads one."""
+        masks = self.__dict__.setdefault("_masks", {})
+        got = masks.get(group)
+        if got is None:
+            got = masks[group] = sum(1 << self.index(nm) for nm in group)
+        return got
 
     def group_of_mask(self, mask: int) -> Group:
         if not 0 < mask < (1 << len(self.names)):

@@ -140,9 +140,9 @@ def _spied(monkeypatch) -> list:
     alone ("alone", state count, how it ended) of the searches that follow."""
     events = []
 
-    def chunk(frames, layouts, a, _real=search.falsified_blocks):
+    def chunk(frames, layouts, a, names, _real=search.falsified_blocks):
         events.append(("chunk", len(frames)))
-        return _real(frames, layouts, a)
+        return _real(frames, layouts, a, names)
 
     def alone(frame, a, cap, _real=search.falsify_on_frame):
         try:
@@ -214,3 +214,44 @@ def test_a_probe_stopped_before_the_sampled_states_is_exhaustive():
     assert got["frames_checked"] == 63 and got["exhausted"]
     full = soundness_probe(f, LogicId.L_all, budget, max_witnesses=1000)
     assert full.frames_checked > 66 and not full.exhausted
+
+
+def test_one_pass_names_each_falsified_frame_and_its_witness():
+    # every frame of a run in one pass: each falsified block gives the
+    # valuation and state the naive search finds first on its frame alone
+    rng, blocks = random.Random(31), 0
+    for agents in (1, 2):
+        groups = AgentSet(("a", "b")[:agents]).groups()
+        for _ in range(30):
+            f = random_formula(rng, ("p", "q", "r")[:rng.randint(1, 3)], groups,
+                               rng.randint(1, 3))
+            names = sorted(naive_atoms(f))
+            budget = SizeBudget(max_states=rng.randint(1, 3), max_agents=agents,
+                                max_candidates=60, seed=rng.randrange(100))
+            frames = [frame for frame in enumerate_frames(
+                budget, FrameClass.ALL, agents=agents_for_formula(f), stats={})
+                if frame.n == budget.max_states][:40]
+            layouts = [semantics.whole_lanes(frame, len(names), CAP)
+                       for frame in frames]
+            if not frames or None in layouts:
+                continue
+            got = semantics.falsified_blocks(frames, layouts, f, names)
+            want = {k: naive_falsify(frame, f) for k, frame in enumerate(frames)}
+            assert {k: (m.val_map(), s) for k, (m, s) in got.items()} == \
+                {k: hit for k, hit in want.items() if hit}, render(f)
+            assert all(m.frame is frames[k] for k, (m, _) in got.items())
+            blocks += len(got) > 1
+    assert blocks >= 10
+
+
+def test_a_frame_too_wide_for_one_pass_is_swept_in_order():
+    # four atoms over the eight up-sets of a three-state antichain: 4096
+    # valuations, the last three atoms packed, one pass per up-set of p;
+    # the first witness is in the second pass
+    f = parse("p /\\ q /\\ r -> s \\/ <a>p")
+    frame = semantics.Frame(AgentSet(("a",)), 3, semantics.Rel.identity(3),
+                            (semantics.Rel.empty(3),))
+    assert semantics._lanes(frame.leq, semantics.up_sets(frame), 4)[2] == 3
+    model, state = semantics.falsify_on_frame(frame, f)
+    assert (model.val_map(), state) == naive_falsify(frame, f)
+    assert model.val_map()["p"] == 1
