@@ -95,24 +95,26 @@ def cmd_construct(args) -> int:
         doc = load_model(args.infile, close_leq=args.close_leq,
                          complete_by_intersection=args.complete_by_intersection)
         model, names = doc.model, doc.names
+        # a cap left out is the construction's default; 0 is a cap
+        caps = {} if args.max_states is None else {"max_states": args.max_states}
         if kind == "standardize":
             result = constructions.standardize(
-                model, args.variant or "default",
-                max_states=args.max_states or constructions.STANDARDIZE_MAX_STATES,
-                src_names=names)
+                model, args.variant or "default", src_names=names, **caps)
         elif kind == "translift":
             result = constructions.transitive_lift(model, src_names=names)
         elif kind == "rscollapse":
             result = constructions.rs_collapse(model, src_names=names)
         elif kind == "partlift":
             result = constructions.partition_lift(
-                model, args.variant or "plain",
-                max_states=args.max_states or constructions.PARTITION_LIFT_MAX_STATES,
-                src_names=names)
+                model, args.variant or "plain", src_names=names, **caps)
         else:  # collapsemono; argparse bounds --kind
-            if not args.group:
+            if args.group is None:
                 raise ModelFormatError("collapsemono needs --group")
-            alpha = doc.frame.agents.group(*args.group.split(","))
+            try:
+                alpha = doc.frame.agents.group(*args.group.split(","))
+            except KeyError as e:
+                raise ModelFormatError(
+                    f"bad group {args.group!r}: {e.args[0]}") from None
             result = constructions.collapse_mono(model, alpha, args.mono_kind,
                                                  src_names=names)
     save_model(result.model, args.outfile, result.names)
@@ -125,13 +127,12 @@ def cmd_construct(args) -> int:
 def cmd_prove(args) -> int:
     derivation = load_derivation(args.derivation)
     result = check_derivation(derivation, LogicId(args.logic))
-    if args.json:
-        print(json.dumps(result.to_json(), sort_keys=True, separators=(",", ":")))
-    elif result.accepted:
-        print(f"accepted ({len(result.evidence)} lines)")
+    if result.accepted:
+        human = f"accepted ({len(result.evidence)} lines)"
     else:
         line, reason = result.failure
-        print(f"rejected at line {line}: {reason}")
+        human = f"rejected at line {line}: {reason}"
+    _emit(args, human, result.to_json())
     return OK if result.accepted else NEGATIVE
 
 
@@ -153,13 +154,9 @@ def cmd_countermodel(args) -> int:
 
 def cmd_suite(args) -> int:
     report = proposition_suite(_budget(args))
-    if args.json:
-        print(json.dumps(report.to_json(), sort_keys=True, separators=(",", ":")))
-    else:
-        for e in report.entries:
-            print(f"{e.name}: {e.status} ({e.checked} checks)")
-        if not report.entries:
-            print("empty budget: nothing to check")
+    lines = [f"{e.name}: {e.status} ({e.checked} checks)" for e in report.entries]
+    _emit(args, "\n".join(lines) or "empty budget: nothing to check",
+          report.to_json())
     return OK if report.ok else NEGATIVE
 
 

@@ -62,23 +62,31 @@ class ModelDoc:
             raise ModelFormatError(f"unknown state name {name!r}") from None
 
 
+def read_json(path: Union[str, Path]):
+    """The JSON value in the file at ``path``.  A document nested too deep
+    for the parser is a ModelFormatError, like any other bad document."""
+    with open(path) as fh:
+        text = fh.read()
+    # a pair list parses into one young list per pair, and the cyclic
+    # collector's passes over millions of them cost several times the
+    # parse; they hold no cycles, so the collector is paused for the parse
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ModelFormatError("JSON document nested too deeply") from None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _read(source: Source, keys: tuple[str, ...]) -> dict:
     """The document, which must be an object holding each of ``keys``."""
     if isinstance(source, dict):
         doc = source
     else:
-        with open(source) as fh:
-            text = fh.read()
-        # a pair list parses into one young list per pair, and the cyclic
-        # collector's passes over millions of them cost several times the
-        # parse; they hold no cycles, so the collector is paused for the parse
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            doc = json.loads(text)
-        finally:
-            if enabled:
-                gc.enable()
+        doc = read_json(source)
         if not isinstance(doc, dict):
             raise ModelFormatError("expected a JSON object")
     for key in keys:

@@ -16,8 +16,9 @@ from typing import Optional, Union
 
 from .errors import BudgetError
 from .frame_classes import FrameClass
-from .modelio import model_to_doc
-from .semantics import DEFAULT_ASSIGNMENT_CAP
+from .modelio import model_to_doc, read_json
+from .search import agents_for_formula, enumerate_frames
+from .semantics import DEFAULT_ASSIGNMENT_CAP, falsified
 from .syntax import (
     AgentSet, Box, Dia, Formula, Group, Implies, Or, Program, Schema,
     match_instance, parse, render, substitute,
@@ -310,8 +311,7 @@ def parse_derivation(data: list) -> Derivation:
 
 
 def load_derivation(path: Union[str, Path]) -> Derivation:
-    with open(path) as fh:
-        return parse_derivation(json.load(fh))
+    return parse_derivation(read_json(path))
 
 
 def derivation_to_json(d: Derivation) -> list:
@@ -360,8 +360,6 @@ def soundness_probe(theorem: Formula, logic: LogicId, budget,
     By soundness an accepted derivation's last line admits no countermodel;
     any witness found is reported with its model and state.
     """
-    from .search import _falsified, agents_for_formula, enumerate_frames
-
     logic = LogicId(logic)
     classes = LOGIC_CLASSES[logic]
     stats: dict = {}
@@ -369,7 +367,8 @@ def soundness_probe(theorem: Formula, logic: LogicId, budget,
     witnesses = []
     agents = agents_for_formula(theorem)
     frames = enumerate_frames(budget, classes, agents=agents, stats=stats)
-    for hit, exhaustive in _falsified(frames, theorem, cap, stats):
+    tagged = ((frame, stats["exhaustive"]) for frame in frames)
+    for hit, exhaustive in falsified(tagged, theorem, cap):
         checked += 1
         if hit is None:
             continue

@@ -24,14 +24,13 @@ from .errors import BudgetError
 from .frame_classes import FrameClass, has_class, is_iel_structure
 from .modelio import model_to_doc
 from .semantics import (
-    DEFAULT_ASSIGNMENT_CAP, LANE_CHUNK_BITS, Evaluator, Frame, Model,
-    MonoStructure, Rel, bits, falsified_blocks, falsify_on_frame, is_closed,
-    kept, satisfies, up_sets, valid_in_frame, whole_lanes,
+    DEFAULT_ASSIGNMENT_CAP, Evaluator, Frame, Model, MonoStructure, Rel, bits,
+    falsified, is_closed, kept, satisfies, up_sets, valid_in_frame,
 )
 from .syntax import (
     AgentSet, And, Atom, BOT, Box, Dia, Formula, Group, Implies, Or, Program,
     TOP, _AND, _ATOM, _BOT, _BOX, _DIA, _IMPLIES, _OR, _TOP, agents_of,
-    atoms_of, groups_of, instantiate, render,
+    groups_of, instantiate, render,
 )
 
 AGENT_POOL = ("a", "b", "c", "d", "e", "f", "g", "h")
@@ -392,57 +391,6 @@ def agents_for_formula(a: Formula) -> AgentSet:
     return AgentSet(tuple(names))
 
 
-def _answer(frame: Frame, a: Formula, cap: int):
-    """``falsify_on_frame``'s answer on the frame, or the BudgetError it raised."""
-    try:
-        return falsify_on_frame(frame, a, cap)
-    except BudgetError as e:
-        return e
-
-
-def _falsified(frames: Iterator[Frame], a: Formula, cap: int, stats: dict):
-    """``_answer`` on each frame of an ``enumerate_frames`` stream, in order,
-    with ``stats["exhaustive"]`` as it stood when the frame was drawn (a
-    chunk draws frames ahead).  From the third frame on, runs of frames of
-    one state count whose valuations fit one sweep (``whole_lanes``) are
-    checked in one pass each (``falsified_blocks``): 4, 8, 16, ... frames of
-    at most ``LANE_CHUNK_BITS`` bits.  A frame that does not fit ends the
-    chunk and runs alone.  The first two frames, where most refutations
-    fall, run alone, so that a refutation there draws no frame ahead."""
-    names = sorted(atoms_of(a))
-    m = len(names)
-    chunk: list = []  # (frame, layout, flag) drawn and not yet answered
-    size, width, leq, layout = 4, 0, None, None
-    for count, frame in enumerate(frames):
-        flag = stats["exhaustive"]
-        if count < 2:
-            yield _answer(frame, a, cap), flag
-            continue
-        if frame.leq is not leq:
-            leq, layout = frame.leq, whole_lanes(frame, m, cap)
-        if chunk and (layout is None or frame.n != chunk[0][0].n
-                      or width + layout[0] > LANE_CHUNK_BITS):
-            yield from _chunk_answers(chunk, a, names)
-            chunk, width, size = [], 0, size * 2
-        if layout is None:
-            yield _answer(frame, a, cap), flag
-            continue
-        chunk.append((frame, layout, flag))
-        width += layout[0]
-        if len(chunk) == size:
-            yield from _chunk_answers(chunk, a, names)
-            chunk, width, size = [], 0, size * 2
-    if chunk:
-        yield from _chunk_answers(chunk, a, names)
-
-
-def _chunk_answers(chunk: list, a: Formula, names: list[str]):
-    hits = falsified_blocks([frame for frame, _, _ in chunk],
-                            [layout for _, layout, _ in chunk], a, names)
-    for k, (_, _, flag) in enumerate(chunk):
-        yield hits.get(k), flag
-
-
 def countermodel(a: Formula, classes, budget: SizeBudget,
                  cap: int = DEFAULT_ASSIGNMENT_CAP) -> CountermodelResult:
     """First model of the class falsifying ``a`` at some state, if any.
@@ -454,7 +402,7 @@ def countermodel(a: Formula, classes, budget: SizeBudget,
     skipped = False
     agents = agents_for_formula(a)
     frames = enumerate_frames(budget, classes, agents=agents, stats=stats)
-    for hit, _ in _falsified(frames, a, cap, stats):
+    for hit, _ in falsified(((frame, None) for frame in frames), a, cap):
         checked += 1
         if hit is None:
             continue

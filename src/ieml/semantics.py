@@ -13,8 +13,9 @@ with the set of states that have it), so its cost follows the number of
 distinct rows, not of states.  It evaluates a ``Program``, a formula list
 compiled once into a node array, in one loop per valuation, or, for
 ``falsify_on_frame``, in one loop for all of a frame's valuations, each in a
-lane of the same ints (for ``falsified_blocks``, of a run of frames').  The satisfaction and validity functions below wrap
-it, through the evaluator each structure keeps (``evaluator``).
+lane of the same ints (for the frame stream ``falsified``, of a run of
+frames').  The satisfaction and validity functions below wrap it, through
+the evaluator each structure keeps (``evaluator``).
 """
 from __future__ import annotations
 
@@ -804,14 +805,6 @@ def satisfies(m: Model, s: int, a: Formula, variant: str = "prenosil") -> bool:
     return bool(evaluator(m.frame, variant).truth_mask(a, dict(m.val)) >> s & 1)
 
 
-def _assignment_space(f: Frame, a: Formula, cap: int) -> tuple[list[str], list[int]]:
-    names = sorted(atoms_of(a))
-    sets = up_sets(f, cap)
-    if names and len(sets) ** len(names) > cap:
-        raise BudgetError(f"{len(sets)}^{len(names)} valuation assignments "
-                          f"exceed the cap {cap} ({_CAP_HINT})")
-    return names, sets
-
 def valid_in_frame(f: Frame, a: Formula,
                    cap: int = DEFAULT_ASSIGNMENT_CAP) -> bool:
     """True in every model based on ``f``.
@@ -859,6 +852,16 @@ def _lanes(leq: Rel, sets: list[int], m: int) -> tuple:
     return got
 
 
+def _layout(f: Frame, m: int, cap: int) -> tuple:
+    """``f``'s lane layout (``_lanes``) for ``m`` atoms, or the BudgetError
+    of a valuation space past ``cap``."""
+    sets = up_sets(f, cap)
+    if m and len(sets) ** m > cap:
+        raise BudgetError(f"{len(sets)}^{m} valuation assignments "
+                          f"exceed the cap {cap} ({_CAP_HINT})")
+    return _lanes(f.leq, sets, m)
+
+
 def falsify_on_frame(f: Frame, a: Formula,
                      cap: int = DEFAULT_ASSIGNMENT_CAP) -> Optional[tuple[Model, int]]:
     """A model on ``f`` and a state where ``a`` fails, if one exists: the
@@ -874,22 +877,54 @@ def falsify_on_frame(f: Frame, a: Formula,
     multiplication; each choice of the other atoms is one pass, in order.
     So the lowest missing bit of the first pass with one is the answer.
     This is ``falsified_blocks`` on one frame."""
-    names, sets = _assignment_space(f, a, cap)
-    return falsified_blocks([f], [_lanes(f.leq, sets, len(names))], a,
-                            names).get(0)
+    names = sorted(atoms_of(a))
+    return falsified_blocks([(f, _layout(f, len(names), cap))], a, names)[0]
 
 
-def whole_lanes(f: Frame, m: int, cap: int) -> Optional[tuple]:
-    """``f``'s lane layout (``_lanes``) when all its valuations of ``m``
-    atoms fit one pass.  None when they do not fit ``LANE_CHUNK_BITS``, or
-    when ``falsify_on_frame`` would refuse ``cap``."""
-    if 1 << f.n > cap:
-        return None
-    sets = up_sets(f, cap)
-    if len(sets) ** m > cap and m:
-        return None
-    layout = _lanes(f.leq, sets, m)
-    return layout if layout[2] == m else None
+def falsified(frames: Iterable[tuple[Frame, object]], a: Formula,
+              cap: int = DEFAULT_ASSIGNMENT_CAP) -> Iterator[tuple]:
+    """``(answer, tag)`` per ``(frame, tag)``, in order: ``falsify_on_frame``'s
+    answer on the frame, or the BudgetError it raised.  A tag read as its
+    frame is drawn (a stream's exhaustive flag) stays that frame's, though a
+    chunk draws frames ahead.  The first two frames, where most refutations
+    fall, run alone, so a refutation there draws no frame ahead.  Then runs
+    of frames of one state count whose valuations fit one sweep are checked
+    in one pass each (``falsified_blocks``): 4, 8, 16, ... frames of at most
+    ``LANE_CHUNK_BITS`` bits, answered once full.  A frame that does not
+    fit, or exceeds ``cap``, ends the chunk and runs alone."""
+    names = sorted(atoms_of(a))
+    m = len(names)
+    chunk: list = []  # (frame, layout) drawn and not yet answered
+    tags: list = []  # their tags
+    size, width, leq, layout = 4, 0, None, None
+    for count, (frame, tag) in enumerate(frames):
+        # the first two frames keep layout None, so they run alone
+        if count >= 2 and frame.leq is not leq:
+            leq, layout = frame.leq, None
+            try:
+                layout = _layout(frame, m, cap)
+            except BudgetError:  # the frame runs alone, to give the error
+                pass
+        alone = layout is None or layout[2] < m
+        if chunk and (alone or frame.n != chunk[0][0].n
+                      or width + layout[0] > LANE_CHUNK_BITS):
+            yield from zip(falsified_blocks(chunk, a, names), tags)
+            chunk, tags, width, size = [], [], 0, size * 2
+        if alone:
+            try:
+                answer = falsify_on_frame(frame, a, cap)
+            except BudgetError as e:
+                answer = e
+            yield answer, tag
+            continue
+        chunk.append((frame, layout))
+        tags.append(tag)
+        width += layout[0]
+        if len(chunk) == size:
+            yield from zip(falsified_blocks(chunk, a, names), tags)
+            chunk, tags, width, size = [], [], 0, size * 2
+    if chunk:
+        yield from zip(falsified_blocks(chunk, a, names), tags)
 
 
 def _spread(rels: list[Rel], blocks: list[int]) -> list:
@@ -902,12 +937,12 @@ def _spread(rels: list[Rel], blocks: list[int]) -> list:
     return [(row, 1 << i) for i, row in enumerate(rows) if row]
 
 
-def falsified_blocks(frames: list[Frame], layouts: list[tuple], a: Formula,
-                     names: list[str]) -> dict[int, tuple[Model, int]]:
-    """``falsify_on_frame``'s answer on each frame on which ``a`` fails, by
-    position in ``frames``, from one ``_run`` pass over all of them.  The
-    frames have one state count and agent set, ``layouts[k]`` is frame k's
-    ``_lanes`` and ``names`` are ``a``'s atoms, sorted.
+def falsified_blocks(run: list[tuple[Frame, tuple]], a: Formula,
+                     names: list[str]) -> list[Optional[tuple[Model, int]]]:
+    """``falsify_on_frame``'s answer on each frame of ``run``, in order,
+    from one ``_run`` pass over all of them.  ``run`` holds ``(frame,
+    layout)`` pairs of one state count and agent set, each layout its
+    frame's ``_lanes``; ``names`` are ``a``'s atoms, sorted.
 
     Block k of each int holds frame k's valuation lanes, laid out as for
     one frame.  Every lane is n+1 bits wide, so the guards span the run;
@@ -916,6 +951,7 @@ def falsified_blocks(frames: list[Frame], layouts: list[tuple], a: Formula,
     ``falsify_on_frame``).  Only a lone frame may leave atoms unpacked:
     each of their choices is one pass.  The lowest missing bit of a block
     names its first falsifying lane and its lowest falsified state there."""
+    frames, layouts = zip(*run)
     program, ev = _compiled(a), evaluator(frames[0])
     blocks, offsets, end = [], [0], 0
     for layout in layouts:
@@ -948,7 +984,7 @@ def falsified_blocks(frames: list[Frame], layouts: list[tuple], a: Formula,
             missing &= -1 << offsets[k + 1]
         if found:
             break
-    return found
+    return [found.get(k) for k in range(len(run))]
 
 
 # ---------- Mono-modal truth sets ----------

@@ -147,6 +147,16 @@ def test_construct_roundtrip(capsys, tmp_path, model_file, mono_file):
     assert std["worlds"] == ["w0|g0", "w0|g1"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--frame"], ["eval", "p", "--state", "w0", "--model"],
+    ["prove", "--logic", "L_all", "--derivation"]], ids=lambda a: a[0])
+def test_deeply_nested_json_document_exit_2(capsys, tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert run([*argv, str(path)]) == 2
+    assert capsys.readouterr().err == "error: JSON document nested too deeply\n"
+
+
 _IPL1 = {"formula": "p -> (q -> p)", "just": {"kind": "axiom", "id": "IPL1"}}
 
 
@@ -204,6 +214,17 @@ def test_prove_rejects_rule_premise_shapes(capsys, tmp_path, premise, sid, kind)
 def test_construct_missing_flag_is_usage_error(capsys, mono_file):
     assert run(["construct", "--kind", "expandmono", "--in", mono_file,
                 "--out", "/tmp/x.json"]) == 2
+
+
+@pytest.mark.parametrize("group, agent", [("z", "z"), ("", ""), ("a,,b", "")])
+def test_collapsemono_unknown_group_exit_2(capsys, tmp_path, model_file, group,
+                                           agent):
+    out = tmp_path / "out.json"
+    assert run(["construct", "--kind", "collapsemono", "--group", group,
+                "--in", model_file, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: bad group {group!r}: unknown agent {agent!r}\n"
+    assert not out.exists()
 
 
 def test_prove_command(capsys):
@@ -361,6 +382,10 @@ _TWO_STATE_RS = {
     pytest.param(["partlift", "--max-states", "7"], _TWO_STATE_RS,
                  "output would have 8 states (cap 7; raise max_states, "
                  "CLI construct --max-states)", id="partlift"),
+    # a cap of 0 is a cap, not the default
+    pytest.param(["standardize", "--max-states", "0"], _TWO_STATE_RS,
+                 "output would have 8 states (cap 0; raise max_states, "
+                 "CLI construct --max-states)", id="standardize-cap-0"),
 ])
 def test_construct_over_the_cap_names_the_budget(capsys, tmp_path, argv, doc,
                                                   message):

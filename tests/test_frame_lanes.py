@@ -5,7 +5,7 @@ and state, frame count, exhaustive flag and probe witnesses."""
 import random
 
 from ieml import AgentSet, FrameClass, Model, parse, render
-from ieml import search, semantics
+from ieml import semantics
 from ieml.errors import BudgetError
 from ieml.modelio import model_to_doc
 from ieml.proofs import LOGIC_CLASSES, LogicId, ProbeReport, soundness_probe
@@ -137,24 +137,29 @@ def _probe_key(report):
 
 def _spied(monkeypatch) -> list:
     """Record each chunk pass ("chunk", frame count) and each frame checked
-    alone ("alone", state count, how it ended) of the searches that follow."""
-    events = []
+    alone ("alone", state count, how it ended) of the searches that follow.
+    A frame checked alone is a one-frame pass too, which is not recorded."""
+    events, inside = [], []
 
-    def chunk(frames, layouts, a, names, _real=search.falsified_blocks):
-        events.append(("chunk", len(frames)))
-        return _real(frames, layouts, a, names)
+    def chunk(run, a, names, _real=semantics.falsified_blocks):
+        if not inside:
+            events.append(("chunk", len(run)))
+        return _real(run, a, names)
 
-    def alone(frame, a, cap, _real=search.falsify_on_frame):
+    def alone(frame, a, cap, _real=semantics.falsify_on_frame):
+        inside.append(frame)
         try:
             hit = _real(frame, a, cap)
         except BudgetError:
             events.append(("alone", frame.n, "skip"))
             raise
+        finally:
+            inside.pop()
         events.append(("alone", frame.n, "hit" if hit else "valid"))
         return hit
 
-    monkeypatch.setattr(search, "falsified_blocks", chunk)
-    monkeypatch.setattr(search, "falsify_on_frame", alone)
+    monkeypatch.setattr(semantics, "falsified_blocks", chunk)
+    monkeypatch.setattr(semantics, "falsify_on_frame", alone)
     return events
 
 
@@ -170,6 +175,7 @@ def test_a_chunk_ends_at_a_change_of_state_count(monkeypatch):
     assert got[0] and got[3] > 8
     assert events[:4] == [("alone", 1, "valid"), ("alone", 1, "valid"),
                           ("chunk", 4), ("chunk", 2)]
+    assert events[4] == ("chunk", 16)  # each chunk, full or cut, doubles the next
 
 
 def test_a_frame_past_the_cap_ends_a_chunk_and_is_skipped(monkeypatch):
@@ -202,6 +208,26 @@ def test_a_formula_too_wide_for_one_sweep_runs_frame_by_frame(monkeypatch):
     assert any(e[0] == "chunk" for e in events[:first])
 
 
+def test_a_chunk_ends_before_it_outgrows_one_pass(monkeypatch):
+    # four atoms at two states: a frame of the identity order has 256
+    # valuations in lanes of three bits (768 bits), so its chunks are cut
+    # at two frames, before a third would pass LANE_CHUNK_BITS
+    widths = []
+
+    def chunk(run, a, names, _real=semantics.falsified_blocks):
+        widths.append(sum(layout[0] for _, layout in run))
+        return _real(run, a, names)
+
+    monkeypatch.setattr(semantics, "falsified_blocks", chunk)
+    f = parse("p /\\ q /\\ r -> s \\/ p")
+    budget = SizeBudget(max_states=2, max_agents=1, max_candidates=100, seed=8)
+    got = got_countermodel(f, FrameClass.ALL, budget)
+    assert got == expected_countermodel(f, FrameClass.ALL, budget)
+    assert got[:3] == (False, None, None) and got[4]
+    assert widths.count(2 * 768) >= 3
+    assert max(widths) <= semantics.LANE_CHUNK_BITS
+
+
 def test_a_probe_stopped_before_the_sampled_states_is_exhaustive():
     # one agent, at most two states: 66 frames, all of them checked (the
     # three-state frames are sampled).  [a]F fails on 61 of them, the
@@ -216,32 +242,36 @@ def test_a_probe_stopped_before_the_sampled_states_is_exhaustive():
     assert full.frames_checked > 66 and not full.exhausted
 
 
-def test_one_pass_names_each_falsified_frame_and_its_witness():
-    # every frame of a run in one pass: each falsified block gives the
+def test_one_pass_names_each_falsified_frame_and_its_witness(monkeypatch):
+    # runs of frames in one pass each: each falsified block gives the
     # valuation and state the naive search finds first on its frame alone
-    rng, blocks = random.Random(31), 0
+    hits = []  # per pass over more than one frame, the frames falsified
+
+    def chunk(run, a, names, _real=semantics.falsified_blocks):
+        got = _real(run, a, names)
+        if len(run) > 1:
+            hits.append(len(run) - got.count(None))
+        return got
+
+    monkeypatch.setattr(semantics, "falsified_blocks", chunk)
+    rng = random.Random(31)
     for agents in (1, 2):
         groups = AgentSet(("a", "b")[:agents]).groups()
         for _ in range(30):
             f = random_formula(rng, ("p", "q", "r")[:rng.randint(1, 3)], groups,
                                rng.randint(1, 3))
-            names = sorted(naive_atoms(f))
             budget = SizeBudget(max_states=rng.randint(1, 3), max_agents=agents,
                                 max_candidates=60, seed=rng.randrange(100))
             frames = [frame for frame in enumerate_frames(
                 budget, FrameClass.ALL, agents=agents_for_formula(f), stats={})
                 if frame.n == budget.max_states][:40]
-            layouts = [semantics.whole_lanes(frame, len(names), CAP)
-                       for frame in frames]
-            if not frames or None in layouts:
-                continue
-            got = semantics.falsified_blocks(frames, layouts, f, names)
-            want = {k: naive_falsify(frame, f) for k, frame in enumerate(frames)}
-            assert {k: (m.val_map(), s) for k, (m, s) in got.items()} == \
-                {k: hit for k, hit in want.items() if hit}, render(f)
-            assert all(m.frame is frames[k] for k, (m, _) in got.items())
-            blocks += len(got) > 1
-    assert blocks >= 10
+            got = list(semantics.falsified(
+                ((frame, k) for k, frame in enumerate(frames)), f))
+            assert [k for _, k in got] == list(range(len(frames)))
+            assert [hit and (hit[0].val_map(), hit[1]) for hit, _ in got] == \
+                [naive_falsify(frame, f) for frame in frames], render(f)
+            assert all(hit[0].frame is frames[k] for hit, k in got if hit)
+    assert sum(n > 1 for n in hits) >= 50
 
 
 def test_a_frame_too_wide_for_one_pass_is_swept_in_order():
