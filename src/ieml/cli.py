@@ -25,7 +25,7 @@ from . import constructions
 OK, NEGATIVE, ERROR = 0, 1, 2
 
 
-def _emit(args, human: str, payload: dict) -> None:
+def _emit(args, human: str | None, payload: dict) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
@@ -141,9 +141,10 @@ def cmd_countermodel(args) -> int:
     result = countermodel(f, FrameClass(args.cls), _budget(args))
     if result.found:
         doc = result.to_json()
-        human = (f"countermodel at state {doc['state']} "
-                 f"after {result.frames_checked} frames:\n"
-                 + json.dumps(doc["model"], indent=2, sort_keys=True))
+        human = None if args.json else (
+            f"countermodel at state {doc['state']} "
+            f"after {result.frames_checked} frames:\n"
+            + json.dumps(doc["model"], indent=2, sort_keys=True))
         _emit(args, human, doc)
         return NEGATIVE
     note = ("none (space exhausted up to the size bound)"
@@ -161,11 +162,17 @@ def cmd_suite(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and kept for the process:
-    building it costs several times parsing one command line."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and each command's parser by name, built once
+    per process: building them costs several times parsing a command line."""
     top = argparse.ArgumentParser(prog="ieml", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
+    commands: dict[str, argparse.ArgumentParser] = {}
+
+    def command(name: str, fn, help: str) -> argparse.ArgumentParser:
+        p = commands[name] = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        return p
 
     def loader_flags(p):
         p.add_argument("--close-leq", action="store_true",
@@ -173,12 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--complete-by-intersection", action="store_true",
                        help="derive non-singleton group relations as intersections")
 
-    p = sub.add_parser("parse", help="echo the canonical form of a formula")
+    p = command("parse", cmd_parse, "echo the canonical form of a formula")
     p.add_argument("formula")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_parse)
 
-    p = sub.add_parser("eval", help="evaluate a formula at a state of a model")
+    p = command("eval", cmd_eval, "evaluate a formula at a state of a model")
     p.add_argument("formula")
     p.add_argument("--model", required=True)
     p.add_argument("--state", required=True)
@@ -186,23 +192,20 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["prenosil", "fischer_servi", "wijesekera"])
     p.add_argument("--json", action="store_true")
     loader_flags(p)
-    p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("valid", help="decide frame validity by enumerating valuations")
+    p = command("valid", cmd_valid, "decide frame validity by enumerating valuations")
     p.add_argument("formula")
     p.add_argument("--frame", required=True)
     p.add_argument("--max-assignments", type=int, default=1 << 20)
     p.add_argument("--json", action="store_true")
     loader_flags(p)
-    p.set_defaults(fn=cmd_valid)
 
-    p = sub.add_parser("classify", help="list the frame classes of a frame")
+    p = command("classify", cmd_classify, "list the frame classes of a frame")
     p.add_argument("--frame", required=True)
     p.add_argument("--json", action="store_true")
     loader_flags(p)
-    p.set_defaults(fn=cmd_classify)
 
-    p = sub.add_parser("construct", help="apply a model transformation")
+    p = command("construct", cmd_construct, "apply a model transformation")
     p.add_argument("--kind", required=True,
                    choices=["standardize", "translift", "rscollapse",
                             "partlift", "expandmono", "collapsemono"])
@@ -215,16 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-states", type=int)
     p.add_argument("--json", action="store_true")
     loader_flags(p)
-    p.set_defaults(fn=cmd_construct)
 
-    p = sub.add_parser("prove", help="check a Hilbert-style derivation")
+    p = command("prove", cmd_prove, "check a Hilbert-style derivation")
     p.add_argument("--logic", required=True,
                    choices=[l.value for l in LogicId])
     p.add_argument("--derivation", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_prove)
 
-    p = sub.add_parser("countermodel", help="search a frame class for a falsifying model")
+    p = command("countermodel", cmd_countermodel, "search a frame class for a falsifying model")
     p.add_argument("formula")
     p.add_argument("--class", dest="cls", default="all",
                    choices=[c.value for c in FrameClass])
@@ -232,22 +233,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-candidates", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_countermodel)
 
-    p = sub.add_parser("suite", help="run the proposition test battery")
+    p = command("suite", cmd_suite, "run the proposition test battery")
     p.add_argument("--max-states", type=int)
     p.add_argument("--max-agents", type=int)
     p.add_argument("--depth", type=int)
     p.add_argument("--max-candidates", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_suite)
-    return top
+    return top, commands
 
 
 def run(argv=None) -> int:
+    """A known command's own parser reads its arguments, anything else the
+    top-level one; either way the top-level ``error`` refuses leftovers."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    top, commands = build_parser()
+    known = commands.get(argv[0]) if argv else None
     try:
-        args = build_parser().parse_args(argv)
+        args, rest = known.parse_known_args(argv[1:]) if known else top.parse_known_args(argv)
+        if rest:
+            top.error(f"unrecognized arguments: {' '.join(rest)}")
     except SystemExit as e:
         return ERROR if e.code else OK
     try:

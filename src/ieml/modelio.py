@@ -95,6 +95,12 @@ def _read(source: Source, keys: tuple[str, ...]) -> dict:
     return doc
 
 
+def excerpt(value, show: Callable = repr, limit: int = 80) -> str:
+    """``show(value)``, cut to ``limit`` characters for an error line."""
+    text = show(value)
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+
+
 # containers accepted for pair lists and valuation state lists; a document
 # read from JSON has lists, Python callers may pass the others
 _COLLECTIONS = (list, tuple, set, frozenset)
@@ -133,7 +139,7 @@ def _pairs_to_rel(n: int, pairs, index: dict, bit: dict, what: str) -> Rel:
         try:
             rows[index[a]] |= bit[b]
         except (KeyError, TypeError):  # unknown, or unhashable like a JSON array
-            raise ModelFormatError(f"{what}: unknown state in pair {pair!r}") from None
+            raise ModelFormatError(f"{what}: unknown state in pair {excerpt(pair)}") from None
     return Rel(n, tuple(rows))
 
 
@@ -164,7 +170,7 @@ def _table_to_rel(n: int, table: dict, what: str) -> Rel:
     used = 0
     for k in index:
         if type(k) is not int or not 0 <= k < len(rows):  # bool is no index
-            raise ModelFormatError(f"{what}: index entry {k!r} names no row")
+            raise ModelFormatError(f"{what}: index entry {excerpt(k)} names no row")
         if k == used:
             used += 1
         elif k > used:
@@ -190,10 +196,11 @@ def _valuation(doc: dict, index: dict) -> dict:
     val = {}
     for atom, states in val_doc.items():
         if not isinstance(states, _COLLECTIONS):
-            raise ModelFormatError(f"valuation of {atom!r}: expected a list of states")
+            raise ModelFormatError(f"valuation of {excerpt(atom)}: expected a list of states")
         for s in states:
             if not _known(s, index):
-                raise ModelFormatError(f"valuation of {atom!r}: unknown state {s!r}")
+                raise ModelFormatError(
+                    f"valuation of {excerpt(atom)}: unknown state {excerpt(s)}")
         val[atom] = {index[s] for s in states}
     return val
 
@@ -230,7 +237,7 @@ def load_model(source: Source, close_leq: bool = False,
     try:
         agents = AgentSet(tuple(doc["agents"]))
     except (TypeError, ValueError) as e:  # not a list, or a name not a string
-        raise ModelFormatError(f"bad agents: {e}") from None
+        raise ModelFormatError(f"bad agents: {excerpt(e, str)}") from None
     names, index, bit, leq = _carrier(doc, close_leq)
     n = len(names)
 
@@ -243,9 +250,9 @@ def load_model(source: Source, close_leq: bool = False,
         try:
             group = agents.group(*members)
         except (KeyError, ValueError) as e:
-            raise ModelFormatError(f"bad group key {key!r}: {e}") from None
+            raise ModelFormatError(f"bad group key {excerpt(key)}: {excerpt(e, str)}") from None
         if group in seen:
-            raise ModelFormatError(f"duplicate group key {key!r}")
+            raise ModelFormatError(f"duplicate group key {excerpt(key)}")
         seen[group] = _rel(n, value, index, bit, f"rel[{key}]")
 
     if complete_by_intersection:

@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 from .errors import BudgetError
 from .frame_classes import FrameClass
-from .modelio import model_to_doc, read_json
+from .modelio import excerpt, model_to_doc, read_json
 from .search import agents_for_formula, enumerate_frames
 from .semantics import DEFAULT_ASSIGNMENT_CAP, falsified
 from .syntax import (
@@ -200,7 +200,7 @@ def check_derivation(d: Derivation, logic: LogicId) -> CheckResult:
         if isinstance(step, AxiomStep):
             schema = catalog.get(step.schema_id)
             if schema is None:
-                return reject(no, f"unknown schema id {step.schema_id!r}")
+                return reject(no, f"unknown schema id {excerpt(step.schema_id)}")
             if step.schema_id not in allowed:
                 return reject(no, f"schema {step.schema_id} is not in {logic.value}")
             match = match_instance(schema, formula, agents)
@@ -274,7 +274,7 @@ def _field(just: dict, name: str):
     value = just[name]
     ok, want = _FIELDS[name]
     if not ok(value):
-        raise _Malformed(f"{name!r} must be {want}, got {json.dumps(value)}")
+        raise _Malformed(f"{name!r} must be {want}, got {excerpt(value, json.dumps)}")
     return value
 
 
@@ -301,7 +301,7 @@ def parse_derivation(data: list) -> Derivation:
                 step = SubStep(field("i"), tuple(sorted(
                     (a, parse(v)) for a, v in field("map").items())))
             else:
-                raise _Malformed(f"unknown justification kind {kind!r}")
+                raise _Malformed(f"unknown justification kind {excerpt(kind)}")
         except (KeyError, TypeError) as e:
             raise ValueError(f"line {k}: malformed entry ({e})") from None
         except _Malformed as e:

@@ -227,7 +227,7 @@ def enumerate_frames(budget: SizeBudget, classes=FrameClass.ALL,
     if budget.is_empty():
         stats["exhaustive"] = False
         return
-    rng = random.Random(budget.seed)
+    rng = None  # made at the first sampled state count: the exhaustive ones draw nothing
     remaining = budget.max_candidates
     for n in range(1, budget.max_states + 1):
         raw = _raw_space(n, n_groups)
@@ -245,6 +245,7 @@ def enumerate_frames(budget: SizeBudget, classes=FrameClass.ALL,
             remaining -= raw
         else:
             stats["exhaustive"] = False
+            rng = rng or random.Random(budget.seed)
             levels_left = budget.max_states - n + 1
             tries = remaining // levels_left
             remaining -= tries

@@ -931,10 +931,15 @@ def _spread(rels: list[Rel], blocks: list[int]) -> list:
     """The classes ``_run`` reads for a relation that is ``rels[k]`` in the
     lanes of ``blocks[k]`` (a lane-repeat constant shifted to its block):
     ``(ROW_i, 1 << i)`` per state i, ``ROW_i`` holding each frame's row i
-    in every lane of its block."""
-    rows = (sum(map(operator.mul, col, blocks))
-            for col in zip(*[r.rows for r in rels]))  # each state's rows
-    return [(row, 1 << i) for i, row in enumerate(rows) if row]
+    in every lane of its block.  A lone relation's is kept with it, by lane
+    constant: up to 3 states the relations are the process's frame table."""
+    memo = rels[0].__dict__.setdefault("_spread", {}) if len(rels) == 1 else {}
+    table = memo.get(blocks[0])
+    if table is None:
+        rows = (sum(map(operator.mul, col, blocks))
+                for col in zip(*[r.rows for r in rels]))  # each state's rows
+        table = memo[blocks[0]] = [(row, 1 << i) for i, row in enumerate(rows) if row]
+    return table
 
 
 def falsified_blocks(run: list[tuple[Frame, tuple]], a: Formula,

@@ -187,6 +187,46 @@ def test_prove_malformed_derivation_exit_2(capsys, tmp_path, lines, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, doc, code, head", [
+    (["prove", "--logic", "L_par_D", "--derivation"],
+     [{"formula": "p", "just": {"kind": "axiom", "id": list(range(100_000))}}], 2,
+     "error: line 1: 'id' must be a string, got [0, 1, 2,"),
+    (["prove", "--logic", "L_par_D", "--derivation"],
+     [{"formula": "p", "just": {"kind": "k" * 100_000, "id": "IPL1"}}], 2,
+     "error: line 1: unknown justification kind 'kkk"),
+    (["prove", "--logic", "L_par_D", "--derivation"],
+     [{"formula": "p", "just": {"kind": "axiom", "id": "x" * 100_000}}], 1,
+     "rejected at line 1: unknown schema id 'xxx"),
+    (["classify", "--frame"],
+     {"agents": ["a"], "worlds": ["w0"], "leq": [["w0", "w0"]], "rel": {"a": []},
+      "valuation": {"p": [list(range(50_000))]}}, 2,
+     "error: valuation of 'p': unknown state [0, 1, 2,"),
+    (["classify", "--frame"],
+     {"agents": ["a"], "worlds": ["w0"], "rel": {"a": []},
+      "leq": [["w0", "w0"], ["w0", "w" * 50_000]]}, 2,
+     "error: leq: unknown state in pair ['w0', 'www"),
+    (["classify", "--frame"],
+     {"agents": ["a"], "worlds": ["w0"], "leq": [["w0", "w0"]],
+      "rel": {"a": {"index": [list(range(50_000))], "rows": ["1"]}}}, 2,
+     "error: rel[a]: index entry [0, 1, 2,"),
+    (["classify", "--frame"],
+     {"agents": ["a" * 50_000 + "!"], "worlds": ["w0"], "leq": [], "rel": {}}, 2,
+     "error: bad agents: bad agent name 'aaa"),
+    (["classify", "--frame"],
+     {"agents": ["a"], "worlds": ["w0"], "leq": [], "rel": {"b" * 50_000: []}}, 2,
+     "error: bad group key 'bbb"),
+], ids=["derivation id", "justification kind", "schema id", "valuation state", "pair",
+        "index entry", "agent name", "group key"])
+def test_a_huge_document_value_is_quoted_short(capsys, tmp_path, argv, doc, code, head):
+    # the message quotes an excerpt of the value, marked with its length
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert run([*argv, str(path)]) == code
+    text = "".join(capsys.readouterr())
+    assert text.startswith(head) and text.count("\n") == 1 and len(text) < 250
+    assert " characters)" in text
+
+
 # Premises that miss their modal rule's shape, each an axiom instance so
 # that only the shape fails: (premise, its schema, the rule applied).
 _BAD_PREMISES = [
@@ -304,6 +344,68 @@ def test_suite_above_two_agents_skips_over_budget_standardizations(capsys, agent
 def test_usage_error(capsys):
     assert run(["nonsense"]) == 2
     assert run([]) == 2
+
+
+_CM = ["countermodel", "--class", "all", "--max-states", "2", "--max-candidates", "100"]
+_FRAME = {"agents": ["a"], "worlds": ["w0", "w1"],
+          "leq": [["w0", "w0"], ["w1", "w1"], ["w0", "w1"]],
+          "rel": {"a": [["w0", "w1"]]}, "valuation": {}}
+
+
+# Usage errors, help texts and human outputs as one top-level argparse pass
+# printed them, before a known command went straight to its own parser:
+# (argv, exit code, the stream written, its sha256, its last line).  Help
+# is wrapped to the terminal width, so the test fixes COLUMNS.
+@pytest.mark.parametrize("argv, code, stream, digest, last", [
+    ([], 2, "err",
+     "98074988ac64715fcf06621c97e96889d28b9070043a1e5ec345d70055dc748f",
+     "ieml: error: the following arguments are required: command"),
+    (["nonsense"], 2, "err",
+     "d032770d47fecef654de05f7650e06691bbd39183d1ae168b182c14d3ca1e30e",
+     "ieml: error: argument command: invalid choice: 'nonsense' (choose from "
+     "'parse', 'eval', 'valid', 'classify', 'construct', 'prove', "
+     "'countermodel', 'suite')"),
+    (["countermodel", "--bogus", "p"], 2, "err",
+     "70760b975d4c28d08f85c44d97588d71a1ddd5dc0ade1ed6f8181d3001b12132",
+     "ieml: error: unrecognized arguments: --bogus"),
+    (["countermodel", "--class", "bogus", "p"], 2, "err",
+     "9b97adc4be3b2c126ee1441b6425eb8d23876c447a3424fdf5c5f999b8e0ff1c",
+     "ieml countermodel: error: argument --class: invalid choice: 'bogus' "
+     "(choose from 'all', 'doxastic', 'epistemic', 'reflexive', 'symmetric', "
+     "'transitive', 'rs', 'partition', 'ud_reflexive', 'ud_symmetric', 'ud', "
+     "'prestandard', 'standard', 'forward_confluent')"),
+    (["classify"], 2, "err",
+     "7044ff3aad61c062fecced1bc65eb885f3ac9fa6f0209d3b6b2aeb3b63317d81",
+     "ieml classify: error: the following arguments are required: --frame"),
+    (["countermodel", "--max-states", "x", "p"], 2, "err",
+     "4505b3c0d9e4dffea210eea36c1b847d514cecb79b45e9a3dd6677ff1c428533",
+     "ieml countermodel: error: argument --max-states: invalid int value: 'x'"),
+    (["-h"], 0, "out",
+     "b5c0424928584ec9640e08d8c0886bb4accdc724c9cd47c7f6e0e439f14b2c5f",
+     "  -h, --help            show this help message and exit"),
+    (["countermodel", "-h"], 0, "out",
+     "c56dc8ee077e69754e3675ed043dbd075ccb522c68dce530b4c5762ffddef396",
+     "  --json"),
+    (_CM + ["[a]p -> p"], 1, "out",
+     "9ae65518736f0c4ce35ca119a2d12f5a05b8cad8c4996642c71bee1627632706", "}"),
+    (_CM + ["[a]p -> [a]p"], 0, "out",
+     "7a8e9dcf69f038c6068ff1a93f21428f45846ccba8f16548b23351e4178c53ba",
+     "none (space exhausted up to the size bound)"),
+    (["valid", "--frame", "FRAME", "[a]p -> p"], 1, "out",
+     "ced1774e24a7e94cb6db886c9efe0da88658d4487e89e93dbe93546a56b2bf1e",
+     "invalid (falsified at w0)"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_usage_help_and_human_outputs_are_pinned(capsys, monkeypatch, tmp_path,
+                                                 argv, code, stream, digest, last):
+    monkeypatch.setenv("COLUMNS", "80")
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(_FRAME))
+    assert run([str(frame) if a == "FRAME" else a for a in argv]) == code
+    out, err = capsys.readouterr()
+    text, other = (err, out) if stream == "err" else (out, err)
+    assert other == ""
+    assert text.splitlines()[-1] == last
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_one_parser_serves_every_call(capsys, monkeypatch, model_file):

@@ -285,3 +285,47 @@ def test_a_frame_too_wide_for_one_pass_is_swept_in_order():
     model, state = semantics.falsify_on_frame(frame, f)
     assert (model.val_map(), state) == naive_falsify(frame, f)
     assert model.val_map()["p"] == 1
+
+
+def test_lone_frames_read_tables_kept_with_their_relations(monkeypatch):
+    # every frame of the 1-agent, 2-state space on fresh relations, so the
+    # first pass is cold; 1, 2 and 3 atoms give one relation 3 lane
+    # constants.  Cold, warm, and after a chunked stream over the same
+    # relations, each lone answer is the naive one.
+    agents = AgentSet(("a",))
+    budget = SizeBudget(max_states=2, max_agents=1, max_candidates=10_000)
+    frames = [semantics.Frame(agents, 2, semantics.Rel(2, fr.leq.rows),
+                              (semantics.Rel(2, fr.rels[0].rows),))
+              for fr in enumerate_frames(budget, agents=agents) if fr.n == 2]
+    formulas = [parse(s) for s in ("<a>[a]p -> p", "[a](p -> q) -> (<a>p -> <a>q)",
+                                   "[a]p /\\ <a>q -> <a>(r \\/ p) \\/ [a]r")]
+    expected = [[naive_falsify(fr, f) for fr in frames] for f in formulas]
+
+    def lone():
+        return [[hit and (hit[0].val_map(), hit[1])
+                 for hit in (semantics.falsify_on_frame(fr, f) for fr in frames)]
+                for f in formulas]
+
+    assert lone() == expected  # cold
+    assert len(frames) == 64 and all(
+        len(fr.rels[0].__dict__["_spread"]) == 3 for fr in frames)
+    assert lone() == expected  # warm
+    for f, want in zip(formulas, expected):
+        got = semantics.falsified(((fr, k) for k, fr in enumerate(frames)), f)
+        assert [hit and (hit[0].val_map(), hit[1]) for hit, _ in got] == want
+    assert lone() == expected  # after the chunks
+
+    seen = []  # the tables a warm lone pass reads
+    run = semantics.Evaluator._run
+
+    def spy(self, program, val, rep=1, spread=None):
+        seen.append((rep, spread))
+        return run(self, program, val, rep, spread)
+
+    monkeypatch.setattr(semantics.Evaluator, "_run", spy)
+    frame = frames[-1]
+    semantics.falsify_on_frame(frame, formulas[1])
+    rep, spread = seen[-1]
+    assert spread["leq"] is frame.leq.__dict__["_spread"][rep]
+    assert spread["up"] is frame.leq.converse().__dict__["_spread"][rep]
+    assert spread[frozenset("a")] is frame.rels[0].__dict__["_spread"][rep]
