@@ -98,6 +98,14 @@ def _names(m: Model, src_names: Optional[Sequence[str]]) -> tuple:
     return tuple(src_names)
 
 
+def _same_states(m: Model, structure, src_names: Optional[Sequence[str]]
+                 ) -> ConstructionResult:
+    """``m``'s valuation on ``structure``, which has ``m``'s states: each
+    source state keeps its name and is its own one-state fiber."""
+    return ConstructionResult(Model(structure, m.val), _names(m, src_names),
+                              tuple((t,) for t in range(m.frame.n)))
+
+
 def _block_lift(m: Model, w: int, tag: str, rel: dict,
                 src_names: Optional[Sequence[str]]) -> ConstructionResult:
     """The model over ``rel`` in which source state t becomes the block of
@@ -277,12 +285,8 @@ def rs_collapse(m: Model,
     if not has_class(frame, FrameClass.UD):
         raise PreconditionError(
             "rs_collapse needs an up and down reflexive and symmetric frame")
-    out_frame = Frame(frame.agents, frame.n, frame.leq, tuple(
-        up & down for up, down in map(frame.ud_pair, frame.rels)))
-    out = Model(out_frame, m.val)
-    names = _names(m, src_names)
-    fibers = tuple((t,) for t in range(frame.n))
-    return ConstructionResult(out, names, fibers)
+    return _same_states(m, Frame(frame.agents, frame.n, frame.leq, tuple(
+        up & down for up, down in map(frame.ud_pair, frame.rels))), src_names)
 
 
 # ---------- partition lift ----------
@@ -383,11 +387,7 @@ def expand_mono(m: Model, agents: AgentSet, kind: str = "minus",
     if not is_iel_structure(st, kind):
         raise PreconditionError(f"input is not a {kind} structure")
     rel = {g: st.r for g in agents.groups()}
-    frame = Frame.make(agents, st.n, st.leq, rel)
-    out = Model(frame, m.val)
-    names = _names(m, src_names)
-    fibers = tuple((t,) for t in range(st.n))
-    return ConstructionResult(out, names, fibers)
+    return _same_states(m, Frame.make(agents, st.n, st.leq, rel), src_names)
 
 
 def collapse_mono(m: Model, alpha: Group, kind: str = "minus",
@@ -401,10 +401,7 @@ def collapse_mono(m: Model, alpha: Group, kind: str = "minus",
     if not has_class(frame, need):
         raise PreconditionError(f"collapse_mono({kind}) needs a {need.value} frame")
     r = frame.leq.compose(frame.r(alpha))
-    out = Model(MonoStructure(frame.n, frame.leq, r), m.val)
-    names = _names(m, src_names)
-    fibers = tuple((t,) for t in range(frame.n))
-    return ConstructionResult(out, names, fibers)
+    return _same_states(m, MonoStructure(frame.n, frame.leq, r), src_names)
 
 
 # ---------- claim verification ----------

@@ -20,8 +20,8 @@ from .modelio import excerpt, model_to_doc, read_json
 from .search import agents_for_formula, enumerate_frames
 from .semantics import DEFAULT_ASSIGNMENT_CAP, falsified
 from .syntax import (
-    AgentSet, Box, Dia, Formula, Group, Implies, Or, Program, Schema,
-    match_instance, parse, render, substitute,
+    AgentSet, Box, Dia, Formula, Group, Implies, Or, ParseError, Program,
+    Schema, match_instance, parse, render, substitute,
 )
 
 
@@ -94,15 +94,10 @@ LOGIC_CLASSES: dict = {
     LogicId.L_par_D: (FrameClass.PARTITION, FrameClass.STANDARD),
 }
 
-_catalog: Optional[dict] = None
-
-
+@functools.cache
 def schema_catalog() -> dict:
     """All schemata by id, parsed once."""
-    global _catalog
-    if _catalog is None:
-        _catalog = {sid: Schema(sid, parse(src)) for sid, src in _SCHEMA_SOURCES.items()}
-    return _catalog
+    return {sid: Schema(sid, parse(src)) for sid, src in _SCHEMA_SOURCES.items()}
 
 
 # ---------- derivations ----------
@@ -304,7 +299,7 @@ def parse_derivation(data: list) -> Derivation:
                 raise _Malformed(f"unknown justification kind {excerpt(kind)}")
         except (KeyError, TypeError) as e:
             raise ValueError(f"line {k}: malformed entry ({e})") from None
-        except _Malformed as e:
+        except (_Malformed, ParseError) as e:
             raise ValueError(f"line {k}: {e}") from None
         lines.append((formula, step))
     return Derivation(tuple(lines))

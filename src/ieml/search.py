@@ -77,24 +77,20 @@ def default_agents(k: int) -> AgentSet:
 
 # ---------- frame enumeration ----------
 
-_preorder_cache: dict = {}
 # Up to 3 states (2^9 masks a relation: a fixed size limit), one frame table
 # per state count for the process, which every ``enumerate_frames`` stream
 # shares; from 4 states on, each stream keeps its own.
 _frame_tables: dict = {}
 
 
+@functools.cache
 def preorders(n: int) -> list[Rel]:
     """All preorders on n states, ascending by encoded bitmask (n <= 4)."""
     if n > 4:
         raise BudgetError(f"preorder enumeration supports at most 4 states, "
                           f"not {n} (lower max_states, IEML_BUDGET_MAX_STATES)")
-    got = _preorder_cache.get(n)
-    if got is None:
-        seen = {Rel.from_mask(n, m).rt_closure() for m in range(1 << (n * n))}
-        got = sorted(seen, key=Rel.mask)
-        _preorder_cache[n] = got
-    return got
+    seen = {Rel.from_mask(n, m).rt_closure() for m in range(1 << (n * n))}
+    return sorted(seen, key=Rel.mask)
 
 
 def _raw_space(n: int, n_groups: int) -> Optional[int]:
@@ -514,7 +510,7 @@ def _witness_doc(frame: Frame, formula: Formula, note: str) -> dict:
             "frame": model_to_doc(Model.make(frame, {}))}
 
 
-def proposition_suite(budget: SizeBudget, axiom_classes=None,
+def proposition_suite(budget: SizeBudget,
                       frames_per_check: Optional[int] = None) -> SuiteReport:
     """Run the validity, rule-preservation, heredity and construction-claim
     batteries at the given budget; failures become report witnesses."""
@@ -526,7 +522,7 @@ def proposition_suite(budget: SizeBudget, axiom_classes=None,
     entries: list[SuiteEntry] = []
 
     entries.append(_heredity_entry(budget, agents, frames_per_check))
-    entries.extend(_axiom_entries(budget, agents, frames_per_check, axiom_classes))
+    entries.extend(_axiom_entries(budget, agents, frames_per_check))
     entries.extend(_rule_entries(budget, agents, frames_per_check))
     entries.extend(_claim_entries(budget, agents, frames_per_check))
     return SuiteReport(budget.seed, tuple(entries))
@@ -558,13 +554,10 @@ def _heredity_entry(budget: SizeBudget, agents: AgentSet,
     return SuiteEntry("heredity", checked, tuple(witnesses[:3]))
 
 
-def _axiom_entries(budget: SizeBudget, agents: AgentSet, frames_per_check: int,
-                   axiom_classes=None) -> list[SuiteEntry]:
-    table = dict(AXIOM_CLASSES)
-    if axiom_classes:
-        table.update(axiom_classes)
+def _axiom_entries(budget: SizeBudget, agents: AgentSet,
+                   frames_per_check: int) -> list[SuiteEntry]:
     out = []
-    for sid, cls in table.items():
+    for sid, cls in AXIOM_CLASSES:
         instances = axiom_instances(sid, agents)
         checked = 0
         witnesses = []

@@ -157,10 +157,7 @@ class Rel:
         """``(heads, index)``: state i has row ``heads[index[i]]``.  Built once
         per instance from the rows (then the heads are distinct), or handed
         over by ``converse`` or ``compose`` (whose heads may repeat)."""
-        memo = self.__dict__.get("_table")
-        if memo is None:
-            memo = self.__dict__["_table"] = _table_of(self.rows)
-        return memo
+        return kept(self.__dict__, "_table", _table_of, self.rows)
 
     @classmethod
     def _from_table(cls, n: int, heads: list[int], index: list[int],
@@ -183,10 +180,7 @@ class Rel:
         bit-matrix transpose of all n*n cells (``_bit_transpose``), the
         transpose runs instead: only dense relations with mostly distinct
         rows come near that point, no constructed frame."""
-        memo = self.__dict__.get("_converse")
-        if memo is None:
-            memo = self.__dict__["_converse"] = self._transpose()
-        return memo
+        return kept(self.__dict__, "_converse", self._transpose)
 
     def _transpose(self) -> "Rel":
         n = self.n
@@ -469,11 +463,8 @@ def up_sets(f: Union[Frame, MonoStructure],
         raise BudgetError(f"2^{f.n} candidate sets exceed the cap {cap} "
                           f"({_CAP_HINT})")
     leq = f.leq
-    memo = leq.__dict__.get("_up_sets")
-    if memo is None:
-        memo = leq.__dict__["_up_sets"] = \
-            [u for u in range(1 << f.n) if is_closed(leq, u)]
-    return memo
+    return kept(leq.__dict__, "_up_sets",
+                lambda: [u for u in range(1 << f.n) if is_closed(leq, u)])
 
 
 def _val_items(n: int, val: Mapping[str, Union[int, Iterable[int]]]) -> tuple:
@@ -618,7 +609,7 @@ class Evaluator:
     """
 
     __slots__ = ("variant", "_mono", "_box", "_dia", "_full", "_leq",
-                 "_rels", "_agents", "_kind", "_classes", "_last_quotient")
+                 "_rels", "_agents", "_classes", "_last_quotient")
 
     def __init__(self, frame: Union[Frame, MonoStructure],
                  variant: str = "prenosil"):
@@ -635,14 +626,19 @@ class Evaluator:
         self._leq = frame.leq
         self._rels, self._agents = ((frame.r,), None) if self._mono \
             else (frame.rels, frame.agents)
-        self._kind = type(frame).__name__
         self._classes: Optional[dict] = None  # _own_classes
         self._last_quotient: tuple = (None, None)  # valuation, quotient
 
     def truth_mask(self, f: Formula, val: Mapping[str, int]) -> int:
         """The states satisfying ``f``.  A battery asked many times is
         cheaper compiled once into a ``Program`` and given to ``run``."""
-        return self._mask(f, val)
+        program = _compiled(f)
+        # the root is the last node; below the size test there is no quotient
+        if not self._full >> (CLASS_PASS_MIN_STATES - 1):
+            return self._run(program, val)[-1]
+        q = self._quotient(val)  # only the root's mask is lifted
+        masks = (q[1] if q else self)._run(program, q[2] if q else val)
+        return _lift(q, masks[-1]) if q else masks[-1]
 
     def run(self, program: Program, val: Mapping[str, int]) -> list[int]:
         """One truth mask per node of ``program``, in node order."""
@@ -652,15 +648,6 @@ class Evaluator:
             lifted = {m: _lift(q, m) for m in set(masks)}
             masks[:] = map(lifted.__getitem__, masks)
         return masks
-
-    def _mask(self, f: Formula, val: Mapping[str, int]) -> int:
-        program = _compiled(f)
-        # the root is the last node; below the size test there is no quotient
-        if not self._full >> (CLASS_PASS_MIN_STATES - 1):
-            return self._run(program, val)[-1]
-        q = self._quotient(val)  # only the root's mask is lifted
-        masks = (q[1] if q else self)._run(program, q[2] if q else val)
-        return _lift(q, masks[-1]) if q else masks[-1]
 
     def _quotient(self, val: Mapping[str, int]) -> Optional[tuple]:
         """``(blocks, evaluator, valuation)`` of the quotient to run on under
@@ -778,7 +765,8 @@ class Evaluator:
                 out = 0
             else:  # a MonoBox on a frame, a Box or Dia on a mono structure
                 raise TypeError(
-                    f"not a formula over a {self._kind}: {program._formulas()[i]!r}")
+                    f"not a formula over a {'MonoStructure' if mono else 'Frame'}: "
+                    f"{program._formulas()[i]!r}")
             if bad is not None:  # the classes whose row misses every bad state
                 out = full if bad == 0 else full & ~meets(leq_classes, bad)
             masks.append(out)
@@ -789,11 +777,8 @@ def evaluator(structure: Union[Frame, MonoStructure],
               variant: str = "prenosil") -> Evaluator:
     """The structure's ``Evaluator`` for ``variant``, built on first use and
     kept in the structure's dict, the way ``Rel`` keeps its memos."""
-    cache = structure.__dict__.setdefault("_evaluators", {})
-    ev = cache.get(variant)
-    if ev is None:
-        ev = cache[variant] = Evaluator(structure, variant)
-    return ev
+    return kept(structure.__dict__.setdefault("_evaluators", {}), variant,
+                Evaluator, structure, variant)
 
 
 def satisfies(m: Model, s: int, a: Formula, variant: str = "prenosil") -> bool:
@@ -834,22 +819,22 @@ def _lanes(leq: Rel, sets: list[int], m: int) -> tuple:
     pass takes, the up-sets, how many of the last atoms are packed, the
     lane-repeat constant, and each packed atom's mask.  Kept with ``leq``,
     like its up-sets."""
-    memo = leq.__dict__.setdefault("_lanes", {})
-    got = memo.get(m)
-    if got is None:
-        w, k = leq.n + 1, len(sets)
-        inner = m
-        while inner and k ** inner * w > LANE_CHUNK_BITS:
-            inner -= 1
-        lanes = k ** inner
-        masks, block = [], lanes
-        for _ in range(inner):
-            block //= k  # the lanes each up-set of this atom fills in a row
-            cycle = sum(u << s * block * w for s, u in enumerate(sets)) \
-                * _repeat(block, w)
-            masks.append(cycle * _repeat(lanes // (block * k), block * k * w))
-        got = memo[m] = (lanes * w, sets, inner, _repeat(lanes, w), masks)
-    return got
+    return kept(leq.__dict__.setdefault("_lanes", {}), m, _pack, leq.n + 1, sets, m)
+
+
+def _pack(w: int, sets: list[int], m: int) -> tuple:
+    """``_lanes``' layout for lanes ``w`` bits wide."""
+    k, inner = len(sets), m
+    while inner and k ** inner * w > LANE_CHUNK_BITS:
+        inner -= 1
+    lanes = k ** inner
+    masks, block = [], lanes
+    for _ in range(inner):
+        block //= k  # the lanes each up-set of this atom fills in a row
+        cycle = sum(u << s * block * w for s, u in enumerate(sets)) \
+            * _repeat(block, w)
+        masks.append(cycle * _repeat(lanes // (block * k), block * k * w))
+    return lanes * w, sets, inner, _repeat(lanes, w), masks
 
 
 def _layout(f: Frame, m: int, cap: int) -> tuple:
@@ -1003,5 +988,4 @@ def mono_truth_mask(mono: Model,
     if isinstance(f, Program):
         masks = ev.run(f, val)
         return [masks[i] for i in f.roots]
-    # _mask, not truth_mask: perfbench's tracer times the two as separate layers
-    return ev._mask(f, val)
+    return ev.truth_mask(f, val)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ieml import constructions, load_model, save_model
 from ieml.cli import build_parser, run
 from ieml.proofs import LogicId
 
@@ -58,6 +59,9 @@ def test_eval_command(capsys, model_file):
     assert run(["eval", "--model", model_file, "--state", "w0", "p"]) == 0
     assert capsys.readouterr().out.strip() == "false"
     assert run(["eval", "--model", model_file, "--state", "w0", "[c]p"]) == 2
+    capsys.readouterr()
+    assert run(["eval", "--model", model_file, "--state", "w9", "p"]) == 2
+    assert capsys.readouterr().err == "error: unknown state name 'w9'\n"
 
 
 DEEP_INPUTS = {"unary": "~" * 3000 + "p",
@@ -177,6 +181,11 @@ _IPL1 = {"formula": "p -> (q -> p)", "just": {"kind": "axiom", "id": "IPL1"}}
      "line 2: 'j' must be a line number, got \"1\""),
     ([{"formula": "p", "just": {"kind": ["axiom"], "id": "IPL1"}}],
      "line 1: 'kind' must be a string, got [\"axiom\"]"),
+    ([_IPL1, {"formula": "p -> (q ->", "just": {"kind": "axiom", "id": "IPL1"}}],
+     "line 2: expected a formula, found 'end of input' (at position 10)"),
+    ([_IPL1, {"formula": "q -> (q -> q)",
+              "just": {"kind": "sub", "i": 1, "map": {"p": "q @"}}}],
+     "line 2: unexpected character '@' (at position 2)"),
 ])
 def test_prove_malformed_derivation_exit_2(capsys, tmp_path, lines, message):
     path = tmp_path / "bad.json"
@@ -251,9 +260,39 @@ def test_prove_rejects_rule_premise_shapes(capsys, tmp_path, premise, sid, kind)
             f"rejected at line 2: line 1 does not have the {kind.upper()} premise shape\n"
 
 
-def test_construct_missing_flag_is_usage_error(capsys, mono_file):
+def test_construct_missing_flag_is_usage_error(capsys, tmp_path, mono_file,
+                                               model_file):
+    out = tmp_path / "out.json"
     assert run(["construct", "--kind", "expandmono", "--in", mono_file,
-                "--out", "/tmp/x.json"]) == 2
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: expandmono needs --agents\n"
+    assert run(["construct", "--kind", "collapsemono", "--in", model_file,
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: collapsemono needs --group\n"
+    assert not out.exists()
+
+
+def test_construct_rscollapse_writes_the_api_result(capsys, tmp_path, model_file):
+    # up and down reflexive and symmetric; the collapse makes R total
+    doc = {"agents": ["a"], "worlds": ["w0", "w1"],
+           "leq": [["w0", "w0"], ["w0", "w1"], ["w1", "w1"]],
+           "rel": {"a": [["w0", "w1"], ["w1", "w0"]]}, "valuation": {"p": ["w1"]}}
+    src, out, api = (tmp_path / name for name in ("ud.json", "out.json", "api.json"))
+    src.write_text(json.dumps(doc))
+    assert run(["construct", "--kind", "rscollapse", "--in", str(src),
+                "--out", str(out)]) == 0
+    loaded = load_model(str(src))
+    result = constructions.rs_collapse(loaded.model, src_names=loaded.names)
+    save_model(result.model, str(api), result.names)
+    assert out.read_text() == api.read_text()
+    assert len(json.loads(out.read_text())["rel"]["a"]) == 4
+    capsys.readouterr()
+    # the fixture's R misses w0 after order detours: not up reflexive
+    assert run(["construct", "--kind", "rscollapse", "--in", model_file,
+                "--out", str(tmp_path / "no.json")]) == 2
+    assert capsys.readouterr().err == "error: rs_collapse needs an up and down " \
+        "reflexive and symmetric frame\n"
+    assert not (tmp_path / "no.json").exists()
 
 
 @pytest.mark.parametrize("group, agent", [("z", "z"), ("", ""), ("a,,b", "")])

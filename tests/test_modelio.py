@@ -54,6 +54,14 @@ def test_complete_by_intersection_rejects_pair_keys():
         load_model(raw, complete_by_intersection=True)
 
 
+def test_complete_by_intersection_needs_every_singleton():
+    raw = base_doc()
+    raw["rel"] = {"a": [["w1", "w1"]]}
+    with pytest.raises(ModelFormatError,
+                       match="^missing singleton relation for agent 'b'$"):
+        load_model(raw, complete_by_intersection=True)
+
+
 def test_loader_rejections():
     raw = base_doc()
     raw["valuation"] = {"p": ["w0"]}  # not an up-set

@@ -113,9 +113,12 @@ def test_certificate_replay_deterministic():
 
 
 def test_derivation_json_roundtrip():
-    d = load_derivation(DATA / "l_par_dia_box_refl.json")
-    again = parse_derivation(derivation_to_json(d))
-    assert again == d
+    # between them: axiom, r2; and axiom, mp, sub, r1
+    for fname in ("l_par_dia_box_refl.json", "l_all_box_t_to_box_t.json"):
+        d = load_derivation(DATA / fname)
+        doc = derivation_to_json(d)
+        assert parse_derivation(doc) == d
+        assert derivation_to_json(parse_derivation(doc)) == doc
 
 
 # ---------- rejections ----------

@@ -358,11 +358,13 @@ def test_suite_small_budget_passes_and_is_deterministic():
         "d0f1017aee0c01e0b82769c7629c672bca548d2e65a50070b397eb8d80b565ff"
 
 
-def test_suite_swapped_class_produces_witness():
+def test_suite_swapped_class_produces_witness(monkeypatch):
     budget = SizeBudget(max_states=2, max_agents=1, max_formula_depth=2,
                         max_candidates=400, seed=24)
-    rep = proposition_suite(
-        budget, axiom_classes={"A7": FrameClass.ALL}, frames_per_check=25)
+    monkeypatch.setattr(search, "AXIOM_CLASSES", tuple(
+        (sid, FrameClass.ALL if sid == "A7" else cls)
+        for sid, cls in search.AXIOM_CLASSES))
+    rep = proposition_suite(budget, frames_per_check=25)
     entry = rep.entry("A7_on_all")
     assert entry.status == "fail"
     assert entry.witnesses

@@ -688,11 +688,11 @@ def test_wrong_kind_of_box_is_a_type_error():
                        Rel.from_pairs(2, [(0, 1), (1, 1)]))
     mm = Model.make(st, {"p": {1}})
     p = Atom("p")
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^not a formula over a Frame: "):
         Evaluator(chain_model().frame).truth_mask(MonoBox(p), {})
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^not a formula over a MonoStructure: "):
         mono_truth_mask(mm, Box(A, p))
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^not a formula over a MonoStructure: "):
         mono_truth_mask(mm, Dia(A, p))
 
 
